@@ -53,18 +53,11 @@ from .scheme import (
 from .verify import (
     RefinementStudy,
     ShearWaveConfig,
-    StudySetup,
     ViscosityMeasurement,
-    default_study_setup,
     measure_viscosity,
-    refinement_study,
-    residual_prop3,
-    residual_prop5,
-    conservation_law_residuals,
+    refinement_studies,
+    resolution_residuals,
     run_verification,
-    study_conservation_laws,
-    study_prop3,
-    study_prop5,
 )
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .scheme import (
     run,
     save_checkpoint,
 )
-from .verify import StudySetup, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,26 +111,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    study = (args.study or cfg.study_name).lower()
-    bundle = build_components(cfg)
-    from .verify import ShearWaveConfig
-
-    setup = StudySetup(
-        vs=bundle.vs, mm=bundle.mm, model=bundle.model,
-        s=bundle.params.s, field=bundle.field, length=cfg.length,
-        measure_time=cfg.coarse_steps * cfg.length
-        / (min(cfg.resolutions) * cfg.lam),
-    )
-    base_cfg = ShearWaveConfig(
-        length=cfg.length, mode=cfg.viscosity_mode,
-        amplitude=cfg.viscosity_amplitude,
-        horizon_decay_times=cfg.horizon_decay_times,
-    )
-    outcomes = run_verification(
-        study, setup, cfg.resolutions,
-        viscosity_s=cfg.viscosity_s, viscosity_n=cfg.viscosity_n,
-        viscosity_cfg=base_cfg,
-    )
+    outcomes = run_verification((args.study or cfg.study_name).lower(), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for outcome in outcomes:

@@ -10,8 +10,9 @@ serializes back to a canonical text whose re-parse is identical.
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -197,7 +198,17 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _validate(cfg: RunConfig) -> None:
+    for field in fields(cfg):
+        if not _finite(getattr(cfg, field.name)):
+            key = "lambda" if field.name == "lam" else field.name
+            raise ConfigError(f"key '{key}': values must be finite")
     if cfg.initial_kind not in ("uniform", "sine"):
         raise ConfigError(f"key 'kind': unknown initial field {cfg.initial_kind!r}")
     if cfg.nx <= 0 or (cfg.ny is not None and cfg.ny <= 0):
@@ -283,6 +294,8 @@ def config_text(cfg: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class ComponentBundle:
+    """Everything one config builds; ``length`` is the exact domain length."""
+
     vs: object
     mm: object
     model: object
@@ -290,6 +303,7 @@ class ComponentBundle:
     grid_shape: tuple[int, ...]
     field: InitialField
     steps: int
+    length: float
 
 
 def build_field(cfg: RunConfig, d: int) -> InitialField:
@@ -340,4 +354,5 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
         grid_shape = (cfg.nx, cfg.ny if cfg.ny is not None else cfg.nx)
     field = build_field(cfg, vs.d)
     return ComponentBundle(vs=vs, mm=mm, model=model, params=params,
-                           grid_shape=grid_shape, field=field, steps=cfg.steps)
+                           grid_shape=grid_shape, field=field, steps=cfg.steps,
+                           length=cfg.length)

@@ -13,10 +13,6 @@ class RankDeficient(LbmError):
     """The mass/momentum block built from a velocity set does not have full rank."""
 
 
-class IndexOutOfRange(LbmError):
-    """A velocity index j exceeds the set's maximum index J."""
-
-
 class SingularMomentMatrix(LbmError):
     """The assembled moment matrix cannot be inverted."""
 

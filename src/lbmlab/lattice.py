@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     InvalidVelocitySet,
     LbmError,
     RankDeficient,
@@ -53,15 +52,6 @@ class VelocitySet:
     @property
     def J(self) -> int:
         return self.e.shape[0] - 1
-
-    def neighbor(self, node, j, grid_shape):
-        """Grid index of node + e_j with periodic wrap-around on every axis."""
-        if not 0 <= j <= self.J:
-            raise IndexOutOfRange(f"velocity index {j} outside 0..{self.J}")
-        return tuple(
-            (int(n) + int(c)) % int(s)
-            for n, c, s in zip(node, self.e[j], grid_shape)
-        )
 
 
 def build_velocity_set(name_or_vectors="D2Q9") -> VelocitySet:

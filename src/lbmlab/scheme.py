@@ -10,6 +10,7 @@ is 1 in every direction by construction (v_j dt = e_j dx).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -235,14 +236,28 @@ def load_checkpoint(path) -> tuple[SchemeState, dict]:
     if not meta_line.startswith("# lbmlab-checkpoint"):
         raise LbmError(f"{path}: not a checkpoint file")
     meta = dict(re.findall(r"(\w+)=(\S+)", meta_line))
+    missing = [key for key in ("grid", "J", "dt", "lambda", "step") if key not in meta]
+    if missing:
+        raise LbmError(f"{path}: metadata line lacks {', '.join(missing)}")
     grid_shape = tuple(int(n) for n in meta["grid"].split("x"))
     nj = int(meta["J"]) + 1
     if len(header.strip().split(",")) != nj:
         raise LbmError(f"{path}: header does not match J={nj - 1}")
-    values = np.array([
-        [float(x) for x in line.split(",")]
-        for line in body.splitlines() if line
-    ])
+    rows = [line.split(",") for line in body.splitlines() if line]
+    nodes = math.prod(grid_shape)
+    if len(rows) != nodes:
+        raise LbmError(
+            f"{path}: expected {nodes} rows for grid {meta['grid']}, found {len(rows)}"
+        )
+    for i, row in enumerate(rows):
+        if len(row) != nj:
+            raise LbmError(
+                f"{path}: row {i + 1} has {len(row)} columns, expected {nj}"
+            )
+    try:
+        values = np.array([[float(x) for x in row] for row in rows])
+    except ValueError as exc:
+        raise LbmError(f"{path}: {exc}") from exc
     f = values.reshape(*grid_shape, nj)
     info = {
         "grid_shape": grid_shape,

@@ -1,17 +1,28 @@
 """Manufactured-solution refinement studies and shear-wave viscometry.
 
-Every study runs the same smooth initial profile on a ladder of grids with
+Every study runs the configured initial profile on a ladder of grids with
 the celerity lam = dx/dt held fixed, so dt shrinks with dx and the observed
 decay of a residual norm against dt is the order of the corresponding
 expansion claim.  Residuals are measured after a fixed physical time (at
 least 20 coarse-grid steps) so the relaxation transient left by the
 equilibrium initialization has died out.
 
+Each resolution is simulated once: ``run`` for n - 1 steps, then two
+``step`` calls, so the measurement step n is bracketed by one step on
+either side.  All five residuals come from that one run: the moment
+disequilibrium and the defect-corrected moment prediction from the step-n
+state, the mass and momentum balances from a centered time difference
+across steps n - 1, n and n + 1.  ``refinement_studies`` fits all five over
+the ladder; ``run_verification`` builds the components from a ``RunConfig``,
+takes the study parameters from its [study] fields and keeps the outcomes
+the requested study needs.
+
 Expected orders: moment disequilibrium decays at first order; the
 (dt/s) theta correction makes the prediction second order; the momentum
 balance closes at first order with the bare flux and at second order with
 the corrected flux; mass closes at second order.  The shear-wave viscometer
-checks the relaxation-rate/viscosity relation nu = cs2 dt (1/s - 1/2).
+checks the relaxation-rate/viscosity relation nu = cs2 dt (1/s - 1/2) on
+the configured 2-D lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,17 +41,12 @@ from .analysis import (
     ns_flux_correction,
     technical_lemma_prediction,
 )
-from .equilibrium import (
-    EquilibriumModel,
-    build_equilibrium,
-    equilibrium_moments,
-)
+from .config import ComponentBundle, RunConfig, build_components
+from .equilibrium import equilibrium_moments
 from .errors import ConfigError, FitRejected, IllConditionedWarning, SimulationDiverged
-from .fields import InitialField, SineComponent, shear_wave_field
-from .lattice import MomentMatrix, VelocitySet, build_moment_matrix, build_velocity_set
+from .fields import shear_wave_field
 from .scheme import (
     SchemeParams,
-    SchemeState,
     conservation_audit,
     initialize_equilibrium,
     moments_of,
@@ -50,11 +56,12 @@ from .scheme import (
 
 FIRST_ORDER_BAND = (0.8, 1.2)
 SECOND_ORDER_BAND = (1.75, 2.25)
-CONTROL_SLOPE_MAX = 1.3
 MIN_R_SQUARED = 0.99
 MIN_COARSE_STEPS = 20
 VISCOSITY_RTOL = 0.02
 ILL_CONDITIONED_S = 1.95
+# Grids of 2-D lattices are N x CROSS_AXIS_NODES: the profiles vary along x only.
+CROSS_AXIS_NODES = 8
 
 # The mass balance has no upper slope bound: with the built-in equilibria
 # (cs2 = lam^2/3) the dt^2 coefficient of the centered-difference mass
@@ -68,155 +75,54 @@ STUDY_BANDS = {
     "prop6": SECOND_ORDER_BAND,
     "mass": (SECOND_ORDER_BAND[0], None),
 }
+REFINEMENT_EXPERIMENTS = tuple(STUDY_BANDS)
 
 
-@dataclass(frozen=True)
-class StudySetup:
-    """Everything shared across the resolutions of one refinement study."""
+def resolution_residuals(components: ComponentBundle, N: int, steps: int) -> dict:
+    """All five residual norms from one simulation on an N-node grid.
 
-    vs: VelocitySet
-    mm: MomentMatrix
-    model: EquilibriumModel
-    s: np.ndarray
-    field: InitialField
-    length: float = 1.0
-    measure_time: float = 1.0
-    cross_axis_nodes: int = 8
-
-
-def default_study_setup(lam: float = 1.0, s_value: float = 1.5,
-                        amplitude: float = 1e-3, length: float = 1.0,
-                        measure_time: float = 1.0) -> StudySetup:
-    """D2Q9 preset: one acoustic mode plus one transverse shear mode.
-
-    The density/longitudinal pair gives the mass balance O(epsilon) content
-    (a pure shear wave leaves it at O(epsilon^2), far below the residuals
-    being measured); the transverse mode exercises the off-diagonal stress.
+    The run takes ``steps`` + 1 steps.  The step-``steps`` state gives the
+    max-norm moment disequilibrium |m - m_eq| ('prop3') and the max-norm
+    error of the first-order prediction m_eq - (dt/s) theta ('prop5').  A
+    centered time difference across the neighbouring steps, with spatial
+    terms on the middle state, gives the mass balance residual ('mass') and
+    the momentum balance residual with the bare flux ('prop4') and with the
+    corrected flux ('prop6').  'mass_drift' is the relative drift of the
+    global mass over the whole run.
     """
-    vs = build_velocity_set("d2q9")
-    mm = build_moment_matrix(vs, lam)
-    model = build_equilibrium(vs, lam)
-    cs = lam / math.sqrt(3.0)
-    field = InitialField(
-        rho=SineComponent(offset=1.0, amplitude=amplitude, mode=1),
-        velocity=(
-            SineComponent(amplitude=cs * amplitude, mode=1),
-            SineComponent(amplitude=lam * amplitude, mode=1),
-        ),
-    )
-    s = np.full(vs.J - vs.d, s_value)
-    return StudySetup(vs=vs, mm=mm, model=model, s=s, field=field,
-                      length=length, measure_time=measure_time)
-
-
-def _params_for(setup: StudySetup, N: int) -> SchemeParams:
-    dx = setup.length / N
-    return SchemeParams(dx=dx, dt=dx / setup.mm.lam, s=setup.s)
-
-
-def _grid_for(setup: StudySetup, N: int) -> tuple[int, ...]:
-    if setup.vs.d == 1:
-        return (N,)
-    return (N, setup.cross_axis_nodes)
-
-
-def _conserved(state: SchemeState, mm: MomentMatrix) -> np.ndarray:
-    return moments_of(state, mm)[..., :mm.d + 1]
-
-
-@dataclass
-class RunRecord:
-    state: SchemeState
-    params: SchemeParams
-    mass_drift: float
-    W_prev: Optional[np.ndarray] = None
-    W_mid: Optional[np.ndarray] = None
-    W_next: Optional[np.ndarray] = None
-
-
-def _simulate(setup: StudySetup, N: int, steps: Optional[int] = None,
-              snapshots: bool = False) -> RunRecord:
-    params = _params_for(setup, N)
-    grid = _grid_for(setup, N)
-    W0 = setup.field.conserved(grid, params.dx)
-    state = initialize_equilibrium(setup.model, setup.vs, W0)
+    vs, mm, model = components.vs, components.mm, components.model
+    dx = components.length / N
+    params = SchemeParams(dx=dx, dt=dx / mm.lam, s=components.params.s)
+    grid = (N,) if vs.d == 1 else (N, CROSS_AXIS_NODES)
+    state = initialize_equilibrium(model, vs, components.field.conserved(grid, dx))
     initial = state
-    n = steps if steps is not None else round(setup.measure_time / params.dt)
-    args = (setup.vs, setup.mm, setup.model, params)
-    if snapshots:
-        # bracket the measurement time with one step on either side for the
-        # centered time derivative
-        state = run(state, n - 1, *args)
-        W_prev = _conserved(state, setup.mm)
-        state = step(state, *args)
-        W_mid = _conserved(state, setup.mm)
-        mid_state = state
-        state = step(state, *args)
-        W_next = _conserved(state, setup.mm)
-        audit = conservation_audit(initial, state, setup.mm)
-        return RunRecord(state=mid_state, params=params,
-                         mass_drift=audit["mass_drift"],
-                         W_prev=W_prev, W_mid=W_mid, W_next=W_next)
-    state = run(state, n, *args)
-    audit = conservation_audit(initial, state, setup.mm)
-    return RunRecord(state=state, params=params, mass_drift=audit["mass_drift"])
-
-
-def residual_prop3(setup: StudySetup, N: int, steps: Optional[int] = None) -> float:
-    """Max-norm moment disequilibrium |m - m_eq| over the relaxed moments."""
-    rec = _simulate(setup, N, steps=steps)
-    m = moments_of(rec.state, setup.mm)
-    nc = setup.mm.d + 1
-    m_eq = equilibrium_moments(setup.model, setup.vs, setup.mm, m[..., :nc])
-    return float(np.abs(m[..., nc:] - m_eq[..., nc:]).max())
-
-
-def residual_prop5(setup: StudySetup, N: int, include_defect: bool = True,
-                   steps: Optional[int] = None) -> float:
-    """Max-norm error of the first-order moment prediction m_eq - (dt/s) theta.
-
-    With ``include_defect=False`` the (dt/s) theta term is dropped, which is
-    the control experiment: the residual then degrades to first order.
-    """
-    rec = _simulate(setup, N, steps=steps)
-    m = moments_of(rec.state, setup.mm)
-    nc = setup.mm.d + 1
+    args = (vs, mm, model, params)
+    nc = mm.d + 1
+    state = run(state, steps - 1, *args)
+    W_prev = moments_of(state, mm)[..., :nc]
+    state = step(state, *args)
+    m = moments_of(state, mm)
     W = m[..., :nc]
-    if include_defect:
-        fld = SmoothField(W=W, dx=rec.params.dx)
-        pred = technical_lemma_prediction(fld, setup.model, setup.vs,
-                                          setup.mm, rec.params)
-    else:
-        pred = equilibrium_moments(setup.model, setup.vs, setup.mm, W)
-    return float(np.abs(m[..., nc:] - pred[..., nc:]).max())
+    state = step(state, *args)
+    W_next = moments_of(state, mm)[..., :nc]
 
-
-def conservation_law_residuals(setup: StudySetup, N: int,
-                               steps: Optional[int] = None) -> dict:
-    """Mass and momentum balance residuals from three consecutive snapshots.
-
-    The time derivative is a centered difference across t - dt, t, t + dt;
-    spatial terms are evaluated on the middle snapshot.  Returns the momentum
-    residual with the bare flux ('prop4'), with the corrected flux ('prop6'),
-    and the mass residual ('mass').
-    """
-    rec = _simulate(setup, N, steps=steps, snapshots=True)
-    dt = rec.params.dt
-    dtW = (rec.W_next - rec.W_prev) / (2.0 * dt)
-    fld = SmoothField(W=rec.W_mid, dx=rec.params.dx)
-    efd = euler_flux_divergence(fld, setup.model, setup.vs)
-    corrected = ns_flux_correction(fld, setup.model, setup.vs, setup.mm,
-                                   rec.params)
-    d = setup.mm.d
-    div_corr = np.zeros(rec.W_mid.shape[:-1] + (d,))
-    for a in range(d):
-        for b in range(d):
-            div_corr[..., a] += fd_gradient(corrected[..., a, b], b, rec.params.dx)
+    m_eq = equilibrium_moments(model, vs, mm, W)
+    fld = SmoothField(W=W, dx=dx)
+    pred = technical_lemma_prediction(fld, model, vs, mm, params)
+    dtW = (W_next - W_prev) / (2.0 * params.dt)
+    efd = euler_flux_divergence(fld, model, vs)
+    corrected = ns_flux_correction(fld, model, vs, mm, params)
+    div_corr = np.zeros(W.shape[:-1] + (mm.d,))
+    for a in range(mm.d):
+        for b in range(mm.d):
+            div_corr[..., a] += fd_gradient(corrected[..., a, b], b, dx)
     return {
-        "mass": float(np.abs(dtW[..., 0] + efd[..., 0]).max()),
+        "prop3": float(np.abs(m[..., nc:] - m_eq[..., nc:]).max()),
         "prop4": float(np.abs(dtW[..., 1:] + efd[..., 1:]).max()),
+        "prop5": float(np.abs(m[..., nc:] - pred[..., nc:]).max()),
         "prop6": float(np.abs(dtW[..., 1:] + div_corr).max()),
-        "mass_drift": rec.mass_drift,
+        "mass": float(np.abs(dtW[..., 0] + efd[..., 0]).max()),
+        "mass_drift": conservation_audit(initial, state, mm)["mass_drift"],
     }
 
 
@@ -267,26 +173,24 @@ class RefinementStudy:
         return tuple(out)
 
 
-def _validate_ladder(setup: StudySetup, resolutions) -> tuple[int, ...]:
+def _validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
     ns = tuple(int(n) for n in resolutions)
     if len(ns) < 4:
         raise ConfigError(f"refinement study needs at least 4 resolutions, got {len(ns)}")
     for a, b in zip(ns, ns[1:]):
         if b != 2 * a:
             raise ConfigError(f"resolutions must double, got {a} -> {b}")
-    dt_coarse = setup.length / ns[0] / setup.mm.lam
-    if round(setup.measure_time / dt_coarse) < MIN_COARSE_STEPS:
+    if coarse_steps < MIN_COARSE_STEPS:
         raise ConfigError(
-            f"measurement time {setup.measure_time} is under {MIN_COARSE_STEPS} "
-            f"steps on the coarsest grid"
+            f"coarse_steps must be at least {MIN_COARSE_STEPS}, got {coarse_steps}"
         )
     return ns
 
 
-def _assemble(experiment: str, setup: StudySetup, ns, residuals,
+def _assemble(experiment: str, components: ComponentBundle, ns, residuals,
               drifts) -> RefinementStudy:
-    dxs = tuple(setup.length / n for n in ns)
-    dts = tuple(dx / setup.mm.lam for dx in dxs)
+    dxs = tuple(components.length / n for n in ns)
+    dts = tuple(dx / components.mm.lam for dx in dxs)
     if min(residuals) <= 0.0:
         return RefinementStudy(experiment, ns, dxs, dts, tuple(residuals),
                                tuple(drifts), None, None, None, False,
@@ -296,50 +200,48 @@ def _assemble(experiment: str, setup: StudySetup, ns, residuals,
         return RefinementStudy(experiment, ns, dxs, dts, tuple(residuals),
                                tuple(drifts), None, None, r2, False,
                                note=f"regression rejected, R2={r2:.4f}")
-    band = STUDY_BANDS.get(experiment)
-    if band is None:
-        ok = True
-    else:
-        lo, hi = band
-        ok = slope >= lo and (hi is None or slope <= hi)
+    band = STUDY_BANDS[experiment]
+    lo, hi = band
+    ok = slope >= lo and (hi is None or slope <= hi)
     note = "" if ok else f"slope {slope:.3f} outside {band}"
     return RefinementStudy(experiment, ns, dxs, dts, tuple(residuals),
                            tuple(drifts), slope, intercept, r2, ok, note)
 
 
-def refinement_study(experiment: str, setup: StudySetup, resolutions,
-                     residual_fn: Callable[[StudySetup, int], float]) -> RefinementStudy:
-    """Run one residual norm over the ladder and fit its order."""
-    ns = _validate_ladder(setup, resolutions)
-    residuals, drifts = [], []
-    for n in ns:
-        residuals.append(residual_fn(setup, n))
-        drifts.append(math.nan)
-    return _assemble(experiment, setup, ns, residuals, drifts)
+def refinement_studies(components: ComponentBundle, resolutions,
+                       coarse_steps: int) -> dict[str, RefinementStudy]:
+    """Fit the order of all five residuals over a doubling resolution ladder.
 
-
-def study_prop3(setup: StudySetup, resolutions) -> RefinementStudy:
-    return refinement_study("prop3", setup, resolutions, residual_prop3)
-
-
-def study_prop5(setup: StudySetup, resolutions,
-                include_defect: bool = True) -> RefinementStudy:
-    name = "prop5" if include_defect else "prop5-control"
-    return refinement_study(
-        name, setup, resolutions,
-        lambda st, n: residual_prop5(st, n, include_defect=include_defect),
-    )
-
-
-def study_conservation_laws(setup: StudySetup, resolutions) -> dict:
-    """One simulation per resolution feeding the prop4/prop6/mass studies."""
-    ns = _validate_ladder(setup, resolutions)
-    rows = [conservation_law_residuals(setup, n) for n in ns]
+    The coarsest grid runs ``coarse_steps`` steps and each finer grid
+    proportionally more, so every grid is measured at the same physical time;
+    each grid is simulated once (see ``resolution_residuals``).
+    """
+    ns = _validate_ladder(resolutions, coarse_steps)
+    rows = [resolution_residuals(components, n, coarse_steps * n // ns[0])
+            for n in ns]
     drifts = [r["mass_drift"] for r in rows]
     return {
-        key: _assemble(key, setup, ns, [r[key] for r in rows], drifts)
-        for key in ("prop4", "prop6", "mass")
+        name: _assemble(name, components, ns, [r[name] for r in rows], drifts)
+        for name in REFINEMENT_EXPERIMENTS
     }
+
+
+# The per-study entry points of earlier versions.  The benchmark's tracer
+# (bench/tracing.py) still wraps them by name to time the refinement layer.
+def study_prop3(components: ComponentBundle, resolutions,
+                coarse_steps: int) -> RefinementStudy:
+    return refinement_studies(components, resolutions, coarse_steps)["prop3"]
+
+
+def study_prop5(components: ComponentBundle, resolutions,
+                coarse_steps: int) -> RefinementStudy:
+    return refinement_studies(components, resolutions, coarse_steps)["prop5"]
+
+
+def study_conservation_laws(components: ComponentBundle, resolutions,
+                            coarse_steps: int) -> dict[str, RefinementStudy]:
+    studies = refinement_studies(components, resolutions, coarse_steps)
+    return {key: studies[key] for key in ("prop4", "prop6", "mass")}
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +252,6 @@ def study_conservation_laws(setup: StudySetup, resolutions) -> dict:
 class ShearWaveConfig:
     """Transverse-wave decay experiment: u_y(x, 0) = amplitude sin(2 pi mode x / L)."""
 
-    length: float = 1.0
     mode: int = 1
     amplitude: float = 1e-3
     s_shear: float = 1.5
@@ -432,42 +333,47 @@ def _fit_decay(times: np.ndarray, amplitudes: np.ndarray,
     return slope, r2
 
 
-def measure_viscosity(cfg: ShearWaveConfig, N: int, lam: float = 1.0,
-                      cross_axis_nodes: int = 8) -> ViscosityMeasurement:
+def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
+                      N: int) -> ViscosityMeasurement:
     """Measure the shear kinematic viscosity from the wave's amplitude decay.
 
-    Fits ln(amplitude) against time and returns nu = -slope/k^2 next to the
-    predicted cs2 * dt * (1/s_shear - 1/2).  Rates at s_shear >= 1.95 predict
-    decays below the resolution floor and are flagged as ill conditioned.
+    Runs the configured 2-D lattice, moment matrix and equilibrium on an
+    N x CROSS_AXIS_NODES grid spanning the configured domain length, with
+    every relaxed moment at ``wave.s_shear``.  Fits ln(amplitude) against
+    time and returns nu = -slope/k^2 next to the predicted
+    cs2 * dt * (1/s_shear - 1/2).  Rates at s_shear >= 1.95 predict decays
+    below the resolution floor and are flagged as ill conditioned.
     """
-    if cfg.s_shear >= ILL_CONDITIONED_S:
+    vs, mm, model = components.vs, components.mm, components.model
+    if vs.d != 2:
+        raise ConfigError(
+            f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}"
+        )
+    if wave.s_shear >= ILL_CONDITIONED_S:
         warnings.warn(
-            f"s_shear={cfg.s_shear} leaves the predicted decay below the "
+            f"s_shear={wave.s_shear} leaves the predicted decay below the "
             f"resolution floor; the measurement only bounds it",
             IllConditionedWarning,
             stacklevel=2,
         )
-    vs = build_velocity_set("d2q9")
-    mm = build_moment_matrix(vs, lam)
-    model = build_equilibrium(vs, lam)
-    dx = cfg.length / N
-    dt = dx / lam
-    k = 2.0 * np.pi * cfg.mode / cfg.length
-    params = SchemeParams(dx=dx, dt=dt, s=np.full(vs.J - vs.d, cfg.s_shear))
-    nu_pred = model.cs2 * dt * (1.0 / cfg.s_shear - 0.5)
+    dx = components.length / N
+    dt = dx / mm.lam
+    k = 2.0 * np.pi * wave.mode / components.length
+    params = SchemeParams(dx=dx, dt=dt, s=np.full(vs.J - vs.d, wave.s_shear))
+    nu_pred = model.cs2 * dt * (1.0 / wave.s_shear - 0.5)
     floor = resolution_floor(model.cs2, dt, k, dx)
     rate_ref = max(nu_pred, floor) * k * k
-    steps = int(np.ceil(cfg.horizon_decay_times / rate_ref / dt))
+    steps = int(np.ceil(wave.horizon_decay_times / rate_ref / dt))
 
-    field = shear_wave_field(1.0, cfg.amplitude, cfg.mode)
-    grid = (N, cross_axis_nodes)
+    field = shear_wave_field(1.0, wave.amplitude, wave.mode)
+    grid = (N, CROSS_AXIS_NODES)
     state = initialize_equilibrium(model, vs, field.conserved(grid, dx))
     initial = state
     amps = np.empty(steps + 1)
-    amps[0] = _mode_amplitude(state.f, model.velocities, cfg.mode)
+    amps[0] = _mode_amplitude(state.f, model.velocities, wave.mode)
     for i in range(steps):
         state = step(state, vs, mm, model, params)
-        amps[i + 1] = _mode_amplitude(state.f, model.velocities, cfg.mode)
+        amps[i + 1] = _mode_amplitude(state.f, model.velocities, wave.mode)
     if not np.all(np.isfinite(state.f)):
         raise SimulationDiverged(f"non-finite populations after {steps} steps")
     audit = conservation_audit(initial, state, mm)
@@ -476,7 +382,7 @@ def measure_viscosity(cfg: ShearWaveConfig, N: int, lam: float = 1.0,
     times = dt * np.arange(steps + 1)
     slope, r2 = _fit_decay(times[skip:], amps[skip:], floor * k * k)
     return ViscosityMeasurement(
-        s_shear=cfg.s_shear, N=N, dx=dx, dt=dt,
+        s_shear=wave.s_shear, N=N, dx=dx, dt=dt,
         nu_measured=-slope / (k * k), nu_predicted=nu_pred,
         resolution_floor=floor, fit_r2=r2, steps=steps,
         mass_drift=audit["mass_drift"],
@@ -486,7 +392,16 @@ def measure_viscosity(cfg: ShearWaveConfig, N: int, lam: float = 1.0,
 # ---------------------------------------------------------------------------
 # Named-study orchestration (shared by the CLI and the experiment scripts)
 
-STUDY_NAMES = ("prop3", "prop4", "prop5", "prop6", "viscosity", "all")
+# study name -> the experiments it reports, in report order
+STUDY_EXPERIMENTS = {
+    "prop3": ("prop3",),
+    "prop4": ("prop4",),
+    "prop5": ("prop5",),
+    "prop6": ("prop6", "mass"),
+    "viscosity": ("viscosity",),
+    "all": REFINEMENT_EXPERIMENTS + ("viscosity",),
+}
+STUDY_NAMES = tuple(STUDY_EXPERIMENTS)
 
 REFINEMENT_HEADER = ("N", "dx", "dt", "residual", "slope_running")
 VISCOSITY_HEADER = ("s_shear", "N", "dx", "dt", "nu_predicted", "nu_measured",
@@ -528,30 +443,34 @@ def _outcome_from_study(study: RefinementStudy) -> StudyOutcome:
     )
 
 
-def _viscosity_outcome(cfgs, N: int, lam: float = 1.0) -> StudyOutcome:
+def _viscosity_outcome(components: ComponentBundle, cfg: RunConfig) -> StudyOutcome:
     rows = []
     worst = 0.0
     worst_r2 = 1.0
     passed = True
     notes = []
-    for cfg in cfgs:
+    N = cfg.viscosity_n
+    for s in cfg.viscosity_s:
+        wave = ShearWaveConfig(mode=cfg.viscosity_mode,
+                               amplitude=cfg.viscosity_amplitude, s_shear=s,
+                               horizon_decay_times=cfg.horizon_decay_times)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedWarning)
-            meas = measure_viscosity(cfg, N, lam=lam)
-        if cfg.s_shear >= ILL_CONDITIONED_S:
+            meas = measure_viscosity(components, wave, N)
+        if s >= ILL_CONDITIONED_S:
             ok = meas.below_floor
             rel = math.nan
             if not ok:
-                notes.append(f"s={cfg.s_shear}: decay above resolution floor")
+                notes.append(f"s={s}: decay above resolution floor")
         else:
             rel = meas.relative_error
             worst = max(worst, rel)
             worst_r2 = min(worst_r2, meas.fit_r2)
             ok = rel <= VISCOSITY_RTOL
             if not ok:
-                notes.append(f"s={cfg.s_shear}: error {rel:.3%}")
+                notes.append(f"s={s}: error {rel:.3%}")
         passed = passed and ok
-        rows.append((cfg.s_shear, N, meas.dx, meas.dt, meas.nu_predicted,
+        rows.append((s, N, meas.dx, meas.dt, meas.nu_predicted,
                      meas.nu_measured, rel, meas.fit_r2))
     return StudyOutcome(
         experiment="viscosity",
@@ -564,34 +483,22 @@ def _viscosity_outcome(cfgs, N: int, lam: float = 1.0) -> StudyOutcome:
     )
 
 
-def run_verification(study: str, setup: StudySetup, resolutions,
-                     viscosity_s=(1.2, 1.5, 1.8, 2.0), viscosity_n: int = 64,
-                     viscosity_cfg: Optional[ShearWaveConfig] = None) -> list[StudyOutcome]:
-    """Run one named study (or all of them) and collect printable outcomes."""
-    if study not in STUDY_NAMES:
+def run_verification(study: str, cfg: RunConfig) -> list[StudyOutcome]:
+    """Run one named study (or all of them) on a config; printable outcomes.
+
+    The components come from ``build_components(cfg)``; the ladder, the
+    coarse-grid step count and the viscometry cases from its [study] fields.
+    """
+    if study not in STUDY_EXPERIMENTS:
         raise ConfigError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
-    base = viscosity_cfg or ShearWaveConfig()
-    outcomes: list[StudyOutcome] = []
-    if study in ("prop3", "all"):
-        outcomes.append(_outcome_from_study(study_prop3(setup, resolutions)))
-    if study in ("prop4", "prop6", "all"):
-        trio = study_conservation_laws(setup, resolutions)
-        if study in ("prop4", "all"):
-            outcomes.append(_outcome_from_study(trio["prop4"]))
-        if study in ("prop6", "all"):
-            outcomes.append(_outcome_from_study(trio["prop6"]))
-            outcomes.append(_outcome_from_study(trio["mass"]))
-    if study in ("prop5", "all"):
-        outcomes.append(_outcome_from_study(study_prop5(setup, resolutions)))
-    if study in ("viscosity", "all"):
-        cfgs = [
-            ShearWaveConfig(length=base.length, mode=base.mode,
-                            amplitude=base.amplitude, s_shear=s,
-                            horizon_decay_times=base.horizon_decay_times)
-            for s in viscosity_s
-        ]
-        outcomes.append(_viscosity_outcome(cfgs, viscosity_n, lam=setup.mm.lam))
-    order = {"prop3": 0, "prop4": 1, "prop5": 2, "prop6": 3, "mass": 4,
-             "viscosity": 5, "prop5-control": 6}
-    outcomes.sort(key=lambda o: order[o.experiment])
-    return outcomes
+    experiments = STUDY_EXPERIMENTS[study]
+    components = build_components(cfg)
+    outcomes: dict[str, StudyOutcome] = {}
+    # viscometry first, so a lattice it cannot run fails before the ladder does
+    if "viscosity" in experiments:
+        outcomes["viscosity"] = _viscosity_outcome(components, cfg)
+    if any(name in STUDY_BANDS for name in experiments):
+        studies = refinement_studies(components, cfg.resolutions, cfg.coarse_steps)
+        for name, refined in studies.items():
+            outcomes[name] = _outcome_from_study(refined)
+    return [outcomes[name] for name in experiments]

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import lbmlab as lb
 from lbmlab.errors import (
-    IndexOutOfRange,
     InvalidVelocitySet,
     RankDeficient,
     ShapeError,
@@ -54,31 +52,6 @@ def test_3d_rejected():
 def test_unknown_name_rejected():
     with pytest.raises(InvalidVelocitySet):
         lb.build_velocity_set("d3q19")
-
-
-class TestNeighbor:
-    def test_periodic_wrap_negative(self):
-        vs = lb.build_velocity_set("d2q9")
-        assert vs.neighbor((0, 0), 3, (8, 8)) == (7, 0)  # e_3 = (-1, 0)
-
-    def test_rest_velocity(self):
-        vs = lb.build_velocity_set("d2q9")
-        assert vs.neighbor((3, 3), 0, (8, 8)) == (3, 3)
-
-    def test_corner_wrap(self):
-        vs = lb.build_velocity_set("d2q9")
-        assert vs.neighbor((7, 7), 5, (8, 8)) == (0, 0)  # e_5 = (1, 1)
-
-    def test_index_out_of_range(self):
-        vs = lb.build_velocity_set("d2q9")
-        with pytest.raises(IndexOutOfRange):
-            vs.neighbor((0, 0), 9, (8, 8))
-
-    @given(st.integers(0, 11), st.integers(0, 7), st.integers(0, 8))
-    def test_closure_on_grid(self, i, j, vel):
-        vs = lb.build_velocity_set("d2q9")
-        node = vs.neighbor((i, j), vel, (12, 8))
-        assert 0 <= node[0] < 12 and 0 <= node[1] < 8
 
 
 class TestMomentMatrix:

@@ -5,6 +5,7 @@ import lbmlab as lb
 from lbmlab.errors import (
     ComponentMismatch,
     InvalidRelaxation,
+    LbmError,
     ShapeError,
     SimulationDiverged,
 )
@@ -243,6 +244,26 @@ class TestStepAndRun:
         with np.errstate(invalid="ignore"), pytest.raises(SimulationDiverged):
             lb.run(state, 2, vs, mm, model, params, check_interval=1)
 
+    @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
+    def test_run_then_step_equals_longer_run_bitwise(self, lattice, request):
+        # one refinement simulation takes its step-n state from run(n - 1)
+        # followed by step; that must be the state run(n) returns
+        vs, mm, model = request.getfixturevalue(lattice)
+        grid = (16, 8) if vs.d == 2 else (16,)
+        field = InitialField(
+            rho=SineComponent(1.0, 1e-3, 1),
+            velocity=tuple(SineComponent(0.01, 1e-3, 1) for _ in range(vs.d)),
+        )
+        dx = 1.0 / 16
+        state = lb.initialize_equilibrium(model, vs, field.conserved(grid, dx))
+        params = lb.SchemeParams(dx, dx, np.full(vs.J - vs.d, 1.3))
+        n = 70  # crosses the default divergence-check interval
+        direct = lb.run(state, n, vs, mm, model, params)
+        split = lb.step(lb.run(state, n - 1, vs, mm, model, params),
+                        vs, mm, model, params)
+        assert np.array_equal(direct.f, split.f)
+        assert direct.steps == split.steps == n
+
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, d2q9, tmp_path):
@@ -269,3 +290,30 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.count(b"\n") == 2 + 16
+
+    def test_truncated_body_rejected(self, d2q9, tmp_path):
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9, grid=(4, 4))
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        path = tmp_path / "chk.csv"
+        lb.save_checkpoint(path, state, params, mm)
+        text = path.read_text()
+        # cut inside the last row: 16 rows remain but the last one is short
+        path.write_text(text[:-45])
+        with pytest.raises(LbmError, match="row 16 has [0-9]+ columns, expected 9"):
+            lb.load_checkpoint(path)
+        # drop whole rows
+        lines = text.splitlines(keepends=True)
+        path.write_text("".join(lines[:10]))
+        with pytest.raises(LbmError, match="expected 16 rows for grid 4x4, found 8"):
+            lb.load_checkpoint(path)
+
+    def test_incomplete_metadata_rejected(self, d2q9, tmp_path):
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9, grid=(4, 4))
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        path = tmp_path / "chk.csv"
+        lb.save_checkpoint(path, state, params, mm)
+        path.write_text(path.read_text().replace(" step=0", "", 1))
+        with pytest.raises(LbmError, match="lacks step"):
+            lb.load_checkpoint(path)

@@ -2,43 +2,44 @@ import numpy as np
 import pytest
 
 import lbmlab as lb
+from lbmlab.config import RunConfig, build_components
 from lbmlab.errors import ConfigError, FitRejected, IllConditionedWarning
-from lbmlab.fields import InitialField, SineComponent
 from lbmlab.verify import (
-    RunRecord,
     ShearWaveConfig,
-    StudySetup,
     _fit_decay,
-    default_study_setup,
     fit_loglog,
     resolution_floor,
+    study_prop3,
 )
 
+LADDER = (32, 64, 128, 256)
 
-def d1q3_setup(amplitude=1e-3):
-    vs = lb.build_velocity_set("d1q3")
-    mm = lb.build_moment_matrix(vs, 1.0)
-    model = lb.build_equilibrium(vs, 1.0)
-    field = InitialField(rho=SineComponent(1.0, amplitude, 1),
-                         velocity=(SineComponent(0.0, amplitude, 1),))
-    return StudySetup(vs=vs, mm=mm, model=model, s=np.array([1.0]), field=field)
+
+def components(**fields):
+    return build_components(RunConfig(**fields))
+
+
+@pytest.fixture(scope="module")
+def d2q9_components():
+    return components()
+
+
+@pytest.fixture(scope="module")
+def default_studies(d2q9_components):
+    return lb.refinement_studies(d2q9_components, LADDER, 32)
 
 
 class TestResiduals:
-    def test_uniform_field_residual_is_zero(self, d2q9):
-        vs, mm, model = d2q9
-        field = InitialField(rho=SineComponent(offset=1.0),
-                             velocity=(SineComponent(), SineComponent()))
-        setup = StudySetup(vs=vs, mm=mm, model=model, s=np.full(6, 1.5),
-                           field=field)
-        assert lb.residual_prop3(setup, 32) <= 1e-13
+    def test_uniform_field_residual_is_zero(self):
+        uniform = components(initial_kind="uniform")
+        assert lb.resolution_residuals(uniform, 32, 32)["prop3"] <= 1e-13
 
     def test_single_step_full_relaxation_brute_force(self):
         # with s = 1 the collision lands exactly on equilibrium, so after one
         # full step the disequilibrium is the streaming contribution alone;
         # replay that by hand on an 8-node 1-D grid
-        setup = d1q3_setup()
-        measured = lb.residual_prop3(setup, 8, steps=1)
+        setup = components(lattice_name="d1q3", s=(1.0,), ux_amplitude=1e-3)
+        measured = lb.resolution_residuals(setup, 8, 1)["prop3"]
 
         n = 8
         dx = 1.0 / n
@@ -56,56 +57,41 @@ class TestResiduals:
         # exact equilibrium by one rounding, hence the 1e-12 relative slack
         assert measured == pytest.approx(oracle, rel=1e-12)
 
-    def test_prop5_control_is_prop3(self, tmp_path):
-        setup = default_study_setup()
-        r3 = lb.residual_prop3(setup, 32)
-        r5c = lb.residual_prop5(setup, 32, include_defect=False)
-        assert r3 == r5c
-
-    def test_prop5_beats_prop3(self):
-        setup = default_study_setup()
-        assert lb.residual_prop5(setup, 64) < 0.05 * lb.residual_prop3(setup, 64)
+    def test_prop5_beats_prop3(self, d2q9_components):
+        res = lb.resolution_residuals(d2q9_components, 64, 64)
+        assert res["prop5"] < 0.05 * res["prop3"]
 
     def test_conservation_residuals_s2_collapse(self):
         # with s = 2 the flux correction vanishes, so the bare and corrected
         # momentum residuals coincide
-        setup = default_study_setup(s_value=2.0)
-        res = lb.conservation_law_residuals(setup, 32)
+        res = lb.resolution_residuals(components(s=(2.0,)), 32, 32)
         assert res["prop4"] == res["prop6"]
 
-    def test_mass_drift_audited(self):
-        setup = default_study_setup()
-        res = lb.conservation_law_residuals(setup, 32)
+    def test_mass_drift_audited(self, d2q9_components):
+        res = lb.resolution_residuals(d2q9_components, 32, 32)
         assert res["mass_drift"] <= 1e-12
 
 
 class TestRefinementStudy:
-    def test_requires_four_doubling_resolutions(self):
-        setup = default_study_setup()
+    def test_requires_four_doubling_resolutions(self, d2q9_components):
         with pytest.raises(ConfigError):
-            lb.refinement_study("prop3", setup, (32, 64), lb.residual_prop3)
+            lb.refinement_studies(d2q9_components, (32, 64), 32)
         with pytest.raises(ConfigError):
-            lb.refinement_study("prop3", setup, (32, 64, 96, 128),
-                                lb.residual_prop3)
+            lb.refinement_studies(d2q9_components, (32, 64, 96, 128), 32)
 
-    def test_requires_twenty_coarse_steps(self):
-        setup = default_study_setup(measure_time=0.1)
+    def test_requires_twenty_coarse_steps(self, d2q9_components):
         with pytest.raises(ConfigError):
-            lb.refinement_study("prop3", setup, (32, 64, 128, 256),
-                                lb.residual_prop3)
+            lb.refinement_studies(d2q9_components, LADDER, 3)
 
-    def test_deterministic_and_monotone(self):
-        setup = default_study_setup()
-        a = lb.study_prop3(setup, (32, 64, 128, 256))
-        b = lb.study_prop3(setup, (32, 64, 128, 256))
+    def test_deterministic_and_monotone(self, d2q9_components, default_studies):
+        a = default_studies["prop3"]
+        b = study_prop3(d2q9_components, LADDER, 32)
         assert a.residuals == b.residuals
         assert a.slope == b.slope
         assert all(x > y for x, y in zip(a.residuals, a.residuals[1:]))
 
-    def test_running_slopes_shape(self):
-        setup = default_study_setup()
-        st = lb.study_prop3(setup, (32, 64, 128, 256))
-        rs = st.running_slopes()
+    def test_running_slopes_shape(self, default_studies):
+        rs = default_studies["prop3"].running_slopes()
         assert len(rs) == 4 and np.isnan(rs[0])
 
     def test_fit_loglog_exact_power(self):
@@ -116,29 +102,36 @@ class TestRefinementStudy:
 
 
 class TestViscometry:
-    def test_two_point_scaling(self):
+    def test_two_point_scaling(self, d2q9_components):
         # doubling N at fixed s halves dt hence the predicted viscosity;
         # the measured value tracks the prediction at both resolutions
         cfg = ShearWaveConfig(s_shear=1.2)
-        m64 = lb.measure_viscosity(cfg, 64)
-        m128 = lb.measure_viscosity(cfg, 128)
+        m64 = lb.measure_viscosity(d2q9_components, cfg, 64)
+        m128 = lb.measure_viscosity(d2q9_components, cfg, 128)
         assert m64.nu_predicted == pytest.approx(2 * m128.nu_predicted)
         assert m64.relative_error <= 0.02
         assert m128.relative_error <= 0.02
         assert m64.mass_drift <= 1e-12
 
-    def test_stokes_decay_against_analytic_oracle(self):
+    def test_stokes_decay_against_analytic_oracle(self, d2q9_components):
         # e-folding: after t = 1/(nu k^2) the amplitude is down by e
         cfg = ShearWaveConfig(s_shear=1.2, horizon_decay_times=1.2)
-        m = lb.measure_viscosity(cfg, 64)
+        m = lb.measure_viscosity(d2q9_components, cfg, 64)
         assert m.fit_r2 >= 0.999
         assert abs(m.nu_measured / m.nu_predicted - 1.0) <= 0.02
 
-    def test_ill_conditioned_warning(self):
+    def test_ill_conditioned_warning(self, d2q9_components):
         cfg = ShearWaveConfig(s_shear=1.96, horizon_decay_times=0.5)
         with pytest.warns(IllConditionedWarning):
-            m = lb.measure_viscosity(cfg, 32)
+            m = lb.measure_viscosity(d2q9_components, cfg, 32)
         assert m.below_floor
+
+    def test_one_dimensional_lattice_rejected(self):
+        # the shear wave needs a transverse velocity; a 1-D lattice must not
+        # fall back to some other lattice
+        with pytest.raises(ConfigError):
+            lb.measure_viscosity(components(lattice_name="d1q3"),
+                                 ShearWaveConfig(), 32)
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(ConfigError):
@@ -163,17 +156,13 @@ class TestViscometry:
 
 class TestOrchestration:
     def test_unknown_study_rejected(self):
-        setup = default_study_setup()
         with pytest.raises(ConfigError):
-            lb.run_verification("prop7", setup, (32, 64, 128, 256))
+            lb.run_verification("prop7", RunConfig())
 
     def test_all_emits_six_lines(self):
-        setup = default_study_setup()
-        outcomes = lb.run_verification(
-            "all", setup, (32, 64, 128, 256),
-            viscosity_s=(1.5,), viscosity_n=32,
-            viscosity_cfg=ShearWaveConfig(horizon_decay_times=1.2),
-        )
+        cfg = RunConfig(viscosity_s=(1.5,), viscosity_n=32,
+                        horizon_decay_times=1.2)
+        outcomes = lb.run_verification("all", cfg)
         names = [o.experiment for o in outcomes]
         assert names == ["prop3", "prop4", "prop5", "prop6", "mass", "viscosity"]
         assert len(names) == 6
