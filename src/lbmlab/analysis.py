@@ -25,14 +25,17 @@ derivative callbacks that bypass the stencils.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .csvio import write_rows
 from .equilibrium import (
     EquilibriumModel,
     equilibrium_jacobian,
+    equilibrium_moments,
     momentum_flux,
 )
 from .errors import GridTooCoarse, NonPositiveDensity, ShapeError
@@ -85,13 +88,14 @@ class SmoothField:
 
 @dataclass(frozen=True)
 class DefectField:
-    """Per-node defect vectors theta, shape (*grid, J+1).
+    """Per-node defect vectors theta, shape (*grid, J+1), of ``field``.
 
     The conserved rows vanish identically (to rounding) because the time
     derivative was eliminated with the same flux contraction.
     """
 
     theta: np.ndarray
+    field: SmoothField
 
 
 def _require_usable(field: SmoothField) -> None:
@@ -122,7 +126,7 @@ def conservation_defect(field: SmoothField, model: EquilibriumModel,
         flux += np.einsum("kj,...ji,...i->...k", mm.M * v[:, b], jac, dW[b])
     dtW = -flux[..., :nc]
     theta = np.einsum("kj,...ji,...i->...k", mm.M, jac, dtW) + flux
-    return DefectField(theta=theta)
+    return DefectField(theta=theta, field=field)
 
 
 def euler_flux_divergence(field: SmoothField, model: EquilibriumModel,
@@ -142,40 +146,36 @@ def euler_flux_divergence(field: SmoothField, model: EquilibriumModel,
     return out
 
 
-def ns_flux_correction(field: SmoothField, model: EquilibriumModel,
+def ns_flux_correction(defect: DefectField, model: EquilibriumModel,
                        vs: VelocitySet, mm: MomentMatrix,
                        params: SchemeParams) -> np.ndarray:
     """Momentum flux with the second-order correction, shape (*grid, d, d).
 
     Returns F[a,b] - dt sum_k (1/s_k - 1/2) Lambda[a,b,k] theta_k over the
-    relaxed moments; with s_k = 2 everywhere the correction vanishes and the
-    bare flux is returned.
+    relaxed moments of ``defect.field``; with s_k = 2 everywhere the
+    correction vanishes and the bare flux is returned.
     """
-    theta = conservation_defect(field, model, vs, mm).theta
     lam_t = lambda_tensor(mm, vs).values
     nc = mm.d + 1
     coeff = params.dt * (1.0 / params.s - 0.5)
-    F = momentum_flux(model, vs, field.W)
+    F = momentum_flux(model, vs, defect.field.W)
     correction = np.einsum("k,abk,...k->...ab", coeff, lam_t[:, :, nc:],
-                           theta[..., nc:])
+                           defect.theta[..., nc:])
     return F - correction
 
 
-def technical_lemma_prediction(field: SmoothField, model: EquilibriumModel,
+def technical_lemma_prediction(defect: DefectField, model: EquilibriumModel,
                                vs: VelocitySet, mm: MomentMatrix,
                                params: SchemeParams) -> np.ndarray:
     """First-order prediction of the relaxed moments, m_eq - (dt/s) theta.
 
-    Shape (*grid, J+1); the conserved entries carry m_eq itself (= W).
-    Used to check that simulated moments follow this prediction to second
-    order in dt.
+    Shape (*grid, J+1), evaluated on ``defect.field``; the conserved entries
+    carry m_eq itself (= W).  Used to check that simulated moments follow
+    this prediction to second order in dt.
     """
-    from .equilibrium import equilibrium_moments
-
-    theta = conservation_defect(field, model, vs, mm).theta
-    pred = equilibrium_moments(model, vs, mm, field.W)
+    pred = equilibrium_moments(model, vs, mm, defect.field.W)
     nc = mm.d + 1
-    pred[..., nc:] -= (params.dt / params.s) * theta[..., nc:]
+    pred[..., nc:] -= (params.dt / params.s) * defect.theta[..., nc:]
     return pred
 
 
@@ -208,12 +208,11 @@ class PdeReport:
 
     def to_csv(self) -> str:
         header = ["k", "s_k", "mu_k"] + [f"Lambda_{p}_k" for p in self.pair_labels]
-        lines = [",".join(header)]
-        for i, k in enumerate(self.ks):
-            row = [str(k), f"{self.s[i]:.17g}", f"{self.mu[i]:.17g}"]
-            row += [f"{x:.17g}" for x in self.lambda_slices[i]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        rows = [(k, self.s[i], self.mu[i], *self.lambda_slices[i])
+                for i, k in enumerate(self.ks)]
+        out = io.StringIO()
+        write_rows(out, header, rows)
+        return out.getvalue()
 
     def to_text(self) -> str:
         lines = [

@@ -1,13 +1,14 @@
 """Command-line front door: analyze | run | verify.
 
-Exit codes: 0 ok, 2 config problem, 3 construction failure, 4 runtime
-divergence, 5 verification failure.  All commands are deterministic given
-the same config file.
+Exit codes are documented in ``lbmlab.errors``: each error class carries its
+own code and stderr label.  All commands are deterministic given the same
+config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -16,20 +17,7 @@ import numpy as np
 from .analysis import pde_report
 from .config import ComponentBundle, build_components, load_config
 from .csvio import write_csv
-from .errors import (
-    ComponentMismatch,
-    ConfigError,
-    FitRejected,
-    InvalidEquilibrium,
-    InvalidRelaxation,
-    InvalidVelocitySet,
-    LbmError,
-    NonPositiveDensity,
-    RankDeficient,
-    ShapeError,
-    SimulationDiverged,
-    SingularMomentMatrix,
-)
+from .errors import ConfigError, FitRejected, LbmError
 from .scheme import (
     conservation_audit,
     initialize_equilibrium,
@@ -40,21 +28,8 @@ from .scheme import (
 from .verify import run_verification
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CONSTRUCTION = 3
-EXIT_DIVERGED = 4
-EXIT_VERIFICATION = 5
-
-_CONSTRUCTION_ERRORS = (
-    InvalidVelocitySet,
-    RankDeficient,
-    SingularMomentMatrix,
-    InvalidEquilibrium,
-    InvalidRelaxation,
-    NonPositiveDensity,
-    ShapeError,
-    ComponentMismatch,
-)
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_VERIFICATION = FitRejected.exit_code
 
 
 def _say(args, message: str) -> None:
@@ -81,10 +56,9 @@ def _write_moment_fields(path, bundle: ComponentBundle, state) -> None:
     grid = state.grid_shape
     index_names = ["i", "j"][: len(grid)]
     header = index_names + ["rho", "qx", "qy"][: 1 + d]
-    rows = []
-    for idx in np.ndindex(*grid):
-        rows.append(tuple(int(i) for i in idx)
-                    + tuple(float(x) for x in m[idx][: 1 + d]))
+    values = map(np.ndarray.tolist, m[..., : 1 + d].reshape(-1, 1 + d))
+    nodes = itertools.product(*map(range, grid))  # row-major, as values
+    rows = ((*idx, *vals) for idx, vals in zip(nodes, values))
     write_csv(path, header, rows)
 
 
@@ -113,7 +87,6 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     outcomes = run_verification((args.study or cfg.study_name).lower(), cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for outcome in outcomes:
         write_csv(out / f"{outcome.experiment}.csv", outcome.header, outcome.rows)
         _say(args, outcome.summary_line())
@@ -161,19 +134,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _CONSTRUCTION_ERRORS as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except SimulationDiverged as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except FitRejected as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (OSError, LbmError) as exc:
+    except LbmError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +21,6 @@ from .errors import ConfigError
 from .fields import InitialField, SineComponent
 from .lattice import build_moment_matrix, build_velocity_set
 from .scheme import SchemeParams
-
-_SCHEMA = {
-    "lattice": ("name", "vectors", "higher_rows"),
-    "equilibrium": ("kind", "cs2", "weights"),
-    "scheme": ("lambda", "dt", "s", "steps"),
-    "grid": ("nx", "ny", "length"),
-    "initial": ("kind", "rho0", "rho_amplitude", "rho_mode",
-                "ux_offset", "ux_amplitude", "ux_mode",
-                "uy_offset", "uy_amplitude", "uy_mode"),
-    "study": ("name", "resolutions", "coarse_steps", "viscosity_s",
-              "viscosity_n", "viscosity_mode", "viscosity_amplitude",
-              "horizon_decay_times"),
-}
 
 
 @dataclass(frozen=True)
@@ -79,31 +66,71 @@ class RunConfig:
     horizon_decay_times: float = 1.5
 
 
-def _line_of(text: str, section: str, key: str) -> int | None:
+def _items(convert, sep=","):
+    """Parser of a non-empty list of ``sep``-separated items."""
+    def parse(raw: str):
+        items = tuple(convert(part.strip()) for part in raw.split(sep) if part.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse
+
+
+# One row per config key, in canonical order: (section, key, RunConfig field,
+# parser).  A parser turns the raw text into the field's value or raises
+# ValueError; a key that is absent keeps the field's default.
+_KEYS = (
+    ("lattice", "name", "lattice_name", str.lower),
+    ("lattice", "vectors", "vectors", _items(_items(int), ";")),
+    ("lattice", "higher_rows", "higher_rows", _items(_items(float), ";")),
+    ("equilibrium", "kind", "eq_kind", str),
+    ("equilibrium", "cs2", "cs2", float),
+    ("equilibrium", "weights", "weights", _items(float)),
+    ("scheme", "lambda", "lam", float),
+    ("scheme", "dt", "dt", float),
+    ("scheme", "s", "s", _items(float)),
+    ("scheme", "steps", "steps", int),
+    ("grid", "nx", "nx", int),
+    ("grid", "ny", "ny", int),
+    ("grid", "length", "length", float),
+    ("initial", "kind", "initial_kind", str.lower),
+    ("initial", "rho0", "rho0", float),
+    ("initial", "rho_amplitude", "rho_amplitude", float),
+    ("initial", "rho_mode", "rho_mode", int),
+    ("initial", "ux_offset", "ux_offset", float),
+    ("initial", "ux_amplitude", "ux_amplitude", float),
+    ("initial", "ux_mode", "ux_mode", int),
+    ("initial", "uy_offset", "uy_offset", float),
+    ("initial", "uy_amplitude", "uy_amplitude", float),
+    ("initial", "uy_mode", "uy_mode", int),
+    ("study", "name", "study_name", str.lower),
+    ("study", "resolutions", "resolutions", _items(int)),
+    ("study", "coarse_steps", "coarse_steps", int),
+    ("study", "viscosity_s", "viscosity_s", _items(float)),
+    ("study", "viscosity_n", "viscosity_n", int),
+    ("study", "viscosity_mode", "viscosity_mode", int),
+    ("study", "viscosity_amplitude", "viscosity_amplitude", float),
+    ("study", "horizon_decay_times", "horizon_decay_times", float),
+)
+_SECTIONS = tuple(dict.fromkeys(section for section, _, _, _ in _KEYS))
+
+
+def _line_of(text: str, section: str, key: str | None = None) -> int | None:
+    """Line of ``key`` in ``section``, or of the section header when key is None.
+
+    Keys match case-insensitively, as configparser lower-cases them.
+    """
     in_section = False
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("["):
-            in_section = stripped.lower() == f"[{section}]"
-        elif in_section and re.match(rf"^\s*{re.escape(key)}\s*[=:]", line):
+            in_section = stripped.startswith(f"[{section}]")
+            if in_section and key is None:
+                return i
+        elif in_section and re.match(rf"^\s*{re.escape(key)}\s*[=:]", line,
+                                     re.IGNORECASE):
             return i
     return None
-
-
-def _parse_sequence(raw: str, convert, key: str):
-    try:
-        return tuple(convert(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': cannot parse {raw!r}") from exc
-
-
-def _parse_rows(raw: str, convert, key: str):
-    rows = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            rows.append(_parse_sequence(chunk, convert, key))
-    return tuple(rows)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -122,73 +149,29 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]",
+                              line=_line_of(text, section))
+        known = {key for sec, key, _, _ in _KEYS if sec == section}
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in known:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]",
                                   line=_line_of(text, section, key))
 
-    def get(section, key, default=None):
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key].strip()
-        return default
-
-    def number(section, key, convert, default):
-        raw = get(section, key)
-        if raw is None:
-            return default
+    values = {}
+    for section, key, field, parse in _KEYS:
+        if not parser.has_option(section, key):
+            continue
+        raw = parser[section][key].strip()
+        line = _line_of(text, section, key)
         try:
-            return convert(raw)
+            value = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"key '{key}': cannot parse {raw!r}",
-                              line=_line_of(text, section, key)) from exc
-
-    cfg = RunConfig()
-    vectors_raw = get("lattice", "vectors")
-    higher_raw = get("lattice", "higher_rows")
-    weights_raw = get("equilibrium", "weights")
-    s_raw = get("scheme", "s")
-    resolutions_raw = get("study", "resolutions")
-    visc_s_raw = get("study", "viscosity_s")
-    cfg = replace(
-        cfg,
-        lattice_name=get("lattice", "name", cfg.lattice_name).lower(),
-        vectors=_parse_rows(vectors_raw, int, "vectors") if vectors_raw else None,
-        higher_rows=_parse_rows(higher_raw, float, "higher_rows") if higher_raw else None,
-        eq_kind=get("equilibrium", "kind", cfg.eq_kind),
-        cs2=number("equilibrium", "cs2", float, cfg.cs2),
-        weights=_parse_sequence(weights_raw, float, "weights") if weights_raw else None,
-        lam=number("scheme", "lambda", float, cfg.lam),
-        dt=number("scheme", "dt", float, cfg.dt),
-        s=_parse_sequence(s_raw, float, "s") if s_raw else cfg.s,
-        steps=number("scheme", "steps", int, cfg.steps),
-        nx=number("grid", "nx", int, cfg.nx),
-        ny=number("grid", "ny", int, cfg.ny),
-        length=number("grid", "length", float, cfg.length),
-        initial_kind=get("initial", "kind", cfg.initial_kind).lower(),
-        rho0=number("initial", "rho0", float, cfg.rho0),
-        rho_amplitude=number("initial", "rho_amplitude", float, cfg.rho_amplitude),
-        rho_mode=number("initial", "rho_mode", int, cfg.rho_mode),
-        ux_offset=number("initial", "ux_offset", float, cfg.ux_offset),
-        ux_amplitude=number("initial", "ux_amplitude", float, cfg.ux_amplitude),
-        ux_mode=number("initial", "ux_mode", int, cfg.ux_mode),
-        uy_offset=number("initial", "uy_offset", float, cfg.uy_offset),
-        uy_amplitude=number("initial", "uy_amplitude", float, cfg.uy_amplitude),
-        uy_mode=number("initial", "uy_mode", int, cfg.uy_mode),
-        study_name=get("study", "name", cfg.study_name).lower(),
-        resolutions=_parse_sequence(resolutions_raw, int, "resolutions")
-        if resolutions_raw else cfg.resolutions,
-        coarse_steps=number("study", "coarse_steps", int, cfg.coarse_steps),
-        viscosity_s=_parse_sequence(visc_s_raw, float, "viscosity_s")
-        if visc_s_raw else cfg.viscosity_s,
-        viscosity_n=number("study", "viscosity_n", int, cfg.viscosity_n),
-        viscosity_mode=number("study", "viscosity_mode", int, cfg.viscosity_mode),
-        viscosity_amplitude=number("study", "viscosity_amplitude", float,
-                                   cfg.viscosity_amplitude),
-        horizon_decay_times=number("study", "horizon_decay_times", float,
-                                   cfg.horizon_decay_times),
-    )
+            raise ConfigError(f"key '{key}': cannot parse {raw!r}", line=line) from exc
+        if not _finite(value):
+            raise ConfigError(f"key '{key}': values must be finite", line=line)
+        values[field] = value
+    cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
 
@@ -205,10 +188,6 @@ def _finite(value) -> bool:
 
 
 def _validate(cfg: RunConfig) -> None:
-    for field in fields(cfg):
-        if not _finite(getattr(cfg, field.name)):
-            key = "lambda" if field.name == "lam" else field.name
-            raise ConfigError(f"key '{key}': values must be finite")
     if cfg.initial_kind not in ("uniform", "sine"):
         raise ConfigError(f"key 'kind': unknown initial field {cfg.initial_kind!r}")
     if cfg.nx <= 0 or (cfg.ny is not None and cfg.ny <= 0):
@@ -229,6 +208,9 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        sep = "; " if value and isinstance(value[0], tuple) else ","
+        return sep.join(_fmt(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -236,60 +218,15 @@ def _fmt(value) -> str:
 
 def config_text(cfg: RunConfig) -> str:
     """Canonical serialization; parsing it back yields an equal RunConfig."""
-    out = ["[lattice]"]
-    if cfg.vectors is not None:
-        out.append("vectors = " + "; ".join(",".join(str(c) for c in v)
-                                            for v in cfg.vectors))
-    else:
-        out.append(f"name = {cfg.lattice_name}")
-    if cfg.higher_rows is not None:
-        out.append("higher_rows = " + "; ".join(
-            ",".join(_fmt(x) for x in row) for row in cfg.higher_rows))
-    out.append("")
-    out.append("[equilibrium]")
-    if cfg.eq_kind is not None:
-        out.append(f"kind = {cfg.eq_kind}")
-    if cfg.cs2 is not None:
-        out.append(f"cs2 = {_fmt(cfg.cs2)}")
-    if cfg.weights is not None:
-        out.append("weights = " + ",".join(_fmt(w) for w in cfg.weights))
-    out.append("")
-    out.append("[scheme]")
-    out.append(f"lambda = {_fmt(cfg.lam)}")
-    if cfg.dt is not None:
-        out.append(f"dt = {_fmt(cfg.dt)}")
-    out.append("s = " + ",".join(_fmt(x) for x in cfg.s))
-    out.append(f"steps = {cfg.steps}")
-    out.append("")
-    out.append("[grid]")
-    out.append(f"nx = {cfg.nx}")
-    if cfg.ny is not None:
-        out.append(f"ny = {cfg.ny}")
-    out.append(f"length = {_fmt(cfg.length)}")
-    out.append("")
-    out.append("[initial]")
-    out.append(f"kind = {cfg.initial_kind}")
-    out.append(f"rho0 = {_fmt(cfg.rho0)}")
-    out.append(f"rho_amplitude = {_fmt(cfg.rho_amplitude)}")
-    out.append(f"rho_mode = {cfg.rho_mode}")
-    out.append(f"ux_offset = {_fmt(cfg.ux_offset)}")
-    out.append(f"ux_amplitude = {_fmt(cfg.ux_amplitude)}")
-    out.append(f"ux_mode = {cfg.ux_mode}")
-    out.append(f"uy_offset = {_fmt(cfg.uy_offset)}")
-    out.append(f"uy_amplitude = {_fmt(cfg.uy_amplitude)}")
-    out.append(f"uy_mode = {cfg.uy_mode}")
-    out.append("")
-    out.append("[study]")
-    out.append(f"name = {cfg.study_name}")
-    out.append("resolutions = " + ",".join(str(n) for n in cfg.resolutions))
-    out.append(f"coarse_steps = {cfg.coarse_steps}")
-    out.append("viscosity_s = " + ",".join(_fmt(x) for x in cfg.viscosity_s))
-    out.append(f"viscosity_n = {cfg.viscosity_n}")
-    out.append(f"viscosity_mode = {cfg.viscosity_mode}")
-    out.append(f"viscosity_amplitude = {_fmt(cfg.viscosity_amplitude)}")
-    out.append(f"horizon_decay_times = {_fmt(cfg.horizon_decay_times)}")
-    out.append("")
-    return "\n".join(out)
+    sections = []
+    for name in _SECTIONS:
+        lines = [f"[{name}]\n"]
+        for section, key, field, _ in _KEYS:
+            value = getattr(cfg, field)
+            if section == name and value is not None:
+                lines.append(f"{key} = {_fmt(value)}\n")
+        sections.append("".join(lines))
+    return "\n".join(sections)
 
 
 @dataclass(frozen=True)
@@ -307,25 +244,19 @@ class ComponentBundle:
 
 
 def build_field(cfg: RunConfig, d: int) -> InitialField:
-    if d == 1 and cfg.initial_kind == "sine":
+    sine = cfg.initial_kind == "sine"
+    if d == 1 and sine:
         # uy_* keys are meaningless on a 1-D lattice unless left untouched
         if cfg.uy_offset != 0.0 or cfg.uy_amplitude not in (0.0, RunConfig.uy_amplitude):
             raise ConfigError("key 'uy_amplitude': no transverse component in 1-D")
-    if cfg.initial_kind == "uniform":
-        rho = SineComponent(offset=cfg.rho0)
-        comps = [SineComponent(offset=cfg.ux_offset)]
-        if d == 2:
-            comps.append(SineComponent(offset=cfg.uy_offset))
-    else:
-        rho = SineComponent(offset=cfg.rho0, amplitude=cfg.rho_amplitude,
-                            mode=cfg.rho_mode)
-        comps = [SineComponent(offset=cfg.ux_offset, amplitude=cfg.ux_amplitude,
-                               mode=cfg.ux_mode)]
-        if d == 2:
-            comps.append(SineComponent(offset=cfg.uy_offset,
-                                       amplitude=cfg.uy_amplitude,
-                                       mode=cfg.uy_mode))
-    return InitialField(rho=rho, velocity=tuple(comps))
+
+    def component(offset, amplitude, mode) -> SineComponent:
+        return SineComponent(offset, amplitude, mode) if sine else SineComponent(offset)
+
+    velocity = (component(cfg.ux_offset, cfg.ux_amplitude, cfg.ux_mode),
+                component(cfg.uy_offset, cfg.uy_amplitude, cfg.uy_mode))
+    return InitialField(rho=component(cfg.rho0, cfg.rho_amplitude, cfg.rho_mode),
+                        velocity=velocity[:d])
 
 
 def build_components(cfg: RunConfig) -> ComponentBundle:

@@ -4,26 +4,26 @@ float round-trips bit-stable, which golden files rely on."""
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 
 def format_value(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.17g}"
     return str(value)
+
+
+def write_rows(fh, header, rows) -> None:
+    """Write a header row and the data rows to an open text file."""
+    fh.write(",".join(str(h) for h in header) + "\n")
+    for row in rows:
+        fh.write(",".join(map(format_value, row)) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(str(h) for h in header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        write_rows(fh, header, rows)

@@ -1,39 +1,61 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code and stderr label with which ``lbmlab``
+reports it; the command line's exit codes are:
+
+    0  success
+    2  "config error" (ConfigError); "error" (any other LbmError, such as
+       GridTooCoarse or a malformed checkpoint, and unreadable files)
+    3  "construction error" (ConstructionError), including a non-positive
+       initial density
+    4  "simulation diverged" (SimulationDiverged) during a run
+    5  "verification failed" (FitRejected), or a study outside its band
+"""
 
 
 class LbmError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2
+    label = "error"
 
-class InvalidVelocitySet(LbmError):
+
+class ConstructionError(LbmError):
+    """Components cannot be built from their inputs or do not fit together."""
+
+    exit_code = 3
+    label = "construction error"
+
+
+class InvalidVelocitySet(ConstructionError):
     """Velocity vectors are malformed (duplicates, non-integers, bad dimension)."""
 
 
-class RankDeficient(LbmError):
+class RankDeficient(ConstructionError):
     """The mass/momentum block built from a velocity set does not have full rank."""
 
 
-class SingularMomentMatrix(LbmError):
+class SingularMomentMatrix(ConstructionError):
     """The assembled moment matrix cannot be inverted."""
 
 
-class InvalidEquilibrium(LbmError):
+class InvalidEquilibrium(ConstructionError):
     """An equilibrium table violates the mass/momentum moment constraints."""
 
 
-class NonPositiveDensity(LbmError):
+class NonPositiveDensity(ConstructionError):
     """An operation that requires rho > 0 received a non-positive density."""
 
 
-class ShapeError(LbmError):
+class ShapeError(ConstructionError):
     """Array shapes are inconsistent with the velocity set or grid."""
 
 
-class ComponentMismatch(LbmError):
+class ComponentMismatch(ConstructionError):
     """Components (matrix, model, parameters) were built for different velocity scales."""
 
 
-class InvalidRelaxation(LbmError):
+class InvalidRelaxation(ConstructionError):
     """A relaxation ratio violates the stability bound 0 < s <= 2."""
 
 
@@ -42,15 +64,23 @@ class GridTooCoarse(LbmError):
 
 
 class SimulationDiverged(LbmError):
-    """Populations stopped being finite during a run."""
+    """Populations stopped being finite or positive in density during a run."""
+
+    exit_code = 4
+    label = "simulation diverged"
 
 
 class FitRejected(LbmError):
     """An amplitude-decay fit was rejected (non-monotone beyond tolerance)."""
 
+    exit_code = 5
+    label = "verification failed"
+
 
 class ConfigError(LbmError):
     """Configuration text is malformed or internally inconsistent."""
+
+    label = "config error"
 
     def __init__(self, message, line=None):
         if line is not None:

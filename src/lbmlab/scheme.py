@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import format_value, write_rows
 from .equilibrium import EquilibriumModel, _populations
 from .errors import (
     ComponentMismatch,
@@ -117,6 +118,13 @@ def _check_scales(mm: MomentMatrix, model: EquilibriumModel, params: SchemeParam
         )
 
 
+def _fail_at_first(bad: np.ndarray, problem: str, when: str) -> None:
+    """Raise SimulationDiverged naming the first node where the mask ``bad`` holds."""
+    if np.any(bad):
+        node = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise SimulationDiverged(f"{problem} at node {node} {when}")
+
+
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
             params: SchemeParams) -> SchemeState:
     """Node-local relaxation in moment space; conserved moments are copied.
@@ -132,10 +140,8 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         )
     m = moments_of(state, mm)
     W = m[..., :nc]
-    if np.any(W[..., 0] <= 0.0):
-        from .errors import NonPositiveDensity
-
-        raise NonPositiveDensity("collision encountered non-positive density")
+    _fail_at_first(W[..., 0] <= 0.0, "non-positive density",
+                   f"entering step {state.steps + 1}")
     m_eq = _populations(model, W) @ mm.M.T
     m_star = m.copy()
     m_star[..., nc:] = relax_update(m[..., nc:], m_eq[..., nc:], params.s)
@@ -173,11 +179,15 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     """Apply n_steps full updates, checking periodically for divergence."""
     for i in range(n_steps):
         state = step(state, vs, mm, model, params)
-        if (i + 1) % check_interval == 0 and not np.all(np.isfinite(state.f)):
-            raise SimulationDiverged(f"non-finite populations after {state.steps} steps")
-    if n_steps and not np.all(np.isfinite(state.f)):
-        raise SimulationDiverged(f"non-finite populations after {state.steps} steps")
+        if (i + 1) % check_interval == 0 or i + 1 == n_steps:
+            check_finite(state)
     return state
+
+
+def check_finite(state: SchemeState) -> None:
+    """Raise SimulationDiverged naming the first node with a non-finite population."""
+    _fail_at_first(~np.isfinite(state.f).all(axis=-1), "non-finite populations",
+                   f"after {state.steps} steps")
 
 
 def total_mass(state: SchemeState) -> float:
@@ -221,11 +231,11 @@ def save_checkpoint(path, state: SchemeState, params: SchemeParams,
     with open(path, "w", newline="\n") as fh:
         fh.write(
             f"# lbmlab-checkpoint grid={grid} J={nj - 1} "
-            f"dt={params.dt:.17g} lambda={mm.lam:.17g} step={state.steps}\n"
+            f"dt={format_value(params.dt)} lambda={format_value(mm.lam)} "
+            f"step={state.steps}\n"
         )
-        fh.write(",".join(f"f{j}" for j in range(nj)) + "\n")
-        for row in state.f.reshape(-1, nj):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        rows = map(np.ndarray.tolist, state.f.reshape(-1, nj))
+        write_rows(fh, [f"f{j}" for j in range(nj)], rows)
 
 
 def load_checkpoint(path) -> tuple[SchemeState, dict]:

@@ -171,7 +171,8 @@ class TestNsFluxCorrection:
         vs, mm, model = d2q9
         fld = mixed_field()
         params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 2.0))
-        corr = lb.ns_flux_correction(fld, model, vs, mm, params)
+        corr = lb.ns_flux_correction(lb.conservation_defect(fld, model, vs, mm),
+                                     model, vs, mm, params)
         F = lb.momentum_flux(model, vs, fld.W)
         assert np.array_equal(corr, F)
 
@@ -180,7 +181,8 @@ class TestNsFluxCorrection:
         rho = 1.4
         W = np.broadcast_to(np.array([rho, 0.0, 0.0]), (16, 8, 3)).copy()
         params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        corr = lb.ns_flux_correction(SmoothField(W, 1 / 64), model, vs, mm, params)
+        defect = lb.conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
+        corr = lb.ns_flux_correction(defect, model, vs, mm, params)
         assert np.allclose(corr, model.cs2 * rho * np.eye(2), atol=1e-15)
 
     def test_shear_wave_off_diagonal_oracle(self, d2q9):
@@ -191,9 +193,10 @@ class TestNsFluxCorrection:
         n = 64
         params = lb.SchemeParams(1.0 / n, 1.0 / n, np.full(6, s))
         fld = shear_field(n=n)
-        theta = lb.conservation_defect(fld, model, vs, mm).theta
+        defect = lb.conservation_defect(fld, model, vs, mm)
+        theta = defect.theta
         F = lb.momentum_flux(model, vs, fld.W)
-        corr = lb.ns_flux_correction(fld, model, vs, mm, params)
+        corr = lb.ns_flux_correction(defect, model, vs, mm, params)
         expected = F[..., 0, 1] - params.dt * (1 / s - 0.5) * theta[..., 8]
         assert np.abs(corr[..., 0, 1] - expected).max() <= 1e-15
         assert np.abs(corr[..., 0, 1] - corr[..., 1, 0]).max() <= 1e-16
@@ -204,8 +207,8 @@ class TestTechnicalLemmaPrediction:
         vs, mm, model = d2q9
         W = np.broadcast_to(np.array([1.0, 0.0, 0.0]), (16, 8, 3)).copy()
         params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        pred = lb.technical_lemma_prediction(SmoothField(W, 1 / 64), model, vs,
-                                             mm, params)
+        defect = lb.conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
+        pred = lb.technical_lemma_prediction(defect, model, vs, mm, params)
         m_eq = lb.equilibrium_moments(model, vs, mm, W)
         assert np.array_equal(pred, m_eq)
 
@@ -214,9 +217,10 @@ class TestTechnicalLemmaPrediction:
         s = 1.5
         params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, s))
         fld = shear_field()
-        pred = lb.technical_lemma_prediction(fld, model, vs, mm, params)
+        defect = lb.conservation_defect(fld, model, vs, mm)
+        pred = lb.technical_lemma_prediction(defect, model, vs, mm, params)
         m_eq = lb.equilibrium_moments(model, vs, mm, fld.W)
-        theta = lb.conservation_defect(fld, model, vs, mm).theta
+        theta = defect.theta
         diff = m_eq[..., 3:] - pred[..., 3:]
         assert np.allclose(diff, (params.dt / s) * theta[..., 3:], atol=1e-18)
 

@@ -1,5 +1,8 @@
+import csv
+
 import pytest
 
+from lbmlab import errors
 from lbmlab.cli import EXIT_CONFIG, EXIT_OK, main
 
 SMALL_VERIFY = """\
@@ -9,6 +12,19 @@ coarse_steps = 20
 viscosity_s = 1.5
 viscosity_n = 32
 horizon_decay_times = 1.2
+"""
+
+# The density turns non-positive entering step 7 at node (4, 0).
+BLOW_UP = """\
+[grid]
+nx = 16
+[scheme]
+steps = 400
+s = 1.99
+[initial]
+ux_offset = 0.6
+ux_amplitude = 0.3
+rho_amplitude = 0.3
 """
 
 STUDY_FILES = {
@@ -68,3 +84,60 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
                    "--study", study)
     assert code == EXIT_CONFIG
     assert "2-D lattice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text, code, stderr", [
+    ("[scheme]\nsteps = 3\n", 0, ""),
+    ("[scheme]\nstep = 3\n", 2,
+     "config error: unknown key 'step' in section [scheme] (line 2)\n"),
+    ("[scheme]\ns = 2.5\n", 3, "construction error: relaxation ratios"),
+    ("[initial]\nrho0 = 0.1\nrho_amplitude = 0.3\n", 3,
+     "construction error: equilibrium evaluation requires rho > 0"),
+    (BLOW_UP, 4,
+     "simulation diverged: non-positive density at node (4, 0) entering step 7\n"),
+])
+def test_run_exit_codes(tmp_path, capsys, config_text, code, stderr):
+    got, out = _cli(tmp_path, "run", config_text)
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.startswith(stderr) if stderr else err == ""
+    assert (out / "checkpoint.csv").exists() == (code == EXIT_OK)
+
+
+def test_failed_study_exits_5(tmp_path):
+    config = ("[scheme]\ns = 2.0\n"
+              "[study]\nresolutions = 16,32,64,128\ncoarse_steps = 20\n")
+    code, out = _cli(tmp_path, "verify", config, "--study", "prop5")
+    assert code == 5
+    with open(out / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["experiment"] == "prop5" and row["passed"] == "fail"
+    assert not 1.75 < float(row["fitted_slope"]) < 2.25
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_its_exit_code():
+    expected = {
+        errors.LbmError: 2,
+        errors.ConfigError: 2,
+        errors.GridTooCoarse: 2,
+        errors.ConstructionError: 3,
+        errors.InvalidVelocitySet: 3,
+        errors.RankDeficient: 3,
+        errors.SingularMomentMatrix: 3,
+        errors.InvalidEquilibrium: 3,
+        errors.NonPositiveDensity: 3,
+        errors.ShapeError: 3,
+        errors.ComponentMismatch: 3,
+        errors.InvalidRelaxation: 3,
+        errors.SimulationDiverged: 4,
+        errors.FitRejected: 5,
+    }
+    classes = {errors.LbmError, *_subclasses(errors.LbmError)}
+    assert {cls: cls.exit_code for cls in classes} == expected
+    assert all(cls.label for cls in classes)

@@ -1,0 +1,115 @@
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lbmlab.config import config_text, parse_config
+from lbmlab.errors import ConfigError
+
+names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
+                min_size=1, max_size=8)
+ints = st.integers(-10**6, 10**6)
+floats = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _render(value):
+    if isinstance(value, list):
+        sep = "; " if value and isinstance(value[0], list) else ","
+        return sep.join(_render(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+# Raw values for every key except [scheme] dt, which must agree with
+# length / nx / lambda and is added by the strategy below.
+KEY_VALUES = {
+    ("lattice", "name"): names,
+    ("lattice", "vectors"): st.lists(st.lists(ints, min_size=1, max_size=3),
+                                     min_size=1, max_size=4),
+    ("lattice", "higher_rows"): st.lists(st.lists(floats, min_size=1, max_size=3),
+                                         min_size=1, max_size=3),
+    ("equilibrium", "kind"): names,
+    ("equilibrium", "cs2"): floats,
+    ("equilibrium", "weights"): st.lists(floats, min_size=1, max_size=9),
+    ("scheme", "s"): st.lists(floats, min_size=1, max_size=6),
+    ("scheme", "steps"): st.integers(0, 10**6),
+    ("grid", "ny"): st.integers(1, 10**4),
+    ("initial", "kind"): st.sampled_from(["sine", "uniform", "Sine", "UNIFORM"]),
+    ("initial", "rho0"): floats,
+    ("initial", "rho_amplitude"): floats,
+    ("initial", "rho_mode"): ints,
+    ("initial", "ux_offset"): floats,
+    ("initial", "ux_amplitude"): floats,
+    ("initial", "ux_mode"): ints,
+    ("initial", "uy_offset"): floats,
+    ("initial", "uy_amplitude"): floats,
+    ("initial", "uy_mode"): ints,
+    ("study", "name"): names,
+    ("study", "resolutions"): st.lists(ints, min_size=1, max_size=6),
+    ("study", "coarse_steps"): ints,
+    ("study", "viscosity_s"): st.lists(floats, min_size=1, max_size=4),
+    ("study", "viscosity_n"): ints,
+    ("study", "viscosity_mode"): ints,
+    ("study", "viscosity_amplitude"): floats,
+    ("study", "horizon_decay_times"): floats,
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Config text over a random subset of keys that parse_config accepts."""
+    chosen = draw(st.sets(st.sampled_from(sorted(KEY_VALUES))))
+    values = {key: draw(KEY_VALUES[key]) for key in chosen}
+    lam, nx, length = draw(positive), draw(st.integers(1, 10**4)), draw(positive)
+    values[("scheme", "lambda")] = lam
+    values[("grid", "nx")] = nx
+    values[("grid", "length")] = length
+    if draw(st.booleans()):
+        values[("scheme", "dt")] = length / nx / lam
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {_render(value)}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+
+
+@given(config_texts())
+def test_config_text_round_trip(text):
+    cfg = parse_config(text)
+    canonical = config_text(cfg)
+    assert parse_config(canonical) == cfg
+    assert config_text(parse_config(canonical)) == canonical
+
+
+def test_round_trip_keeps_lattice_name_beside_vectors():
+    cfg = parse_config("[lattice]\nname = d1q3\nvectors = 0;1;-1\n")
+    assert cfg.lattice_name == "d1q3" and cfg.vectors == ((0,), (1,), (-1,))
+    assert parse_config(config_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[scheme]\nsteps = 3\ns = 1.5,x\n", 3),
+    ("[study]\nresolutions = 16,32,x\n", 2),
+    ("[lattice]\n\nvectors = 0,0; 1,x\n", 3),
+    ("[equilibrium]\nweights = 0.5;0.25\n", 2),
+    ("[grid]\nnx = 6.5\n", 2),
+    ("[grid]  # the grid\nNX = 6.5\n", 2),
+    ("[scheme]\ns =\n", 2),
+    ("[study]\nviscosity_s = ,\n", 2),
+    ("[lattice]\nvectors = 0,0; ,; 1,0\n", 2),
+])
+def test_unparsable_value_names_its_line(text, line):
+    with pytest.raises(ConfigError, match=rf"\(line {line}\)$") as info:
+        parse_config(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("[grid]\nnx = 8\n\n[schemes]\ns = 1.5\n", r"unknown section \[schemes\]", 4),
+    ("[grid]\nnx = 8\nnz = 8\n", r"unknown key 'nz' in section \[grid\]", 3),
+    ("[grid]\nNZ = 8\n", r"unknown key 'nz' in section \[grid\]", 2),
+    ("[initial]\nname = sine\n", r"unknown key 'name' in section \[initial\]", 2),
+])
+def test_unknown_section_or_key_is_rejected(text, message, line):
+    with pytest.raises(ConfigError, match=message) as info:
+        parse_config(text)
+    assert info.value.line == line
