@@ -9,7 +9,7 @@ reports it; the command line's exit codes are:
     3  "construction error" (ConstructionError), including a non-positive
        initial density
     4  "simulation diverged" (SimulationDiverged) during a run
-    5  "verification failed" (FitRejected), or a study outside its band
+    5  a study of ``lbmlab verify`` failed its check (no exception)
 """
 
 
@@ -70,13 +70,6 @@ class SimulationDiverged(LbmError):
     label = "simulation diverged"
 
 
-class FitRejected(LbmError):
-    """An amplitude-decay fit was rejected (non-monotone beyond tolerance)."""
-
-    exit_code = 5
-    label = "verification failed"
-
-
 class ConfigError(LbmError):
     """Configuration text is malformed or internally inconsistent."""
 
@@ -87,7 +80,3 @@ class ConfigError(LbmError):
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
-
-
-class IllConditionedWarning(UserWarning):
-    """Viscometry requested at a relaxation rate where the decay is unresolvable."""

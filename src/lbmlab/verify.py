@@ -20,16 +20,19 @@ the requested study needs.
 Expected orders: moment disequilibrium decays at first order; the
 (dt/s) theta correction makes the prediction second order; the momentum
 balance closes at first order with the bare flux and at second order with
-the corrected flux; mass closes at second order.  The shear-wave viscometer
-checks the relaxation-rate/viscosity relation nu = cs2 dt (1/s - 1/2) on
-the configured 2-D lattice.
+the corrected flux; mass closes at second order.
+
+The shear-wave viscometer checks every relaxation rate s the same way on
+the configured 2-D lattice: the measured decay must match the scheme's exact
+shear-mode decay nu_exact (from a von Neumann analysis of one step), and
+nu_exact must match the paper's nu = cs2 dt (1/s - 1/2), also at s = 2.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -43,8 +46,8 @@ from .analysis import (
     technical_lemma_prediction,
 )
 from .config import ComponentBundle, RunConfig, build_components
-from .equilibrium import equilibrium_moments
-from .errors import ConfigError, FitRejected, IllConditionedWarning, SimulationDiverged
+from .equilibrium import equilibrium_jacobian, equilibrium_moments
+from .errors import ConfigError, SimulationDiverged
 from .fields import shear_wave_field
 from .scheme import (
     SchemeParams,
@@ -61,7 +64,10 @@ SECOND_ORDER_BAND = (1.75, 2.25)
 MIN_R_SQUARED = 0.99
 MIN_COARSE_STEPS = 20
 VISCOSITY_RTOL = 0.02
-ILL_CONDITIONED_S = 1.95
+VISCOSITY_ATOL = 1e-5  # in units of cs2 dt
+EIGENVALUE_ROUNDING = 64 * np.finfo(float).eps
+MAX_STEPS_PER_NODE = 32
+MIN_FIT_SAMPLES = 8
 # Grids of 2-D lattices are N x CROSS_AXIS_NODES: the profiles vary along x only.
 CROSS_AXIS_NODES = 8
 
@@ -161,7 +167,6 @@ class RefinementStudy:
     dx: tuple[float, ...]
     dt: tuple[float, ...]
     residuals: tuple[float, ...]
-    mass_drifts: tuple[float, ...]
     slope: Optional[float]
     intercept: Optional[float]
     r2: Optional[float]
@@ -169,12 +174,12 @@ class RefinementStudy:
     note: str = ""
 
     def running_slopes(self) -> tuple[float, ...]:
-        out = [math.nan]
-        for i in range(1, len(self.resolutions)):
-            num = math.log(self.residuals[i] / self.residuals[i - 1])
-            den = math.log(self.dt[i] / self.dt[i - 1])
-            out.append(num / den)
-        return tuple(out)
+        """Slope between neighbouring grids; nan first and across a zero residual."""
+        r, dt = self.residuals, self.dt
+        return (math.nan,) + tuple(
+            math.log(r[i] / r[i - 1]) / math.log(dt[i] / dt[i - 1])
+            if min(r[i - 1], r[i]) > 0.0 else math.nan
+            for i in range(1, len(r)))
 
 
 def _validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
@@ -191,25 +196,20 @@ def _validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
     return ns
 
 
-def _assemble(experiment: str, components: ComponentBundle, ns, residuals,
-              drifts) -> RefinementStudy:
+def _assemble(experiment: str, components: ComponentBundle, ns,
+              residuals) -> RefinementStudy:
     dxs = tuple(components.length / n for n in ns)
     dts = tuple(dx / components.mm.lam for dx in dxs)
+    study = partial(RefinementStudy, experiment, ns, dxs, dts, tuple(residuals))
     if min(residuals) <= 0.0:
-        return RefinementStudy(experiment, ns, dxs, dts, tuple(residuals),
-                               tuple(drifts), None, None, None, False,
-                               note="residuals vanished; nothing to fit")
+        return study(None, None, None, False, "residuals vanished; nothing to fit")
     slope, intercept, r2 = fit_loglog(dts, residuals)
     if r2 < MIN_R_SQUARED:
-        return RefinementStudy(experiment, ns, dxs, dts, tuple(residuals),
-                               tuple(drifts), None, None, r2, False,
-                               note=f"regression rejected, R2={r2:.4f}")
-    band = STUDY_BANDS[experiment]
-    lo, hi = band
+        return study(None, None, r2, False, f"regression rejected, R2={r2:.4f}")
+    lo, hi = band = STUDY_BANDS[experiment]
     ok = slope >= lo and (hi is None or slope <= hi)
-    note = "" if ok else f"slope {slope:.3f} outside {band}"
-    return RefinementStudy(experiment, ns, dxs, dts, tuple(residuals),
-                           tuple(drifts), slope, intercept, r2, ok, note)
+    return study(slope, intercept, r2, ok,
+                 "" if ok else f"slope {slope:.3f} outside {band}")
 
 
 def refinement_studies(components: ComponentBundle, resolutions,
@@ -223,9 +223,8 @@ def refinement_studies(components: ComponentBundle, resolutions,
     ns = _validate_ladder(resolutions, coarse_steps)
     rows = [resolution_residuals(components, n, coarse_steps * n // ns[0])
             for n in ns]
-    drifts = [r["mass_drift"] for r in rows]
     return {
-        name: _assemble(name, components, ns, [r[name] for r in rows], drifts)
+        name: _assemble(name, components, ns, [r[name] for r in rows])
         for name in REFINEMENT_EXPERIMENTS
     }
 
@@ -278,63 +277,45 @@ class ViscosityMeasurement:
     N: int
     dx: float
     dt: float
+    k: float
     nu_measured: float
+    nu_exact: float
     nu_predicted: float
-    resolution_floor: float
     fit_r2: float
     steps: int
     mass_drift: float
 
-    @property
-    def below_floor(self) -> bool:
-        return abs(self.nu_measured) < self.resolution_floor
 
-    @property
-    def relative_error(self) -> float:
-        return abs(self.nu_measured / self.nu_predicted - 1.0)
+def shear_mode_decay(components: ComponentBundle, params: SchemeParams,
+                     k: float) -> float:
+    """Exact per-step decay -ln|lambda| of a shear wave u_y ~ exp(i k x).
 
-
-def resolution_floor(cs2: float, dt: float, k: float, dx: float) -> float:
-    """Smallest viscosity the grid can attribute to the relaxation rate.
-
-    The first neglected correction to the decay rate is O((k dx)^2) relative,
-    so rates predicting less than cs2*dt*(k dx)^2 drown in discretization
-    effects and a measurement can only bound them.
+    von Neumann analysis of one step linearized about rest (rho = 1, q = 0),
+    after Lallemand & Luo, Phys. Rev. E 61, 6546 (2000): relaxation in moment
+    space towards the linearized equilibrium, back to populations, then
+    streaming, which multiplies population j by exp(-i k e_j^x dx).  lambda
+    is the eigenvalue of this (J+1) x (J+1) amplification matrix whose
+    eigenvector has the largest momentum_y share.
     """
-    return cs2 * dt * (k * dx) ** 2
+    vs, mm, model = components.vs, components.mm, components.model
+    nc = mm.d + 1
+    eq = np.zeros((vs.J + 1, vs.J + 1))
+    eq[:, :nc] = mm.M @ equilibrium_jacobian(model, vs, np.eye(nc)[0])
+    relax = np.concatenate([np.zeros(nc), params.s])
+    collision = np.eye(vs.J + 1) - relax[:, None] * (np.eye(vs.J + 1) - eq)
+    shift = np.exp(-1j * k * params.dx * vs.e[:, 0])
+    eigvals, eigvecs = np.linalg.eig(shift[:, None] * (mm.M_inv @ collision @ mm.M))
+    moments = np.abs(mm.M @ eigvecs)
+    share = moments[mm.names.index("momentum_y")] / np.linalg.norm(moments, axis=0)
+    return -math.log(abs(eigvals[np.argmax(share)]))
 
 
 def _mode_amplitude(f: np.ndarray, velocities: np.ndarray, mode: int) -> float:
     rho = f.sum(axis=-1)
     q_y = f @ velocities[:, 1]
-    u_y = q_y / rho
-    column = u_y.mean(axis=1) if u_y.ndim > 1 else u_y
+    column = (q_y / rho).mean(axis=1)
     coef = np.fft.rfft(column)[mode]
     return 2.0 * abs(coef) / column.shape[0]
-
-
-def _fit_decay(times: np.ndarray, amplitudes: np.ndarray,
-               floor_rate: float) -> tuple[float, float]:
-    """Slope and R^2 of ln(amplitude) against t, rejecting contaminated decays.
-
-    A decay faster than the resolution floor must be essentially monotone;
-    in that regime a non-trivial total uptick means another mode (acoustic
-    contamination) is beating against the shear wave and the fit would not
-    measure a viscosity.
-    """
-    if len(amplitudes) < 8:
-        raise FitRejected("too few samples to fit a decay rate")
-    if not np.all(np.isfinite(amplitudes)) or np.any(amplitudes <= 0.0):
-        raise SimulationDiverged("amplitude series is not finite and positive")
-    slope, _, r2 = fit_linear(times, np.log(amplitudes))
-    increments = np.diff(amplitudes)
-    upticks = float(increments[increments > 0].sum())
-    span = float(amplitudes[0] - amplitudes[-1])
-    if -slope > floor_rate and (span <= 0.0 or upticks > 0.05 * span):
-        raise FitRejected(
-            f"amplitude decay is non-monotone (upticks {upticks:.3e} vs span {span:.3e})"
-        )
-    return slope, r2
 
 
 def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
@@ -342,32 +323,30 @@ def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
     """Measure the shear kinematic viscosity from the wave's amplitude decay.
 
     Runs the configured 2-D lattice, moment matrix and equilibrium on an
-    N x CROSS_AXIS_NODES grid spanning the configured domain length, with
-    every relaxed moment at ``wave.s_shear``.  Fits ln(amplitude) against
-    time and returns nu = -slope/k^2 next to the predicted
-    cs2 * dt * (1/s_shear - 1/2).  Rates at s_shear >= 1.95 predict decays
-    below the resolution floor and are flagged as ill conditioned.
+    N x CROSS_AXIS_NODES grid with every relaxed moment at ``wave.s_shear``,
+    for ``wave.horizon_decay_times`` e-folding times of the exact decay
+    (``shear_mode_decay``) but at most MAX_STEPS_PER_NODE * N steps, the cap
+    that applies where the decay vanishes (s_shear = 2).  Returns
+    nu = -slope/k^2 of ln(amplitude) against time, after a transient, next to
+    the exact nu and the predicted cs2 dt (1/s_shear - 1/2).  A run leaving
+    fewer than MIN_FIT_SAMPLES samples is a ConfigError, raised before any step.
     """
     vs, mm, model = components.vs, components.mm, components.model
     if vs.d != 2:
-        raise ConfigError(
-            f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}"
-        )
-    if wave.s_shear >= ILL_CONDITIONED_S:
-        warnings.warn(
-            f"s_shear={wave.s_shear} leaves the predicted decay below the "
-            f"resolution floor; the measurement only bounds it",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+        raise ConfigError(f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}")
     dx = components.length / N
     dt = dx / mm.lam
     k = 2.0 * np.pi * wave.mode / components.length
     params = SchemeParams(dx=dx, dt=dt, s=np.full(vs.J - vs.d, wave.s_shear))
-    nu_pred = model.cs2 * dt * (1.0 / wave.s_shear - 0.5)
-    floor = resolution_floor(model.cs2, dt, k, dx)
-    rate_ref = max(nu_pred, floor) * k * k
-    steps = int(np.ceil(wave.horizon_decay_times / rate_ref / dt))
+    decay = shear_mode_decay(components, params, k)
+    cap = MAX_STEPS_PER_NODE * N
+    horizon = wave.horizon_decay_times
+    steps = cap if decay * cap <= horizon else math.ceil(horizon / decay)
+    skip = max(32, steps // 20)
+    if steps + 1 - skip < MIN_FIT_SAMPLES:
+        raise ConfigError(f"viscosity_n = {N} and horizon_decay_times = {horizon} "
+                          f"leave fewer than {MIN_FIT_SAMPLES} fit samples at "
+                          f"s = {wave.s_shear} ({steps} steps, {skip} skipped)")
 
     field = shear_wave_field(1.0, wave.amplitude, wave.mode)
     grid = (N, CROSS_AXIS_NODES)
@@ -380,15 +359,15 @@ def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
         amps[i + 1] = _mode_amplitude(state.f, model.velocities, wave.mode)
     check_finite(state)
     audit = conservation_audit(initial, state, mm)
+    if not np.all(amps[skip:] > 0.0):
+        raise SimulationDiverged("amplitude series is not finite and positive")
 
-    skip = max(32, steps // 20)
-    times = dt * np.arange(steps + 1)
-    slope, r2 = _fit_decay(times[skip:], amps[skip:], floor * k * k)
+    slope, _, r2 = fit_linear(dt * np.arange(skip, steps + 1), np.log(amps[skip:]))
     return ViscosityMeasurement(
-        s_shear=wave.s_shear, N=N, dx=dx, dt=dt,
-        nu_measured=-slope / (k * k), nu_predicted=nu_pred,
-        resolution_floor=floor, fit_r2=r2, steps=steps,
-        mass_drift=audit["mass_drift"],
+        s_shear=wave.s_shear, N=N, dx=dx, dt=dt, k=k,
+        nu_measured=-slope / (k * k), nu_exact=decay / (k * k * dt),
+        nu_predicted=model.cs2 * dt * (1.0 / wave.s_shear - 0.5),
+        fit_r2=r2, steps=steps, mass_drift=audit["mass_drift"],
     )
 
 
@@ -407,8 +386,8 @@ STUDY_EXPERIMENTS = {
 STUDY_NAMES = tuple(STUDY_EXPERIMENTS)
 
 REFINEMENT_HEADER = ("N", "dx", "dt", "residual", "slope_running")
-VISCOSITY_HEADER = ("s_shear", "N", "dx", "dt", "nu_predicted", "nu_measured",
-                    "rel_error", "fit_r2")
+VISCOSITY_HEADER = ("s_shear", "N", "dx", "dt", "nu_predicted", "nu_exact",
+                    "nu_measured", "measured_error", "formula_error", "fit_r2")
 
 
 @dataclass(frozen=True)
@@ -430,58 +409,50 @@ class StudyOutcome:
 
 
 def _outcome_from_study(study: RefinementStudy) -> StudyOutcome:
-    rows = tuple(
-        (n, dx, dt, res, sr)
-        for n, dx, dt, res, sr in zip(study.resolutions, study.dx, study.dt,
-                                      study.residuals, study.running_slopes())
-    )
+    rows = tuple(zip(study.resolutions, study.dx, study.dt, study.residuals,
+                     study.running_slopes()))
     return StudyOutcome(
-        experiment=study.experiment,
-        header=REFINEMENT_HEADER,
-        rows=rows,
-        summary_value=study.slope,
-        r2=study.r2,
-        passed=study.ok,
-        note=study.note,
+        experiment=study.experiment, header=REFINEMENT_HEADER, rows=rows,
+        summary_value=study.slope, r2=study.r2, passed=study.ok, note=study.note,
     )
 
 
 def _viscosity_outcome(components: ComponentBundle, cfg: RunConfig) -> StudyOutcome:
+    """One viscometry case per s; each must pass both checks.
+
+    (a) |nu_measured - nu_exact| <= VISCOSITY_ATOL cs2 dt ('measured_error',
+    in units of cs2 dt); (b) the exact per-step decay k^2 nu_exact dt matches
+    the paper's k^2 nu_predicted dt to VISCOSITY_RTOL plus EIGENVALUE_ROUNDING
+    ('formula_error' = |nu_exact - nu_predicted| in units of cs2 dt).
+    """
     rows = []
-    worst = 0.0
-    worst_r2 = 1.0
-    passed = True
     notes = []
-    N = cfg.viscosity_n
     for s in cfg.viscosity_s:
         wave = ShearWaveConfig(mode=cfg.viscosity_mode,
                                amplitude=cfg.viscosity_amplitude, s_shear=s,
                                horizon_decay_times=cfg.horizon_decay_times)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            meas = measure_viscosity(components, wave, N)
-        if s >= ILL_CONDITIONED_S:
-            ok = meas.below_floor
-            rel = math.nan
-            if not ok:
-                notes.append(f"s={s}: decay above resolution floor")
-        else:
-            rel = meas.relative_error
-            worst = max(worst, rel)
-            worst_r2 = min(worst_r2, meas.fit_r2)
-            ok = rel <= VISCOSITY_RTOL
-            if not ok:
-                notes.append(f"s={s}: error {rel:.3%}")
-        passed = passed and ok
-        rows.append((s, N, meas.dx, meas.dt, meas.nu_predicted,
-                     meas.nu_measured, rel, meas.fit_r2))
+        meas = measure_viscosity(components, wave, cfg.viscosity_n)
+        unit = components.model.cs2 * meas.dt
+        measured_error = abs(meas.nu_measured - meas.nu_exact) / unit
+        formula_error = abs(meas.nu_exact - meas.nu_predicted) / unit
+        per_step = meas.k * meas.k * meas.dt
+        if not measured_error <= VISCOSITY_ATOL:
+            notes.append(f"s={s}: measured nu off the exact one by "
+                         f"{measured_error:.3g} cs2 dt")
+        if not (per_step * abs(meas.nu_exact - meas.nu_predicted)
+                <= VISCOSITY_RTOL * per_step * meas.nu_predicted + EIGENVALUE_ROUNDING):
+            notes.append(f"s={s}: exact nu off the prediction by "
+                         f"{formula_error:.3g} cs2 dt")
+        rows.append((s, meas.N, meas.dx, meas.dt, meas.nu_predicted,
+                     meas.nu_exact, meas.nu_measured, measured_error,
+                     formula_error, meas.fit_r2))
     return StudyOutcome(
         experiment="viscosity",
         header=VISCOSITY_HEADER,
         rows=tuple(rows),
-        summary_value=worst,
-        r2=worst_r2,
-        passed=passed,
+        summary_value=max(row[7] for row in rows),
+        r2=None,
+        passed=not notes,
         note="; ".join(notes),
     )
 
@@ -496,11 +467,14 @@ def run_verification(study: str, cfg: RunConfig) -> list[StudyOutcome]:
         raise ConfigError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
     experiments = STUDY_EXPERIMENTS[study]
     components = build_components(cfg)
+    refine = any(name in STUDY_BANDS for name in experiments)
+    if refine:
+        _validate_ladder(cfg.resolutions, cfg.coarse_steps)
     outcomes: dict[str, StudyOutcome] = {}
-    # viscometry first, so a lattice it cannot run fails before the ladder does
+    # viscometry first, so a case it cannot run fails before the ladder runs
     if "viscosity" in experiments:
         outcomes["viscosity"] = _viscosity_outcome(components, cfg)
-    if any(name in STUDY_BANDS for name in experiments):
+    if refine:
         studies = refinement_studies(components, cfg.resolutions, cfg.coarse_steps)
         for name, refined in studies.items():
             outcomes[name] = _outcome_from_study(refined)
