@@ -25,9 +25,8 @@ from .equilibrium import (
     equilibrium_moments,
     momentum_flux,
 )
-from .fields import InitialField, SineComponent, shear_wave_field, uniform_field
+from .fields import InitialField, SineComponent, shear_wave_field
 from .lattice import (
-    LambdaTensor,
     MomentMatrix,
     VelocitySet,
     build_moment_matrix,
@@ -52,7 +51,6 @@ from .scheme import (
 )
 from .verify import (
     RefinementStudy,
-    ShearWaveConfig,
     ViscosityMeasurement,
     measure_viscosity,
     refinement_studies,

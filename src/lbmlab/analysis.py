@@ -39,7 +39,7 @@ from .equilibrium import (
     momentum_flux,
 )
 from .errors import GridTooCoarse, NonPositiveDensity, ShapeError
-from .lattice import LambdaTensor, MomentMatrix, VelocitySet, lambda_tensor
+from .lattice import MomentMatrix, VelocitySet, lambda_tensor
 from .scheme import SchemeParams
 
 MIN_NODES_PER_AXIS = 8
@@ -155,7 +155,7 @@ def ns_flux_correction(defect: DefectField, model: EquilibriumModel,
     relaxed moments of ``defect.field``; with s_k = 2 everywhere the
     correction vanishes and the bare flux is returned.
     """
-    lam_t = lambda_tensor(mm, vs).values
+    lam_t = lambda_tensor(mm, vs)
     nc = mm.d + 1
     coeff = params.dt * (1.0 / params.s - 0.5)
     F = momentum_flux(model, vs, defect.field.W)
@@ -245,7 +245,7 @@ def pde_report(vs: VelocitySet, mm: MomentMatrix, model: EquilibriumModel,
                params: SchemeParams) -> PdeReport:
     """Tabulate mu_k = dt (1/s_k - 1/2) and the Lambda slices per relaxed moment."""
     nc = mm.d + 1
-    lam_t = lambda_tensor(mm, vs).values
+    lam_t = lambda_tensor(mm, vs)
     pairs = _PAIR_INDICES[mm.d]
     ks = tuple(range(nc, mm.J + 1))
     mu = tuple(float(params.dt * (1.0 / sk - 0.5)) for sk in params.s)

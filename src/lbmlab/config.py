@@ -3,8 +3,10 @@
 Sections are [lattice], [equilibrium], [scheme], [grid], [initial], [study].
 Unknown sections or keys are hard errors (a silently ignored typo in, say,
 a relaxation rate would poison a convergence study), and the diagnostic
-names the offending key with its line where available.  A parsed config
-serializes back to a canonical text whose re-parse is identical.
+names the offending key with its line where available.  Every RunConfig,
+parsed or built in Python, is validated as a whole, so invalid [study] values
+fail ``run`` and ``analyze`` too.  dt is not a key: it is always dx / lambda.
+A parsed config serializes back to a canonical text whose re-parse is identical.
 """
 
 from __future__ import annotations
@@ -22,22 +24,22 @@ from .fields import InitialField, SineComponent
 from .lattice import build_moment_matrix, build_velocity_set
 from .scheme import SchemeParams
 
+MIN_COARSE_STEPS = 20
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective configuration; plain values so equality means 'same run'."""
+    """Validated effective configuration; plain values so equality means 'same run'."""
 
     # [lattice]
     lattice_name: str = "d2q9"
     vectors: tuple[tuple[int, ...], ...] | None = None
     higher_rows: tuple[tuple[float, ...], ...] | None = None
     # [equilibrium]
-    eq_kind: str | None = None
     cs2: float | None = None
     weights: tuple[float, ...] | None = None
     # [scheme]
     lam: float = 1.0
-    dt: float | None = None
     s: tuple[float, ...] = (1.5,)
     steps: int = 0
     # [grid]
@@ -65,6 +67,9 @@ class RunConfig:
     viscosity_amplitude: float = 0.001
     horizon_decay_times: float = 1.5
 
+    def __post_init__(self):
+        _validate(self)
+
 
 def _items(convert, sep=","):
     """Parser of a non-empty list of ``sep``-separated items."""
@@ -83,11 +88,9 @@ _KEYS = (
     ("lattice", "name", "lattice_name", str.lower),
     ("lattice", "vectors", "vectors", _items(_items(int), ";")),
     ("lattice", "higher_rows", "higher_rows", _items(_items(float), ";")),
-    ("equilibrium", "kind", "eq_kind", str),
     ("equilibrium", "cs2", "cs2", float),
     ("equilibrium", "weights", "weights", _items(float)),
     ("scheme", "lambda", "lam", float),
-    ("scheme", "dt", "dt", float),
     ("scheme", "s", "s", _items(float)),
     ("scheme", "steps", "steps", int),
     ("grid", "nx", "nx", int),
@@ -171,9 +174,7 @@ def parse_config(text: str) -> RunConfig:
         if not _finite(value):
             raise ConfigError(f"key '{key}': values must be finite", line=line)
         values[field] = value
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -198,13 +199,32 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("key 'lambda': celerity must be positive")
     if cfg.steps < 0:
         raise ConfigError("key 'steps': step count must be non-negative")
-    if cfg.dt is not None:
-        dx = cfg.length / cfg.nx
-        implied = dx / cfg.dt
-        if abs(implied - cfg.lam) > 1e-12 * cfg.lam:
-            raise ConfigError(
-                f"inconsistent scales: dx/dt = {implied!r} but lambda = {cfg.lam!r}"
-            )
+    validate_ladder(cfg.resolutions, cfg.coarse_steps)
+    if cfg.viscosity_n < 1:
+        raise ConfigError(f"key 'viscosity_n': must be >= 1, got {cfg.viscosity_n}")
+    if cfg.viscosity_mode < 1:
+        raise ConfigError(f"key 'viscosity_mode': must be >= 1, got {cfg.viscosity_mode}")
+    if not 0 < cfg.viscosity_amplitude <= 1e-3:
+        raise ConfigError(f"key 'viscosity_amplitude': {cfg.viscosity_amplitude} "
+                          "outside the linear regime (0, 1e-3]")
+    if not cfg.horizon_decay_times > 0:
+        raise ConfigError("key 'horizon_decay_times': horizon must be positive")
+
+
+def validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
+    """The ladder as ints: at least 4 doubling grids of >= 1 node, >= MIN_COARSE_STEPS steps."""
+    ns = tuple(int(n) for n in resolutions)
+    if len(ns) < 4:
+        raise ConfigError(f"key 'resolutions': need at least 4 resolutions, got {len(ns)}")
+    if ns[0] < 1:
+        raise ConfigError(f"key 'resolutions': coarsest grid must be >= 1, got {ns[0]}")
+    for a, b in zip(ns, ns[1:]):
+        if b != 2 * a:
+            raise ConfigError(f"key 'resolutions': resolutions must double, got {a} -> {b}")
+    if coarse_steps < MIN_COARSE_STEPS:
+        raise ConfigError(f"key 'coarse_steps': must be >= {MIN_COARSE_STEPS}, "
+                          f"got {coarse_steps}")
+    return ns
 
 
 def _fmt(value) -> str:
@@ -264,11 +284,8 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
     vs = build_velocity_set(cfg.vectors if cfg.vectors is not None
                             else cfg.lattice_name)
     mm = build_moment_matrix(vs, cfg.lam, higher_rows=cfg.higher_rows)
-    kind = cfg.eq_kind
-    model = build_equilibrium(vs, cfg.lam, kind=kind, cs2=cfg.cs2,
-                              weights=cfg.weights)
+    model = build_equilibrium(vs, cfg.lam, cs2=cfg.cs2, weights=cfg.weights)
     dx = cfg.length / cfg.nx
-    dt = cfg.dt if cfg.dt is not None else dx / cfg.lam
     n_relaxed = vs.J - vs.d
     if len(cfg.s) == 1:
         s = np.full(n_relaxed, cfg.s[0])
@@ -278,7 +295,7 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
         raise ConfigError(
             f"key 's': expected 1 or {n_relaxed} relaxation ratios, got {len(cfg.s)}"
         )
-    params = SchemeParams(dx=dx, dt=dt, s=s)
+    params = SchemeParams(dx=dx, dt=dx / cfg.lam, s=s)
     if vs.d == 1:
         grid_shape: tuple[int, ...] = (cfg.nx,)
     else:

@@ -36,7 +36,6 @@ _BUILTIN_WEIGHTS = {
 class EquilibriumModel:
     """Weights, squared sound speed and velocities defining the map W -> f_eq."""
 
-    kind: str
     weights: np.ndarray    # (J+1,)
     cs2: float
     lam: float
@@ -51,14 +50,13 @@ class EquilibriumModel:
         return self.velocities.shape[0] - 1
 
 
-def build_equilibrium(vs: VelocitySet, lam: float, kind=None, cs2=None,
+def build_equilibrium(vs: VelocitySet, lam: float, cs2=None,
                       weights=None) -> EquilibriumModel:
     """Build an equilibrium model for a velocity set.
 
-    Built-in kinds "d2q9-polynomial" and "d1q3-polynomial" use the standard
-    quadrature weights and cs2 = lam^2/3.  A user table is accepted as an
-    explicit weight list (kind "custom"); it must satisfy the conservation
-    constraints, which are verified on the probe set.
+    The built-in sets "d2q9" and "d1q3" default to the standard quadrature
+    weights; cs2 defaults to lam^2/3.  A user weight table must satisfy the
+    conservation constraints, which are verified on the probe set.
     """
     if weights is None:
         try:
@@ -67,10 +65,6 @@ def build_equilibrium(vs: VelocitySet, lam: float, kind=None, cs2=None,
             raise InvalidEquilibrium(
                 f"no built-in weights for velocity set {vs.name!r}; pass a weight table"
             ) from None
-        if kind is None:
-            kind = f"{vs.name}-polynomial"
-    elif kind is None:
-        kind = "custom"
     w = np.asarray(weights, dtype=float)
     if w.shape != (vs.J + 1,):
         raise ShapeError(f"expected {vs.J + 1} weights, got shape {w.shape}")
@@ -81,8 +75,8 @@ def build_equilibrium(vs: VelocitySet, lam: float, kind=None, cs2=None,
     w.flags.writeable = False
     v = lam * vs.e.astype(float)
     v.flags.writeable = False
-    model = EquilibriumModel(kind=str(kind), weights=w, cs2=float(cs2),
-                             lam=float(lam), velocities=v)
+    model = EquilibriumModel(weights=w, cs2=float(cs2), lam=float(lam),
+                             velocities=v)
     _validate_on_probe_set(model)
     return model
 

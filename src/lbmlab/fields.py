@@ -82,14 +82,6 @@ def _along_first_axis(values_1d: np.ndarray, grid_shape) -> np.ndarray:
     )
 
 
-def uniform_field(rho0: float, u=()) -> InitialField:
-    u = tuple(u)
-    return InitialField(
-        rho=SineComponent(offset=rho0),
-        velocity=tuple(SineComponent(offset=ui) for ui in u),
-    )
-
-
 def shear_wave_field(rho0: float, amplitude: float, mode: int) -> InitialField:
     """Transverse wave u_y = amplitude * sin(2 pi mode x / L) at uniform density."""
     return InitialField(

@@ -223,26 +223,16 @@ def build_moment_matrix(vs: VelocitySet, lam: float, higher_rows=None) -> Moment
                         names=names, shear_index=shear_index)
 
 
-@dataclass(frozen=True)
-class LambdaTensor:
-    """Contraction sum_j v^alpha v^beta (M^-1)^j_k, indexed [alpha, beta, k]."""
+def lambda_tensor(mm: MomentMatrix, vs: VelocitySet) -> np.ndarray:
+    """Read-only Lambda[a, b, k] = sum_j v_j^a v_j^b (M^-1)^j_k, shape (d, d, J+1).
 
-    values: np.ndarray  # (d, d, J+1)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
-
-
-def lambda_tensor(mm: MomentMatrix, vs: VelocitySet) -> LambdaTensor:
-    """Tensor mapping moment defects into momentum-flux corrections.
-
-    Satisfies the reconstruction identity sum_k values[a, b, k] M[k, j]
-    == v_j^a v_j^b for every j (M_inv is the exact inverse used everywhere).
+    Maps moment defects into momentum-flux corrections and satisfies the
+    reconstruction identity sum_k Lambda[a, b, k] M[k, j] == v_j^a v_j^b for
+    every j (M_inv is the exact inverse used everywhere).
     """
     if mm.M.shape[0] != vs.J + 1 or mm.d != vs.d:
         raise ShapeError("moment matrix was not built from this velocity set")
     v = mm.velocities
     values = np.einsum("ja,jb,jk->abk", v, v, mm.M_inv)
     values.flags.writeable = False
-    return LambdaTensor(values=values)
+    return values

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import format_value, write_rows
-from .equilibrium import EquilibriumModel, _populations
+from .equilibrium import EquilibriumModel, _populations, equilibrium_distribution
 from .errors import (
     ComponentMismatch,
     InvalidRelaxation,
@@ -78,8 +78,6 @@ class SchemeState:
 
 def initialize_equilibrium(model: EquilibriumModel, vs: VelocitySet, W) -> SchemeState:
     """State with f = G(W(x)) at every node and the step counter at zero."""
-    from .equilibrium import equilibrium_distribution
-
     return SchemeState(f=equilibrium_distribution(model, vs, W), steps=0)
 
 

@@ -45,7 +45,7 @@ from .analysis import (
     ns_flux_correction,
     technical_lemma_prediction,
 )
-from .config import ComponentBundle, RunConfig, build_components
+from .config import ComponentBundle, RunConfig, build_components, validate_ladder
 from .equilibrium import equilibrium_jacobian, equilibrium_moments
 from .errors import ConfigError, SimulationDiverged
 from .fields import shear_wave_field
@@ -62,7 +62,6 @@ from .scheme import (
 FIRST_ORDER_BAND = (0.8, 1.2)
 SECOND_ORDER_BAND = (1.75, 2.25)
 MIN_R_SQUARED = 0.99
-MIN_COARSE_STEPS = 20
 VISCOSITY_RTOL = 0.02
 VISCOSITY_ATOL = 1e-5  # in units of cs2 dt
 EIGENVALUE_ROUNDING = 64 * np.finfo(float).eps
@@ -182,20 +181,6 @@ class RefinementStudy:
             for i in range(1, len(r)))
 
 
-def _validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
-    ns = tuple(int(n) for n in resolutions)
-    if len(ns) < 4:
-        raise ConfigError(f"refinement study needs at least 4 resolutions, got {len(ns)}")
-    for a, b in zip(ns, ns[1:]):
-        if b != 2 * a:
-            raise ConfigError(f"resolutions must double, got {a} -> {b}")
-    if coarse_steps < MIN_COARSE_STEPS:
-        raise ConfigError(
-            f"coarse_steps must be at least {MIN_COARSE_STEPS}, got {coarse_steps}"
-        )
-    return ns
-
-
 def _assemble(experiment: str, components: ComponentBundle, ns,
               residuals) -> RefinementStudy:
     dxs = tuple(components.length / n for n in ns)
@@ -220,7 +205,7 @@ def refinement_studies(components: ComponentBundle, resolutions,
     proportionally more, so every grid is measured at the same physical time;
     each grid is simulated once (see ``resolution_residuals``).
     """
-    ns = _validate_ladder(resolutions, coarse_steps)
+    ns = validate_ladder(resolutions, coarse_steps)
     rows = [resolution_residuals(components, n, coarse_steps * n // ns[0])
             for n in ns]
     return {
@@ -249,26 +234,6 @@ def study_conservation_laws(components: ComponentBundle, resolutions,
 
 # ---------------------------------------------------------------------------
 # Shear-wave viscometry
-
-
-@dataclass(frozen=True)
-class ShearWaveConfig:
-    """Transverse-wave decay experiment: u_y(x, 0) = amplitude sin(2 pi mode x / L)."""
-
-    mode: int = 1
-    amplitude: float = 1e-3
-    s_shear: float = 1.5
-    horizon_decay_times: float = 1.5
-
-    def __post_init__(self):
-        if not 0 < self.amplitude <= 1e-3:
-            raise ConfigError(
-                f"amplitude {self.amplitude} outside the linear regime (0, 1e-3]"
-            )
-        if self.mode < 1:
-            raise ConfigError(f"mode must be >= 1, got {self.mode}")
-        if self.horizon_decay_times <= 0:
-            raise ConfigError("horizon must be positive")
 
 
 @dataclass(frozen=True)
@@ -318,13 +283,37 @@ def _mode_amplitude(f: np.ndarray, velocities: np.ndarray, mode: int) -> float:
     return 2.0 * abs(coef) / column.shape[0]
 
 
-def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
-                      N: int) -> ViscosityMeasurement:
-    """Measure the shear kinematic viscosity from the wave's amplitude decay.
+def _viscosity_plan(components: ComponentBundle, cfg: RunConfig, s_shear: float):
+    """Parameters, wavenumber, exact per-step decay, step count and skipped
+    transient of one viscometry run; ConfigError if it cannot yield a fit."""
+    vs, mm = components.vs, components.mm
+    if vs.d != 2:
+        raise ConfigError(f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}")
+    N = cfg.viscosity_n
+    dx = components.length / N
+    k = 2.0 * np.pi * cfg.viscosity_mode / components.length
+    params = SchemeParams(dx=dx, dt=dx / mm.lam, s=np.full(vs.J - vs.d, s_shear))
+    decay = shear_mode_decay(components, params, k)
+    cap = MAX_STEPS_PER_NODE * N
+    horizon = cfg.horizon_decay_times
+    steps = cap if decay * cap <= horizon else math.ceil(horizon / decay)
+    skip = max(32, steps // 20)
+    if steps + 1 - skip < MIN_FIT_SAMPLES:
+        raise ConfigError(f"viscosity_n = {N} and horizon_decay_times = {horizon} "
+                          f"leave fewer than {MIN_FIT_SAMPLES} fit samples at "
+                          f"s = {s_shear} ({steps} steps, {skip} skipped)")
+    return params, k, decay, steps, skip
 
-    Runs the configured 2-D lattice, moment matrix and equilibrium on an
-    N x CROSS_AXIS_NODES grid with every relaxed moment at ``wave.s_shear``,
-    for ``wave.horizon_decay_times`` e-folding times of the exact decay
+
+def measure_viscosity(components: ComponentBundle, cfg: RunConfig,
+                      s_shear: float) -> ViscosityMeasurement:
+    """Measure the shear kinematic viscosity from a shear wave's amplitude decay.
+
+    The wave is u_y(x, 0) = viscosity_amplitude sin(2 pi viscosity_mode x / L)
+    at unit density; the [study] fields of ``cfg`` set it and the grid,
+    N = viscosity_n by CROSS_AXIS_NODES.  Runs the configured 2-D lattice,
+    moment matrix and equilibrium with every relaxed moment at ``s_shear``,
+    for horizon_decay_times e-folding times of the exact decay
     (``shear_mode_decay``) but at most MAX_STEPS_PER_NODE * N steps, the cap
     that applies where the decay vanishes (s_shear = 2).  Returns
     nu = -slope/k^2 of ln(amplitude) against time, after a transient, next to
@@ -332,31 +321,19 @@ def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
     fewer than MIN_FIT_SAMPLES samples is a ConfigError, raised before any step.
     """
     vs, mm, model = components.vs, components.mm, components.model
-    if vs.d != 2:
-        raise ConfigError(f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}")
-    dx = components.length / N
-    dt = dx / mm.lam
-    k = 2.0 * np.pi * wave.mode / components.length
-    params = SchemeParams(dx=dx, dt=dt, s=np.full(vs.J - vs.d, wave.s_shear))
-    decay = shear_mode_decay(components, params, k)
-    cap = MAX_STEPS_PER_NODE * N
-    horizon = wave.horizon_decay_times
-    steps = cap if decay * cap <= horizon else math.ceil(horizon / decay)
-    skip = max(32, steps // 20)
-    if steps + 1 - skip < MIN_FIT_SAMPLES:
-        raise ConfigError(f"viscosity_n = {N} and horizon_decay_times = {horizon} "
-                          f"leave fewer than {MIN_FIT_SAMPLES} fit samples at "
-                          f"s = {wave.s_shear} ({steps} steps, {skip} skipped)")
+    params, k, decay, steps, skip = _viscosity_plan(components, cfg, s_shear)
+    N, dx, dt = cfg.viscosity_n, params.dx, params.dt
+    mode = cfg.viscosity_mode
 
-    field = shear_wave_field(1.0, wave.amplitude, wave.mode)
+    field = shear_wave_field(1.0, cfg.viscosity_amplitude, mode)
     grid = (N, CROSS_AXIS_NODES)
     state = initialize_equilibrium(model, vs, field.conserved(grid, dx))
     initial = state
     amps = np.empty(steps + 1)
-    amps[0] = _mode_amplitude(state.f, model.velocities, wave.mode)
+    amps[0] = _mode_amplitude(state.f, model.velocities, mode)
     for i in range(steps):
         state = step(state, vs, mm, model, params)
-        amps[i + 1] = _mode_amplitude(state.f, model.velocities, wave.mode)
+        amps[i + 1] = _mode_amplitude(state.f, model.velocities, mode)
     check_finite(state)
     audit = conservation_audit(initial, state, mm)
     if not np.all(amps[skip:] > 0.0):
@@ -364,9 +341,9 @@ def measure_viscosity(components: ComponentBundle, wave: ShearWaveConfig,
 
     slope, _, r2 = fit_linear(dt * np.arange(skip, steps + 1), np.log(amps[skip:]))
     return ViscosityMeasurement(
-        s_shear=wave.s_shear, N=N, dx=dx, dt=dt, k=k,
+        s_shear=s_shear, N=N, dx=dx, dt=dt, k=k,
         nu_measured=-slope / (k * k), nu_exact=decay / (k * k * dt),
-        nu_predicted=model.cs2 * dt * (1.0 / wave.s_shear - 0.5),
+        nu_predicted=model.cs2 * dt * (1.0 / s_shear - 0.5),
         fit_r2=r2, steps=steps, mass_drift=audit["mass_drift"],
     )
 
@@ -425,13 +402,12 @@ def _viscosity_outcome(components: ComponentBundle, cfg: RunConfig) -> StudyOutc
     the paper's k^2 nu_predicted dt to VISCOSITY_RTOL plus EIGENVALUE_ROUNDING
     ('formula_error' = |nu_exact - nu_predicted| in units of cs2 dt).
     """
+    for s in cfg.viscosity_s:  # every case must be runnable before any steps
+        _viscosity_plan(components, cfg, s)
     rows = []
     notes = []
     for s in cfg.viscosity_s:
-        wave = ShearWaveConfig(mode=cfg.viscosity_mode,
-                               amplitude=cfg.viscosity_amplitude, s_shear=s,
-                               horizon_decay_times=cfg.horizon_decay_times)
-        meas = measure_viscosity(components, wave, cfg.viscosity_n)
+        meas = measure_viscosity(components, cfg, s)
         unit = components.model.cs2 * meas.dt
         measured_error = abs(meas.nu_measured - meas.nu_exact) / unit
         formula_error = abs(meas.nu_exact - meas.nu_predicted) / unit
@@ -467,14 +443,11 @@ def run_verification(study: str, cfg: RunConfig) -> list[StudyOutcome]:
         raise ConfigError(f"unknown study {study!r}; expected one of {STUDY_NAMES}")
     experiments = STUDY_EXPERIMENTS[study]
     components = build_components(cfg)
-    refine = any(name in STUDY_BANDS for name in experiments)
-    if refine:
-        _validate_ladder(cfg.resolutions, cfg.coarse_steps)
     outcomes: dict[str, StudyOutcome] = {}
     # viscometry first, so a case it cannot run fails before the ladder runs
     if "viscosity" in experiments:
         outcomes["viscosity"] = _viscosity_outcome(components, cfg)
-    if refine:
+    if any(name in STUDY_BANDS for name in experiments):
         studies = refinement_studies(components, cfg.resolutions, cfg.coarse_steps)
         for name, refined in studies.items():
             outcomes[name] = _outcome_from_study(refined)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lbmlab import errors
+from lbmlab import errors, verify
 from lbmlab.cli import EXIT_CONFIG, EXIT_OK, main
 
 SMALL_VERIFY = """\
@@ -160,12 +160,37 @@ def test_viscosity_csv_has_one_finite_row_per_s(tmp_path):
     assert abs(float(rows[1]["nu_exact"])) < 1e-12
 
 
-def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys):
-    code, _ = _cli(tmp_path, "verify", "[study]\nviscosity_n = 4\n",
-                   "--study", "viscosity")
+def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypatch):
+    steps = []
+    step = verify.step
+    monkeypatch.setattr(verify, "step", lambda *args: steps.append(1) or step(*args))
+    # s = 2.0 alone could run; the s = 1.2 case after it cannot, so neither runs
+    for cases in ("", "viscosity_s = 2.0, 1.2\n"):
+        code, _ = _cli(tmp_path, "verify", "[study]\nviscosity_n = 4\n" + cases,
+                       "--study", "viscosity")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "viscosity_n" in err and "horizon_decay_times" in err
+    assert not steps
+
+
+@pytest.mark.parametrize("config_text, key, extra", [
+    ("[study]\nviscosity_n = 0\n", "viscosity_n", ("--study", "viscosity")),
+    ("[study]\nviscosity_n = -32\n", "viscosity_n", ("--study", "viscosity")),
+    ("[study]\nresolutions = 0,0,0,0\n", "resolutions", ("--study", "prop3")),
+    ("[study]\nresolutions = -8,-16,-32,-64\n", "resolutions", ("--study", "prop3")),
+    ("[study]\nviscosity_amplitude = 0.1\n", "viscosity_amplitude", ()),
+    ("[scheme]\ndt = 0.015625\n", "dt", ()),
+    ("[equilibrium]\nkind = anything\n", "kind", ()),
+])
+def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, key,
+                                               extra):
+    command = "verify" if extra else "run"
+    code, out = _cli(tmp_path, command, config_text, *extra)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "viscosity_n" in err and "horizon_decay_times" in err
+    assert err.startswith("config error: ") and f"key '{key}'" in err
+    assert not out.exists()
 
 
 def _subclasses(cls):

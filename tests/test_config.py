@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbmlab.config import config_text, parse_config
+from lbmlab.config import RunConfig, config_text, parse_config
 from lbmlab.errors import ConfigError
 
 names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
@@ -19,15 +21,15 @@ def _render(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# Raw values for every key except [scheme] dt, which must agree with
-# length / nx / lambda and is added by the strategy below.
+# Raw values for every key except [scheme] lambda, [grid] nx and length,
+# which the strategy below always sets.  [study] values are drawn from their
+# valid ranges: a config is validated as a whole.
 KEY_VALUES = {
     ("lattice", "name"): names,
     ("lattice", "vectors"): st.lists(st.lists(ints, min_size=1, max_size=3),
                                      min_size=1, max_size=4),
     ("lattice", "higher_rows"): st.lists(st.lists(floats, min_size=1, max_size=3),
                                          min_size=1, max_size=3),
-    ("equilibrium", "kind"): names,
     ("equilibrium", "cs2"): floats,
     ("equilibrium", "weights"): st.lists(floats, min_size=1, max_size=9),
     ("scheme", "s"): st.lists(floats, min_size=1, max_size=6),
@@ -44,13 +46,14 @@ KEY_VALUES = {
     ("initial", "uy_amplitude"): floats,
     ("initial", "uy_mode"): ints,
     ("study", "name"): names,
-    ("study", "resolutions"): st.lists(ints, min_size=1, max_size=6),
-    ("study", "coarse_steps"): ints,
+    ("study", "resolutions"): st.builds(lambda n, k: [n * 2**i for i in range(k)],
+                                        st.integers(1, 10**4), st.integers(4, 6)),
+    ("study", "coarse_steps"): st.integers(20, 10**6),
     ("study", "viscosity_s"): st.lists(floats, min_size=1, max_size=4),
-    ("study", "viscosity_n"): ints,
-    ("study", "viscosity_mode"): ints,
-    ("study", "viscosity_amplitude"): floats,
-    ("study", "horizon_decay_times"): floats,
+    ("study", "viscosity_n"): st.integers(1, 10**6),
+    ("study", "viscosity_mode"): st.integers(1, 10**6),
+    ("study", "viscosity_amplitude"): st.floats(0.0, 1e-3, exclude_min=True),
+    ("study", "horizon_decay_times"): st.floats(0.0, 1e300, exclude_min=True),
 }
 
 
@@ -63,8 +66,6 @@ def config_texts(draw):
     values[("scheme", "lambda")] = lam
     values[("grid", "nx")] = nx
     values[("grid", "length")] = length
-    if draw(st.booleans()):
-        values[("scheme", "dt")] = length / nx / lam
     sections = {}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {_render(value)}")
@@ -108,8 +109,37 @@ def test_unparsable_value_names_its_line(text, line):
     ("[grid]\nnx = 8\nnz = 8\n", r"unknown key 'nz' in section \[grid\]", 3),
     ("[grid]\nNZ = 8\n", r"unknown key 'nz' in section \[grid\]", 2),
     ("[initial]\nname = sine\n", r"unknown key 'name' in section \[initial\]", 2),
+    ("[scheme]\nsteps = 3\ndt = 0.015625\n", r"unknown key 'dt' in section \[scheme\]", 3),
+    ("[equilibrium]\nkind = anything\n",
+     r"unknown key 'kind' in section \[equilibrium\]", 2),
 ])
 def test_unknown_section_or_key_is_rejected(text, message, line):
     with pytest.raises(ConfigError, match=message) as info:
         parse_config(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("key, value", [
+    ("resolutions", "16,32,64"),
+    ("resolutions", "16,32,48,64"),
+    ("resolutions", "0,0,0,0"),
+    ("resolutions", "-8,-16,-32,-64"),
+    ("coarse_steps", "19"),
+    ("viscosity_n", "0"),
+    ("viscosity_n", "-32"),
+    ("viscosity_mode", "0"),
+    ("viscosity_amplitude", "0.0"),
+    ("viscosity_amplitude", "0.1"),
+    ("horizon_decay_times", "0.0"),
+    ("horizon_decay_times", "-1.5"),
+])
+def test_out_of_range_study_value_names_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"^key '{key}': "):
+        parse_config(f"[study]\n{key} = {value}\n")
+
+
+def test_config_is_validated_however_it_is_made():
+    with pytest.raises(ConfigError, match="key 'viscosity_n'"):
+        RunConfig(viscosity_n=0)
+    with pytest.raises(ConfigError, match="key 'resolutions'"):
+        dataclasses.replace(RunConfig(), resolutions=(0, 0, 0, 0))

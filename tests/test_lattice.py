@@ -137,8 +137,8 @@ class TestLambdaTensor:
         mm = lb.build_moment_matrix(vs, lam)
         lt = lb.lambda_tensor(mm, vs)
         v = mm.velocities
-        assert np.array_equal(lt.values, lt.values.transpose(1, 0, 2))
-        rec = np.einsum("abk,kj->abj", lt.values, mm.M)
+        assert np.array_equal(lt, lt.transpose(1, 0, 2))
+        rec = np.einsum("abk,kj->abj", lt, mm.M)
         target = np.einsum("ja,jb->abj", v, v)
         scale = max(1.0, np.abs(target).max())
         assert np.abs(rec - target).max() <= 1e-12 * scale
@@ -147,7 +147,7 @@ class TestLambdaTensor:
         vs, mm, _ = d1q3
         lt = lb.lambda_tensor(mm, vs)
         # row 2 of M is exactly v^2, so Lambda_11 picks the k=2 unit coordinate
-        assert np.allclose(lt.values[0, 0], [0.0, 0.0, 1.0], atol=1e-15)
+        assert np.allclose(lt[0, 0], [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_d2q9_golden_table(self, d2q9):
         vs, mm, _ = d2q9
@@ -155,12 +155,12 @@ class TestLambdaTensor:
         golden_xx = [2 / 3, 0, 0, 1 / 6, 0, 0, 0, 1 / 2, 0]
         golden_xy = [0, 0, 0, 0, 0, 0, 0, 0, 1]
         golden_yy = [2 / 3, 0, 0, 1 / 6, 0, 0, 0, -1 / 2, 0]
-        assert np.allclose(lt.values[0, 0], golden_xx, atol=1e-15)
-        assert np.allclose(lt.values[0, 1], golden_xy, atol=1e-15)
-        assert np.allclose(lt.values[1, 1], golden_yy, atol=1e-15)
+        assert np.allclose(lt[0, 0], golden_xx, atol=1e-15)
+        assert np.allclose(lt[0, 1], golden_xy, atol=1e-15)
+        assert np.allclose(lt[1, 1], golden_yy, atol=1e-15)
         # independent oracle: solve M^T Lambda_ab = (v^a v^b)_j directly
         v = mm.velocities
         for a in range(2):
             for b in range(2):
                 oracle = np.linalg.solve(mm.M.T, v[:, a] * v[:, b])
-                assert np.abs(lt.values[a, b] - oracle).max() <= 1e-12
+                assert np.abs(lt[a, b] - oracle).max() <= 1e-12

@@ -10,7 +10,6 @@ from lbmlab.errors import ConfigError
 from lbmlab.scheme import SchemeParams
 from lbmlab.verify import (
     RefinementStudy,
-    ShearWaveConfig,
     fit_loglog,
     shear_mode_decay,
     study_prop3,
@@ -117,9 +116,8 @@ class TestViscometry:
     def test_two_point_scaling(self, d2q9_components):
         # doubling N at fixed s halves dt hence the predicted viscosity;
         # the measured value tracks the prediction at both resolutions
-        cfg = ShearWaveConfig(s_shear=1.2)
-        m64 = lb.measure_viscosity(d2q9_components, cfg, 64)
-        m128 = lb.measure_viscosity(d2q9_components, cfg, 128)
+        m64 = lb.measure_viscosity(d2q9_components, RunConfig(viscosity_n=64), 1.2)
+        m128 = lb.measure_viscosity(d2q9_components, RunConfig(viscosity_n=128), 1.2)
         assert m64.nu_predicted == pytest.approx(2 * m128.nu_predicted)
         assert abs(m64.nu_measured / m64.nu_predicted - 1.0) <= 0.02
         assert abs(m128.nu_measured / m128.nu_predicted - 1.0) <= 0.02
@@ -127,8 +125,8 @@ class TestViscometry:
 
     def test_stokes_decay_against_analytic_oracle(self, d2q9_components):
         # e-folding: after t = 1/(nu k^2) the amplitude is down by e
-        cfg = ShearWaveConfig(s_shear=1.2, horizon_decay_times=1.2)
-        m = lb.measure_viscosity(d2q9_components, cfg, 64)
+        cfg = RunConfig(viscosity_n=64, horizon_decay_times=1.2)
+        m = lb.measure_viscosity(d2q9_components, cfg, 1.2)
         assert m.fit_r2 >= 0.999
         assert abs(m.nu_measured / m.nu_predicted - 1.0) <= 0.02
 
@@ -137,22 +135,22 @@ class TestViscometry:
         # fall back to some other lattice
         with pytest.raises(ConfigError):
             lb.measure_viscosity(components(lattice_name="d1q3"),
-                                 ShearWaveConfig(), 32)
+                                 RunConfig(viscosity_n=32), 1.5)
 
     def test_amplitude_bound_enforced(self):
         with pytest.raises(ConfigError):
-            ShearWaveConfig(amplitude=0.1)
+            RunConfig(viscosity_amplitude=0.1)
         with pytest.raises(ConfigError):
-            ShearWaveConfig(mode=0)
+            RunConfig(viscosity_mode=0)
 
     @pytest.mark.parametrize("s", [1.2, 1.5, 1.8])
     def test_measurement_matches_exact_decay(self, d2q9_components, s):
-        m = lb.measure_viscosity(d2q9_components, ShearWaveConfig(s_shear=s), 32)
+        m = lb.measure_viscosity(d2q9_components, RunConfig(viscosity_n=32), s)
         assert abs(m.nu_measured / m.nu_exact - 1.0) <= 1e-9
 
     def test_measurement_at_s2_matches_exact_decay(self, d2q9_components):
         # the exact decay vanishes, so the run lasts the capped 32 N steps
-        m = lb.measure_viscosity(d2q9_components, ShearWaveConfig(s_shear=2.0), 32)
+        m = lb.measure_viscosity(d2q9_components, RunConfig(viscosity_n=32), 2.0)
         assert m.steps == 32 * 32 and m.nu_predicted == 0.0
         cs2_dt = d2q9_components.model.cs2 * m.dt
         assert abs(m.nu_measured - m.nu_exact) <= 1e-5 * cs2_dt
@@ -189,8 +187,8 @@ class TestOrchestration:
         measure = verify.measure_viscosity
 
         def off_by(shift):
-            def measure_off(components, wave, N):
-                m = measure(components, wave, N)
+            def measure_off(components, cfg, s):
+                m = measure(components, cfg, s)
                 nu = m.nu_measured + shift * components.model.cs2 * m.dt
                 return dataclasses.replace(m, nu_measured=nu)
             return measure_off
