@@ -25,6 +25,8 @@ from .lattice import build_moment_matrix, build_velocity_set
 from .scheme import SchemeParams
 
 MIN_COARSE_STEPS = 20
+# values of [study] name, in the order ``lbmlab verify`` documents them
+STUDY_NAMES = ("prop3", "prop4", "prop5", "prop6", "viscosity", "all")
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("key 'lambda': celerity must be positive")
     if cfg.steps < 0:
         raise ConfigError("key 'steps': step count must be non-negative")
+    if cfg.study_name not in STUDY_NAMES:
+        raise ConfigError(f"key 'name': unknown study {cfg.study_name!r}; "
+                          f"expected one of {STUDY_NAMES}")
     validate_ladder(cfg.resolutions, cfg.coarse_steps)
     if cfg.viscosity_n < 1:
         raise ConfigError(f"key 'viscosity_n': must be >= 1, got {cfg.viscosity_n}")
@@ -297,6 +302,8 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
         )
     params = SchemeParams(dx=dx, dt=dx / cfg.lam, s=s)
     if vs.d == 1:
+        if cfg.ny is not None:
+            raise ConfigError("key 'ny': no second grid axis on a 1-D lattice")
         grid_shape: tuple[int, ...] = (cfg.nx,)
     else:
         grid_shape = (cfg.nx, cfg.ny if cfg.ny is not None else cfg.nx)

@@ -86,7 +86,7 @@ def _validate_on_probe_set(model: EquilibriumModel) -> None:
     rho = rng.uniform(0.5, 2.0, PROBE_COUNT)
     u = rng.uniform(-0.1 * model.lam, 0.1 * model.lam, (PROBE_COUNT, model.d))
     W = np.concatenate([rho[:, None], rho[:, None] * u], axis=1)
-    feq = _populations(model, W)
+    feq = _populations_node_major(model, W)
     mass_rel = np.abs(feq.sum(-1) - rho) / rho
     momentum = feq @ model.velocities
     mom_rel = np.abs(momentum - W[:, 1:]) / (rho[:, None] * model.lam)
@@ -103,14 +103,34 @@ def _check_density(W: np.ndarray) -> None:
 
 
 def _populations(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:
-    rho = W[..., :1]
-    q = W[..., 1:]
-    vq = q @ model.velocities.T
-    qq = np.sum(q * q, axis=-1, keepdims=True)
+    """Populations G(W), population-major: W is (d+1, nodes), G is (J+1, nodes).
+
+    The in-place ufuncs keep the association order of the formula in the
+    module docstring, w * (((rho + vq/cs2) + vq^2/(2 cs2^2 rho)) - |q|^2/(2 cs2 rho)),
+    so G is the same to the last bit whichever layout the caller stores.
+    """
+    rho = W[0]
+    q = W[1:]
     cs2 = model.cs2
-    return model.weights * (
-        rho + vq / cs2 + vq * vq / (2.0 * cs2 * cs2 * rho) - qq / (2.0 * cs2 * rho)
-    )
+    vq = model.velocities @ q
+    qq = q[0] * q[0]
+    for qa in q[1:]:
+        qq += qa * qa
+    f = vq / cs2
+    f += rho
+    vq *= vq
+    vq /= 2.0 * cs2 * cs2 * rho
+    f += vq
+    qq /= 2.0 * cs2 * rho
+    f -= qq
+    f *= model.weights[:, None]
+    return f
+
+
+def _populations_node_major(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:
+    """``_populations`` for W of shape (..., d+1); C-contiguous (..., J+1)."""
+    feq = _populations(model, np.moveaxis(W, -1, 0).reshape(W.shape[-1], -1))
+    return np.ascontiguousarray(feq.T).reshape(*W.shape[:-1], feq.shape[0])
 
 
 def _jacobian(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:
@@ -143,7 +163,7 @@ def equilibrium_distribution(model: EquilibriumModel, vs: VelocitySet,
     _check_set(model, vs)
     W = np.asarray(W, dtype=float)
     _check_density(W)
-    return _populations(model, W)
+    return _populations_node_major(model, W)
 
 
 def equilibrium_moments(model: EquilibriumModel, vs: VelocitySet,

@@ -3,13 +3,19 @@
 One step is stream(collide(state)).  Collision is node-local: moments are
 formed with M, the non-conserved ones are relaxed toward equilibrium with
 per-moment ratios s_k, and populations are rebuilt with the precomputed
-M^-1.  Streaming is a pure index permutation (gather from x - e_j on the
-periodic grid), never interpolation, so transport is exact: the CFL number
-is 1 in every direction by construction (v_j dt = e_j dx).
+M^-1.  Streaming moves each population one link on the periodic grid
+(f_j(x) <- f_j(x - e_j)) by copying at most 2^d contiguous blocks per
+population, never by interpolation, so transport is exact: the CFL number is
+1 in every direction by construction (v_j dt = e_j dx).
+
+Both kernels compute on population-major storage, one row of nodes per
+population (Wittmann et al., Comput. Math. Appl. 65 (2013)), so ``run``
+steps without copying between layouts; see ``SchemeState``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -61,8 +67,14 @@ class SchemeParams:
 class SchemeState:
     """Populations on a periodic grid plus an integer step counter.
 
-    ``f`` has shape (*grid_shape, J+1); time is tracked as an integer count
-    so long runs accumulate no floating-point drift in t.
+    ``f`` has shape (*grid_shape, J+1) in every state.  Its memory order
+    depends on who made it: ``initialize_equilibrium``, ``step``, ``run`` and
+    ``load_checkpoint`` return C-contiguous node-major arrays (the J+1
+    populations of a node are adjacent), which is what flat sums and the CSV
+    writers read.  ``collide`` and ``stream`` return a view of C-contiguous
+    population-major storage of shape (J+1, nodes), so a run of them makes no
+    copy between layouts; both accept either order.  Time is tracked as an
+    integer count so long runs accumulate no floating-point drift in t.
     """
 
     f: np.ndarray
@@ -92,9 +104,9 @@ def moments_of(state, mm: MomentMatrix) -> np.ndarray:
 
 
 def relax_update(m, m_eq, s):
-    # Shared by collide() and relaxation_ode_euler_step(): both sides of the
-    # explicit-Euler identity must evaluate the exact same expression so the
-    # results agree to the last bit.
+    # The update of relaxation_ode_euler_step(), which collide() evaluates in
+    # place in the same order: both sides of the explicit-Euler identity must
+    # evaluate the exact same expression so the results agree to the last bit.
     return m - s * (m - m_eq)
 
 
@@ -123,12 +135,30 @@ def _fail_at_first(bad: np.ndarray, problem: str, when: str) -> None:
         raise SimulationDiverged(f"{problem} at node {node} {when}")
 
 
+def _populations_first(f: np.ndarray) -> np.ndarray:
+    """(J+1, *grid) view of populations f of shape (*grid, J+1)."""
+    return f.transpose(f.ndim - 1, *range(f.ndim - 1))
+
+
+def _populations_last(storage: np.ndarray) -> np.ndarray:
+    """(*grid, J+1) view of storage of shape (J+1, *grid)."""
+    return storage.transpose(*range(1, storage.ndim), 0)
+
+
+def _node_major(state: SchemeState) -> SchemeState:
+    """``state`` itself if its populations are C-contiguous, else a C-contiguous copy."""
+    if state.f.flags.c_contiguous:
+        return state
+    return SchemeState(f=np.ascontiguousarray(state.f), steps=state.steps)
+
+
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
             params: SchemeParams) -> SchemeState:
     """Node-local relaxation in moment space; conserved moments are copied.
 
     m*_k = m_k for k <= d, m*_k = m_k - s_k (m_k - m_eq,k) otherwise, then
-    f* = M^-1 m*.  No neighbor access.
+    f* = M^-1 m*.  No neighbor access.  Computed population-major; the
+    result's ``f`` is a view of (J+1, nodes) storage (see ``SchemeState``).
     """
     _check_scales(mm, model, params)
     nc = mm.d + 1
@@ -136,50 +166,85 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         raise ShapeError(
             f"expected {mm.J - mm.d} relaxation ratios, got {params.s.shape[0]}"
         )
-    m = moments_of(state, mm)
-    W = m[..., :nc]
-    _fail_at_first(W[..., 0] <= 0.0, "non-positive density",
+    f = state.f
+    if f.shape[-1] != mm.M.shape[0]:
+        raise ShapeError(
+            f"expected {mm.M.shape[0]} populations per node, got {f.shape[-1]}"
+        )
+    grid = f.shape[:-1]
+    m = mm.M @ _populations_first(f).reshape(f.shape[-1], -1)
+    _fail_at_first((m[0] <= 0.0).reshape(grid), "non-positive density",
                    f"entering step {state.steps + 1}")
-    m_eq = _populations(model, W) @ mm.M.T
-    m_star = m.copy()
-    m_star[..., nc:] = relax_update(m[..., nc:], m_eq[..., nc:], params.s)
-    return SchemeState(f=m_star @ mm.M_inv.T, steps=state.steps)
+    # All of M, not M[nc:]: with one relaxed row numpy would take a matrix-vector
+    # product, whose sums may round differently from f @ M.T's.
+    relaxed = (mm.M @ _populations(model, m[:nc]))[nc:]
+    # relax_update's m - s (m - m_eq), evaluated in place on the relaxed rows
+    np.subtract(m[nc:], relaxed, out=relaxed)
+    relaxed *= params.s[:, None]
+    m[nc:] -= relaxed
+    f_star = (mm.M_inv @ m).reshape(-1, *grid)
+    return SchemeState(f=_populations_last(f_star), steps=state.steps)
+
+
+def _shifted_blocks(shift: int, n: int):
+    """(destination, source) slice pairs of a periodic shift along n nodes."""
+    k = shift % n
+    if k == 0:
+        return ((slice(None), slice(None)),)
+    return ((slice(k, None), slice(None, n - k)), (slice(None, k), slice(n - k, None)))
 
 
 def stream(state: SchemeState, vs: VelocitySet) -> SchemeState:
     """Advect every population one lattice link: f_j(x) <- f_j(x - e_j).
 
-    Implemented as periodic rolls, i.e. a permutation of storage with no
-    arithmetic, so transported values are bit-identical.
+    Each population is copied as at most 2^d periodic blocks, a permutation
+    of storage with no arithmetic, so transported values are bit-identical.
+    The result's ``f`` is a view of population-major storage.
     """
     f = state.f
     if f.shape[-1] != vs.J + 1:
         raise ShapeError(f"expected {vs.J + 1} populations per node, got {f.shape[-1]}")
-    out = np.empty_like(f)
-    axes = tuple(range(f.ndim - 1))
-    for j in range(vs.J + 1):
-        shift = tuple(int(c) for c in vs.e[j])
-        out[..., j] = np.roll(f[..., j], shift=shift, axis=axes)
-    return SchemeState(f=out, steps=state.steps)
+    grid = f.shape[:-1]
+    src = _populations_first(f)
+    out = np.empty((vs.J + 1, *grid))
+    for j, e in enumerate(vs.e.tolist()):
+        out_j, src_j = out[j], src[j]
+        for pairs in itertools.product(*map(_shifted_blocks, e, grid)):
+            to, from_ = zip(*pairs)
+            out_j[to] = src_j[from_]
+    return SchemeState(f=_populations_last(out), steps=state.steps)
 
 
-def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
-         model: EquilibriumModel, params: SchemeParams) -> SchemeState:
-    """One full update: collision then streaming; advances the step counter."""
+def _advance(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
+             model: EquilibriumModel, params: SchemeParams) -> SchemeState:
+    # looked up on the module at every call, where bench/tracing.py counts them
     new = stream(collide(state, mm, model, params), vs)
     new.steps = state.steps + 1
     return new
 
 
+def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
+         model: EquilibriumModel, params: SchemeParams) -> SchemeState:
+    """One full update: collision then streaming; advances the step counter.
+
+    The result is node-major, as ``run``'s.
+    """
+    return _node_major(_advance(state, vs, mm, model, params))
+
+
 def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
         model: EquilibriumModel, params: SchemeParams,
         check_interval: int = 64) -> SchemeState:
-    """Apply n_steps full updates, checking periodically for divergence."""
+    """Apply n_steps full updates, checking periodically for divergence.
+
+    The populations stay population-major between steps and are made
+    node-major once, before returning.
+    """
     for i in range(n_steps):
-        state = step(state, vs, mm, model, params)
+        state = _advance(state, vs, mm, model, params)
         if (i + 1) % check_interval == 0 or i + 1 == n_steps:
             check_finite(state)
-    return state
+    return _node_major(state)
 
 
 def check_finite(state: SchemeState) -> None:

@@ -45,7 +45,13 @@ from .analysis import (
     ns_flux_correction,
     technical_lemma_prediction,
 )
-from .config import ComponentBundle, RunConfig, build_components, validate_ladder
+from .config import (
+    STUDY_NAMES,
+    ComponentBundle,
+    RunConfig,
+    build_components,
+    validate_ladder,
+)
 from .equilibrium import equilibrium_jacobian, equilibrium_moments
 from .errors import ConfigError, SimulationDiverged
 from .fields import shear_wave_field
@@ -351,16 +357,15 @@ def measure_viscosity(components: ComponentBundle, cfg: RunConfig,
 # ---------------------------------------------------------------------------
 # Named-study orchestration (shared by the CLI and the experiment scripts)
 
-# study name -> the experiments it reports, in report order
-STUDY_EXPERIMENTS = {
-    "prop3": ("prop3",),
-    "prop4": ("prop4",),
-    "prop5": ("prop5",),
-    "prop6": ("prop6", "mass"),
-    "viscosity": ("viscosity",),
-    "all": REFINEMENT_EXPERIMENTS + ("viscosity",),
-}
-STUDY_NAMES = tuple(STUDY_EXPERIMENTS)
+# study name (config.STUDY_NAMES) -> the experiments it reports, in report order
+STUDY_EXPERIMENTS = dict(zip(STUDY_NAMES, (
+    ("prop3",),
+    ("prop4",),
+    ("prop5",),
+    ("prop6", "mass"),
+    ("viscosity",),
+    REFINEMENT_EXPERIMENTS + ("viscosity",),
+), strict=True))
 
 REFINEMENT_HEADER = ("N", "dx", "dt", "residual", "slope_running")
 VISCOSITY_HEADER = ("s_shear", "N", "dx", "dt", "nu_predicted", "nu_exact",

@@ -182,6 +182,8 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
     ("[study]\nviscosity_amplitude = 0.1\n", "viscosity_amplitude", ()),
     ("[scheme]\ndt = 0.015625\n", "dt", ()),
     ("[equilibrium]\nkind = anything\n", "kind", ()),
+    ("[lattice]\nname = d1q3\n[grid]\nnx = 16\nny = 5\n[scheme]\nsteps = 2\n", "ny", ()),
+    ("[study]\nname = prop9\n", "name", ()),
 ])
 def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, key,
                                                extra):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbmlab.config import RunConfig, config_text, parse_config
+from lbmlab.config import STUDY_NAMES, RunConfig, config_text, parse_config
 from lbmlab.errors import ConfigError
 
 names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
@@ -45,7 +45,7 @@ KEY_VALUES = {
     ("initial", "uy_offset"): floats,
     ("initial", "uy_amplitude"): floats,
     ("initial", "uy_mode"): ints,
-    ("study", "name"): names,
+    ("study", "name"): st.sampled_from([*STUDY_NAMES, *map(str.upper, STUDY_NAMES)]),
     ("study", "resolutions"): st.builds(lambda n, k: [n * 2**i for i in range(k)],
                                         st.integers(1, 10**4), st.integers(4, 6)),
     ("study", "coarse_steps"): st.integers(20, 10**6),

@@ -1,0 +1,177 @@
+"""The population-major kernels against a node-major reference, bit for bit.
+
+``collide`` and ``stream`` compute on (J+1, nodes) storage.  The reference
+below is the node-major formulation they replaced, kept here as the oracle:
+every step of every case must agree to the last bit, whichever layout the
+input is stored in.  The agreement rests on BLAS forming the dot products of
+``M @ f`` exactly as those of ``f @ M.T``, so this file also pins that.
+"""
+
+import numpy as np
+import pytest
+
+import lbmlab as lb
+import lbmlab.scheme
+from lbmlab.fields import InitialField, SineComponent
+from lbmlab.scheme import relax_update
+
+D2Q5_VECTORS = ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
+D2Q5_HIGHER_ROWS = ((0, 1, 1, 1, 1), (0, 1, -1, 1, -1))
+D2Q5_WEIGHTS = (1 / 3,) + (1 / 6,) * 4
+
+
+def reference_populations(model, W):
+    rho = W[..., :1]
+    q = W[..., 1:]
+    vq = q @ model.velocities.T
+    qq = np.sum(q * q, axis=-1, keepdims=True)
+    cs2 = model.cs2
+    return model.weights * (
+        rho + vq / cs2 + vq * vq / (2.0 * cs2 * cs2 * rho) - qq / (2.0 * cs2 * rho)
+    )
+
+
+def reference_collide(f, mm, model, s):
+    nc = mm.d + 1
+    m = f @ mm.M.T
+    m_eq = reference_populations(model, m[..., :nc]) @ mm.M.T
+    m_star = m.copy()
+    m_star[..., nc:] = relax_update(m[..., nc:], m_eq[..., nc:], s)
+    return m_star @ mm.M_inv.T
+
+
+def reference_stream(f, vs):
+    out = np.empty_like(f)
+    axes = tuple(range(f.ndim - 1))
+    for j in range(vs.J + 1):
+        out[..., j] = np.roll(f[..., j], shift=tuple(int(c) for c in vs.e[j]),
+                              axis=axes)
+    return out
+
+
+def components(lattice, lam):
+    if lattice == "d2q5":
+        vs = lb.build_velocity_set(D2Q5_VECTORS)
+        mm = lb.build_moment_matrix(vs, lam, higher_rows=D2Q5_HIGHER_ROWS)
+        model = lb.build_equilibrium(vs, lam, cs2=lam * lam / 3.0,
+                                     weights=D2Q5_WEIGHTS)
+    else:
+        vs = lb.build_velocity_set(lattice)
+        mm = lb.build_moment_matrix(vs, lam)
+        model = lb.build_equilibrium(vs, lam)
+    return vs, mm, model
+
+
+def sine_state(vs, model, grid, dx):
+    field = InitialField(
+        rho=SineComponent(1.0, 0.05, 1),
+        velocity=tuple(SineComponent(0.02, 0.03, a + 1) for a in range(vs.d)),
+    )
+    return lb.initialize_equilibrium(model, vs, field.conserved(grid, dx))
+
+
+def population_major_copy(f):
+    """The same values as f, stored (J+1, nodes) and viewed as (*grid, J+1)."""
+    storage = np.ascontiguousarray(np.moveaxis(f, -1, 0))
+    return np.moveaxis(storage, 0, -1)
+
+
+SIX_S = (1.2, 1.1, 1.9, 1.3, 1.8, 1.6)
+
+# (lattice, lambda, s, grid, steps)
+CASES = [
+    ("d2q9", 1.0, SIX_S, (64, 8), 200),
+    ("d2q9", 0.8, (2.0,), (32, 8), 200),
+    ("d2q9", 1.0, (1.5,), (256, 256), 200),
+    ("d1q3", 1.0, (1.3,), (64,), 200),
+    ("d1q3", 1.7, (2.0,), (32,), 200),
+    ("d2q5", 1.7, (1.2, 1.7), (64, 8), 200),
+    ("d2q5", 1.0, (2.0,), (32, 8), 200),
+]
+
+
+@pytest.mark.parametrize("lattice, lam, s, grid, steps", CASES,
+                         ids=[f"{c[0]}-{'x'.join(map(str, c[3]))}-s{len(c[2])}"
+                              for c in CASES])
+def test_run_matches_node_major_reference_bitwise(lattice, lam, s, grid, steps):
+    vs, mm, model = components(lattice, lam)
+    dx = 1.0 / grid[0]
+    s = np.broadcast_to(np.asarray(s), (vs.J - vs.d,)).copy()
+    params = lb.SchemeParams(dx=dx, dt=dx / lam, s=s)
+    state = sine_state(vs, model, grid, dx)
+    f = state.f
+    for _ in range(steps):
+        f = reference_stream(reference_collide(f, mm, model, s), vs)
+    out = lb.run(state, steps, vs, mm, model, params)
+    assert np.array_equal(out.f, f)
+
+
+@pytest.mark.parametrize("lattice", ["d2q9", "d1q3", "d2q5"])
+def test_kernels_match_reference_in_either_layout(lattice):
+    vs, mm, model = components(lattice, 1.3)
+    grid = (24, 8) if vs.d == 2 else (24,)
+    s = np.linspace(1.1, 1.9, vs.J - vs.d)
+    params = lb.SchemeParams(dx=1.0 / 24, dt=1.0 / 24 / 1.3, s=s)
+    rng = np.random.default_rng(3)
+    noise = 1.0 + 0.1 * rng.random(grid + (vs.J + 1,))
+    f = sine_state(vs, model, grid, 1.0 / 24).f * noise
+    expected_collide = reference_collide(f, mm, model, s)
+    expected_stream = reference_stream(f, vs)
+    for stored in (f, population_major_copy(f)):
+        state = lb.SchemeState(f=stored, steps=3)
+        collided = lb.collide(state, mm, model, params)
+        streamed = lb.stream(state, vs)
+        assert np.array_equal(collided.f, expected_collide)
+        assert np.array_equal(streamed.f, expected_stream)
+        assert collided.f.shape == streamed.f.shape == f.shape
+        assert collided.steps == streamed.steps == 3
+
+
+@pytest.mark.parametrize("lattice, lam", [("d2q9", 1.0), ("d2q9", 0.7),
+                                          ("d1q3", 1.7), ("d2q5", 1.3)])
+@pytest.mark.parametrize("shape", [(200,), (12, 7), ()])
+def test_equilibrium_distribution_matches_reference_bitwise(lattice, lam, shape):
+    vs, _, model = components(lattice, lam)
+    rng = np.random.default_rng(11)
+    rho = rng.uniform(0.5, 2.0, shape)
+    u = rng.uniform(-0.1 * lam, 0.1 * lam, shape + (vs.d,))
+    W = np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
+    feq = lb.equilibrium_distribution(model, vs, W)
+    assert feq.shape == shape + (vs.J + 1,)
+    assert feq.flags.c_contiguous
+    assert np.array_equal(feq, reference_populations(model, W))
+
+
+@pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
+def test_run_and_step_return_node_major_storage(lattice):
+    vs, mm, model = components(lattice, 1.0)
+    grid = (16, 8) if vs.d == 2 else (16,)
+    params = lb.SchemeParams(dx=1 / 16, dt=1 / 16, s=np.full(vs.J - vs.d, 1.4))
+    state = sine_state(vs, model, grid, 1 / 16)
+    for out in (lb.run(state, 5, vs, mm, model, params),
+                lb.step(state, vs, mm, model, params),
+                lb.step(lb.SchemeState(f=population_major_copy(state.f)),
+                        vs, mm, model, params)):
+        assert out.f.shape == grid + (vs.J + 1,)
+        assert out.f.flags.c_contiguous
+
+
+@pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
+def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
+    # the benchmark counts node updates as f.size // f.shape[-1] over the
+    # calls of lbmlab.scheme.collide; a run that bypassed it would read 0
+    vs, mm, model = components(lattice, 1.0)
+    grid = (16, 8) if vs.d == 2 else (16,)
+    params = lb.SchemeParams(dx=1 / 16, dt=1 / 16, s=np.full(vs.J - vs.d, 1.4))
+    state = sine_state(vs, model, grid, 1 / 16)
+    seen = []
+    collide = lbmlab.scheme.collide
+
+    def counting(state, *args):
+        seen.append((state.f.shape[-1], state.f.size // state.f.shape[-1]))
+        return collide(state, *args)
+
+    monkeypatch.setattr(lbmlab.scheme, "collide", counting)
+    n = 70
+    lb.run(state, n, vs, mm, model, params)
+    assert seen == [(vs.J + 1, int(np.prod(grid)))] * n
