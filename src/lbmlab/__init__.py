@@ -50,7 +50,7 @@ from .scheme import (
     total_momentum,
 )
 from .verify import (
-    RefinementStudy,
+    StudyOutcome,
     ViscosityMeasurement,
     measure_viscosity,
     refinement_studies,

@@ -93,13 +93,8 @@ def cmd_verify(args) -> int:
     write_csv(
         out / "summary.csv",
         ("experiment", "fitted_slope", "r2", "passed"),
-        [
-            (o.experiment,
-             float("nan") if o.summary_value is None else o.summary_value,
-             float("nan") if o.r2 is None else o.r2,
-             "pass" if o.passed else "fail")
-            for o in outcomes
-        ],
+        [(o.experiment, o.summary_value, o.r2, "pass" if o.passed else "fail")
+         for o in outcomes],
     )
     if all(o.passed for o in outcomes):
         return EXIT_OK

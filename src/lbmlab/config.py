@@ -65,9 +65,6 @@ class RunConfig:
     coarse_steps: int = 32
     viscosity_s: tuple[float, ...] = (1.2, 1.5, 1.8, 2.0)
     viscosity_n: int = 64
-    viscosity_mode: int = 1
-    viscosity_amplitude: float = 0.001
-    horizon_decay_times: float = 1.5
 
     def __post_init__(self):
         _validate(self)
@@ -113,9 +110,6 @@ _KEYS = (
     ("study", "coarse_steps", "coarse_steps", int),
     ("study", "viscosity_s", "viscosity_s", _items(float)),
     ("study", "viscosity_n", "viscosity_n", int),
-    ("study", "viscosity_mode", "viscosity_mode", int),
-    ("study", "viscosity_amplitude", "viscosity_amplitude", float),
-    ("study", "horizon_decay_times", "horizon_decay_times", float),
 )
 _SECTIONS = tuple(dict.fromkeys(section for section, _, _, _ in _KEYS))
 
@@ -207,13 +201,6 @@ def _validate(cfg: RunConfig) -> None:
     validate_ladder(cfg.resolutions, cfg.coarse_steps)
     if cfg.viscosity_n < 1:
         raise ConfigError(f"key 'viscosity_n': must be >= 1, got {cfg.viscosity_n}")
-    if cfg.viscosity_mode < 1:
-        raise ConfigError(f"key 'viscosity_mode': must be >= 1, got {cfg.viscosity_mode}")
-    if not 0 < cfg.viscosity_amplitude <= 1e-3:
-        raise ConfigError(f"key 'viscosity_amplitude': {cfg.viscosity_amplitude} "
-                          "outside the linear regime (0, 1e-3]")
-    if not cfg.horizon_decay_times > 0:
-        raise ConfigError("key 'horizon_decay_times': horizon must be positive")
 
 
 def validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
@@ -270,10 +257,17 @@ class ComponentBundle:
 
 def build_field(cfg: RunConfig, d: int) -> InitialField:
     sine = cfg.initial_kind == "sine"
-    if d == 1 and sine:
-        # uy_* keys are meaningless on a 1-D lattice unless left untouched
-        if cfg.uy_offset != 0.0 or cfg.uy_amplitude not in (0.0, RunConfig.uy_amplitude):
-            raise ConfigError("key 'uy_amplitude': no transverse component in 1-D")
+    if d == 1:
+        # uy_* keys are meaningless on a 1-D lattice unless left untouched,
+        # whatever the kind
+        touched = {
+            "uy_offset": cfg.uy_offset != 0.0,
+            "uy_amplitude": cfg.uy_amplitude not in (0.0, RunConfig.uy_amplitude),
+            "uy_mode": cfg.uy_mode != RunConfig.uy_mode,
+        }
+        for key, changed in touched.items():
+            if changed:
+                raise ConfigError(f"key '{key}': no transverse component in 1-D")
 
     def component(offset, amplitude, mode) -> SineComponent:
         return SineComponent(offset, amplitude, mode) if sine else SineComponent(offset)

@@ -33,6 +33,8 @@ from .errors import (
 )
 from .lattice import MomentMatrix, VelocitySet
 
+CHECK_INTERVAL = 64
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -233,16 +235,16 @@ def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
 
 
 def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
-        model: EquilibriumModel, params: SchemeParams,
-        check_interval: int = 64) -> SchemeState:
-    """Apply n_steps full updates, checking periodically for divergence.
+        model: EquilibriumModel, params: SchemeParams) -> SchemeState:
+    """Apply n_steps full updates, checking for divergence every
+    CHECK_INTERVAL steps and after the last.
 
     The populations stay population-major between steps and are made
     node-major once, before returning.
     """
     for i in range(n_steps):
         state = _advance(state, vs, mm, model, params)
-        if (i + 1) % check_interval == 0 or i + 1 == n_steps:
+        if (i + 1) % CHECK_INTERVAL == 0 or i + 1 == n_steps:
             check_finite(state)
     return _node_major(state)
 
@@ -312,8 +314,9 @@ def load_checkpoint(path) -> tuple[SchemeState, dict]:
     missing = [key for key in ("grid", "J", "dt", "lambda", "step") if key not in meta]
     if missing:
         raise LbmError(f"{path}: metadata line lacks {', '.join(missing)}")
-    grid_shape = tuple(int(n) for n in meta["grid"].split("x"))
-    nj = int(meta["J"]) + 1
+    grid_shape = _meta_value(path, meta, "grid",
+                             lambda text: tuple(int(n) for n in text.split("x")))
+    nj = _meta_value(path, meta, "J", int) + 1
     if len(header.strip().split(",")) != nj:
         raise LbmError(f"{path}: header does not match J={nj - 1}")
     rows = [line.split(",") for line in body.splitlines() if line]
@@ -335,8 +338,16 @@ def load_checkpoint(path) -> tuple[SchemeState, dict]:
     info = {
         "grid_shape": grid_shape,
         "J": nj - 1,
-        "dt": float(meta["dt"]),
-        "lambda": float(meta["lambda"]),
-        "step": int(meta["step"]),
+        "dt": _meta_value(path, meta, "dt", float),
+        "lambda": _meta_value(path, meta, "lambda", float),
+        "step": _meta_value(path, meta, "step", int),
     }
     return SchemeState(f=f, steps=info["step"]), info
+
+
+def _meta_value(path, meta: dict, key: str, convert):
+    """``convert(meta[key])``, or an LbmError naming the key if it does not parse."""
+    try:
+        return convert(meta[key])
+    except ValueError as exc:
+        raise LbmError(f"{path}: metadata {key}={meta[key]} does not parse") from exc

@@ -26,6 +26,17 @@ The shear-wave viscometer checks every relaxation rate s the same way on
 the configured 2-D lattice: the measured decay must match the scheme's exact
 shear-mode decay nu_exact (from a von Neumann analysis of one step), and
 nu_exact must match the paper's nu = cs2 dt (1/s - 1/2), also at s = 2.
+Only the grid (viscosity_n) and the rates (viscosity_s) are configured; the
+wave and its fit window are fixed numerics, like the step cap: the wave is
+mode 1 with amplitude SHEAR_WAVE_AMPLITUDE, deep in the linear regime, and
+runs for HORIZON_DECAY_TIMES e-folding times.  No capability is lost by
+fixing the mode: the per-step amplification depends only on k dx and s, so
+mode m on N nodes decays per step as mode 1 on N/m nodes, and both errors,
+in units of cs2 dt, come out the same.
+
+Every study reports one ``StudyOutcome``: the rows of its CSV, a summary
+value (the fitted slope, or the worst viscometry error) and R^2, where nan
+means "not available".
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -73,6 +83,8 @@ VISCOSITY_ATOL = 1e-5  # in units of cs2 dt
 EIGENVALUE_ROUNDING = 64 * np.finfo(float).eps
 MAX_STEPS_PER_NODE = 32
 MIN_FIT_SAMPLES = 8
+SHEAR_WAVE_AMPLITUDE = 1e-3
+HORIZON_DECAY_TIMES = 1.5
 # Grids of 2-D lattices are N x CROSS_AXIS_NODES: the profiles vary along x only.
 CROSS_AXIS_NODES = 8
 
@@ -141,8 +153,8 @@ def resolution_residuals(components: ComponentBundle, N: int, steps: int) -> dic
     }
 
 
-def fit_linear(x, y) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 of y against x."""
+def fit_linear(x, y) -> tuple[float, float]:
+    """Least-squares slope and R^2 of y against x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
@@ -150,61 +162,69 @@ def fit_linear(x, y) -> tuple[float, float, float]:
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
-def fit_loglog(x, y) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 of log y against log x."""
+def fit_loglog(x, y) -> tuple[float, float]:
+    """Least-squares slope and R^2 of log y against log x."""
     return fit_linear(np.log(np.asarray(x, dtype=float)),
                       np.log(np.asarray(y, dtype=float)))
 
 
-@dataclass(frozen=True)
-class RefinementStudy:
-    """Residuals over a resolution ladder plus the fitted log-log slope.
+def running_slopes(residuals, dts) -> tuple[float, ...]:
+    """Slope between neighbouring grids; nan first and across a zero residual."""
+    r, dt = residuals, dts
+    return (math.nan,) + tuple(
+        math.log(r[i] / r[i - 1]) / math.log(dt[i] / dt[i - 1])
+        if min(r[i - 1], r[i]) > 0.0 else math.nan
+        for i in range(1, len(r)))
 
-    ``slope`` is None when the regression was rejected (residuals hit zero
-    or R^2 fell below 0.99); ``note`` says why.
+
+REFINEMENT_HEADER = ("N", "dx", "dt", "residual", "slope_running")
+
+
+@dataclass(frozen=True)
+class StudyOutcome:
+    """One study's CSV rows, summary value and R^2, and its verdict.
+
+    A refinement study's summary value is the fitted log-log slope, nan when
+    the regression was rejected (residuals hit zero or R^2 fell below
+    MIN_R_SQUARED); ``note`` says why.  Viscometry has no R^2 (nan).
     """
 
     experiment: str
-    resolutions: tuple[int, ...]
-    dx: tuple[float, ...]
-    dt: tuple[float, ...]
-    residuals: tuple[float, ...]
-    slope: Optional[float]
-    intercept: Optional[float]
-    r2: Optional[float]
-    ok: bool
+    header: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    summary_value: float
+    r2: float
+    passed: bool
     note: str = ""
 
-    def running_slopes(self) -> tuple[float, ...]:
-        """Slope between neighbouring grids; nan first and across a zero residual."""
-        r, dt = self.residuals, self.dt
-        return (math.nan,) + tuple(
-            math.log(r[i] / r[i - 1]) / math.log(dt[i] / dt[i - 1])
-            if min(r[i - 1], r[i]) > 0.0 else math.nan
-            for i in range(1, len(r)))
+    def summary_line(self) -> str:
+        verdict = "pass" if self.passed else "fail"
+        tail = f"  ({self.note})" if self.note else ""
+        return (f"{self.experiment:>14}  value={self.summary_value:>12.6g}  "
+                f"r2={self.r2:>10.6g}  {verdict}{tail}")
 
 
 def _assemble(experiment: str, components: ComponentBundle, ns,
-              residuals) -> RefinementStudy:
+              residuals) -> StudyOutcome:
     dxs = tuple(components.length / n for n in ns)
     dts = tuple(dx / components.mm.lam for dx in dxs)
-    study = partial(RefinementStudy, experiment, ns, dxs, dts, tuple(residuals))
+    rows = tuple(zip(ns, dxs, dts, residuals, running_slopes(residuals, dts)))
+    outcome = partial(StudyOutcome, experiment, REFINEMENT_HEADER, rows)
     if min(residuals) <= 0.0:
-        return study(None, None, None, False, "residuals vanished; nothing to fit")
-    slope, intercept, r2 = fit_loglog(dts, residuals)
+        return outcome(math.nan, math.nan, False, "residuals vanished; nothing to fit")
+    slope, r2 = fit_loglog(dts, residuals)
     if r2 < MIN_R_SQUARED:
-        return study(None, None, r2, False, f"regression rejected, R2={r2:.4f}")
+        return outcome(math.nan, r2, False, f"regression rejected, R2={r2:.4f}")
     lo, hi = band = STUDY_BANDS[experiment]
     ok = slope >= lo and (hi is None or slope <= hi)
-    return study(slope, intercept, r2, ok,
-                 "" if ok else f"slope {slope:.3f} outside {band}")
+    return outcome(slope, r2, ok, "" if ok else f"slope {slope:.3f} outside {band}")
 
 
 def refinement_studies(components: ComponentBundle, resolutions,
-                       coarse_steps: int) -> dict[str, RefinementStudy]:
+                       coarse_steps: int) -> dict[str, StudyOutcome]:
     """Fit the order of all five residuals over a doubling resolution ladder.
 
     The coarsest grid runs ``coarse_steps`` steps and each finer grid
@@ -223,17 +243,17 @@ def refinement_studies(components: ComponentBundle, resolutions,
 # The per-study entry points of earlier versions.  The benchmark's tracer
 # (bench/tracing.py) still wraps them by name to time the refinement layer.
 def study_prop3(components: ComponentBundle, resolutions,
-                coarse_steps: int) -> RefinementStudy:
+                coarse_steps: int) -> StudyOutcome:
     return refinement_studies(components, resolutions, coarse_steps)["prop3"]
 
 
 def study_prop5(components: ComponentBundle, resolutions,
-                coarse_steps: int) -> RefinementStudy:
+                coarse_steps: int) -> StudyOutcome:
     return refinement_studies(components, resolutions, coarse_steps)["prop5"]
 
 
 def study_conservation_laws(components: ComponentBundle, resolutions,
-                            coarse_steps: int) -> dict[str, RefinementStudy]:
+                            coarse_steps: int) -> dict[str, StudyOutcome]:
     studies = refinement_studies(components, resolutions, coarse_steps)
     return {key: studies[key] for key in ("prop4", "prop6", "mass")}
 
@@ -281,45 +301,43 @@ def shear_mode_decay(components: ComponentBundle, params: SchemeParams,
     return -math.log(abs(eigvals[np.argmax(share)]))
 
 
-def _mode_amplitude(f: np.ndarray, velocities: np.ndarray, mode: int) -> float:
+def _mode_amplitude(f: np.ndarray, velocities: np.ndarray) -> float:
     rho = f.sum(axis=-1)
     q_y = f @ velocities[:, 1]
     column = (q_y / rho).mean(axis=1)
-    coef = np.fft.rfft(column)[mode]
+    coef = np.fft.rfft(column)[1]
     return 2.0 * abs(coef) / column.shape[0]
 
 
-def _viscosity_plan(components: ComponentBundle, cfg: RunConfig, s_shear: float):
+def _viscosity_plan(components: ComponentBundle, N: int, s_shear: float):
     """Parameters, wavenumber, exact per-step decay, step count and skipped
     transient of one viscometry run; ConfigError if it cannot yield a fit."""
     vs, mm = components.vs, components.mm
     if vs.d != 2:
         raise ConfigError(f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}")
-    N = cfg.viscosity_n
     dx = components.length / N
-    k = 2.0 * np.pi * cfg.viscosity_mode / components.length
+    k = 2.0 * np.pi / components.length
     params = SchemeParams(dx=dx, dt=dx / mm.lam, s=np.full(vs.J - vs.d, s_shear))
     decay = shear_mode_decay(components, params, k)
     cap = MAX_STEPS_PER_NODE * N
-    horizon = cfg.horizon_decay_times
+    horizon = HORIZON_DECAY_TIMES
     steps = cap if decay * cap <= horizon else math.ceil(horizon / decay)
     skip = max(32, steps // 20)
     if steps + 1 - skip < MIN_FIT_SAMPLES:
-        raise ConfigError(f"viscosity_n = {N} and horizon_decay_times = {horizon} "
-                          f"leave fewer than {MIN_FIT_SAMPLES} fit samples at "
-                          f"s = {s_shear} ({steps} steps, {skip} skipped)")
+        raise ConfigError(f"key 'viscosity_n': {N} nodes leave fewer than "
+                          f"{MIN_FIT_SAMPLES} fit samples at s = {s_shear} "
+                          f"({steps} steps, {skip} skipped)")
     return params, k, decay, steps, skip
 
 
-def measure_viscosity(components: ComponentBundle, cfg: RunConfig,
+def measure_viscosity(components: ComponentBundle, N: int,
                       s_shear: float) -> ViscosityMeasurement:
     """Measure the shear kinematic viscosity from a shear wave's amplitude decay.
 
-    The wave is u_y(x, 0) = viscosity_amplitude sin(2 pi viscosity_mode x / L)
-    at unit density; the [study] fields of ``cfg`` set it and the grid,
-    N = viscosity_n by CROSS_AXIS_NODES.  Runs the configured 2-D lattice,
-    moment matrix and equilibrium with every relaxed moment at ``s_shear``,
-    for horizon_decay_times e-folding times of the exact decay
+    The wave is u_y(x, 0) = SHEAR_WAVE_AMPLITUDE sin(2 pi x / L) at unit
+    density on an N by CROSS_AXIS_NODES grid.  Runs the configured 2-D
+    lattice, moment matrix and equilibrium with every relaxed moment at
+    ``s_shear``, for HORIZON_DECAY_TIMES e-folding times of the exact decay
     (``shear_mode_decay``) but at most MAX_STEPS_PER_NODE * N steps, the cap
     that applies where the decay vanishes (s_shear = 2).  Returns
     nu = -slope/k^2 of ln(amplitude) against time, after a transient, next to
@@ -327,25 +345,24 @@ def measure_viscosity(components: ComponentBundle, cfg: RunConfig,
     fewer than MIN_FIT_SAMPLES samples is a ConfigError, raised before any step.
     """
     vs, mm, model = components.vs, components.mm, components.model
-    params, k, decay, steps, skip = _viscosity_plan(components, cfg, s_shear)
-    N, dx, dt = cfg.viscosity_n, params.dx, params.dt
-    mode = cfg.viscosity_mode
+    params, k, decay, steps, skip = _viscosity_plan(components, N, s_shear)
+    dx, dt = params.dx, params.dt
 
-    field = shear_wave_field(1.0, cfg.viscosity_amplitude, mode)
+    field = shear_wave_field(1.0, SHEAR_WAVE_AMPLITUDE, 1)
     grid = (N, CROSS_AXIS_NODES)
     state = initialize_equilibrium(model, vs, field.conserved(grid, dx))
     initial = state
     amps = np.empty(steps + 1)
-    amps[0] = _mode_amplitude(state.f, model.velocities, mode)
+    amps[0] = _mode_amplitude(state.f, model.velocities)
     for i in range(steps):
         state = step(state, vs, mm, model, params)
-        amps[i + 1] = _mode_amplitude(state.f, model.velocities, mode)
+        amps[i + 1] = _mode_amplitude(state.f, model.velocities)
     check_finite(state)
     audit = conservation_audit(initial, state, mm)
     if not np.all(amps[skip:] > 0.0):
         raise SimulationDiverged("amplitude series is not finite and positive")
 
-    slope, _, r2 = fit_linear(dt * np.arange(skip, steps + 1), np.log(amps[skip:]))
+    slope, r2 = fit_linear(dt * np.arange(skip, steps + 1), np.log(amps[skip:]))
     return ViscosityMeasurement(
         s_shear=s_shear, N=N, dx=dx, dt=dt, k=k,
         nu_measured=-slope / (k * k), nu_exact=decay / (k * k * dt),
@@ -367,36 +384,8 @@ STUDY_EXPERIMENTS = dict(zip(STUDY_NAMES, (
     REFINEMENT_EXPERIMENTS + ("viscosity",),
 ), strict=True))
 
-REFINEMENT_HEADER = ("N", "dx", "dt", "residual", "slope_running")
 VISCOSITY_HEADER = ("s_shear", "N", "dx", "dt", "nu_predicted", "nu_exact",
                     "nu_measured", "measured_error", "formula_error", "fit_r2")
-
-
-@dataclass(frozen=True)
-class StudyOutcome:
-    experiment: str
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    summary_value: Optional[float]
-    r2: Optional[float]
-    passed: bool
-    note: str = ""
-
-    def summary_line(self) -> str:
-        value = "nan" if self.summary_value is None else f"{self.summary_value:.6g}"
-        r2 = "nan" if self.r2 is None else f"{self.r2:.6g}"
-        verdict = "pass" if self.passed else "fail"
-        tail = f"  ({self.note})" if self.note else ""
-        return f"{self.experiment:>14}  value={value:>12}  r2={r2:>10}  {verdict}{tail}"
-
-
-def _outcome_from_study(study: RefinementStudy) -> StudyOutcome:
-    rows = tuple(zip(study.resolutions, study.dx, study.dt, study.residuals,
-                     study.running_slopes()))
-    return StudyOutcome(
-        experiment=study.experiment, header=REFINEMENT_HEADER, rows=rows,
-        summary_value=study.slope, r2=study.r2, passed=study.ok, note=study.note,
-    )
 
 
 def _viscosity_outcome(components: ComponentBundle, cfg: RunConfig) -> StudyOutcome:
@@ -408,11 +397,11 @@ def _viscosity_outcome(components: ComponentBundle, cfg: RunConfig) -> StudyOutc
     ('formula_error' = |nu_exact - nu_predicted| in units of cs2 dt).
     """
     for s in cfg.viscosity_s:  # every case must be runnable before any steps
-        _viscosity_plan(components, cfg, s)
+        _viscosity_plan(components, cfg.viscosity_n, s)
     rows = []
     notes = []
     for s in cfg.viscosity_s:
-        meas = measure_viscosity(components, cfg, s)
+        meas = measure_viscosity(components, cfg.viscosity_n, s)
         unit = components.model.cs2 * meas.dt
         measured_error = abs(meas.nu_measured - meas.nu_exact) / unit
         formula_error = abs(meas.nu_exact - meas.nu_predicted) / unit
@@ -432,7 +421,7 @@ def _viscosity_outcome(components: ComponentBundle, cfg: RunConfig) -> StudyOutc
         header=VISCOSITY_HEADER,
         rows=tuple(rows),
         summary_value=max(row[7] for row in rows),
-        r2=None,
+        r2=math.nan,
         passed=not notes,
         note="; ".join(notes),
     )
@@ -453,7 +442,6 @@ def run_verification(study: str, cfg: RunConfig) -> list[StudyOutcome]:
     if "viscosity" in experiments:
         outcomes["viscosity"] = _viscosity_outcome(components, cfg)
     if any(name in STUDY_BANDS for name in experiments):
-        studies = refinement_studies(components, cfg.resolutions, cfg.coarse_steps)
-        for name, refined in studies.items():
-            outcomes[name] = _outcome_from_study(refined)
+        outcomes.update(refinement_studies(components, cfg.resolutions,
+                                           cfg.coarse_steps))
     return [outcomes[name] for name in experiments]

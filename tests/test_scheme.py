@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,7 @@ class TestStepAndRun:
         state.f[0, 0, 0] = np.inf
         params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
         with np.errstate(invalid="ignore"), pytest.raises(SimulationDiverged):
-            lb.run(state, 2, vs, mm, model, params, check_interval=1)
+            lb.run(state, 2, vs, mm, model, params)
 
     @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
     def test_run_then_step_equals_longer_run_bitwise(self, lattice, request):
@@ -316,4 +318,18 @@ class TestCheckpoint:
         lb.save_checkpoint(path, state, params, mm)
         path.write_text(path.read_text().replace(" step=0", "", 1))
         with pytest.raises(LbmError, match="lacks step"):
+            lb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", "4xQ"), ("J", "eight"), ("step", "zero"), ("dt", "x"),
+    ])
+    def test_malformed_metadata_value_names_its_key(self, d2q9, tmp_path, key, value):
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9, grid=(4, 4))
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        path = tmp_path / "chk.csv"
+        lb.save_checkpoint(path, state, params, mm)
+        text = path.read_text()
+        path.write_text(re.sub(rf" {key}=\S+", f" {key}={value}", text, count=1))
+        with pytest.raises(LbmError, match=f"metadata {key}={value} does not parse"):
             lb.load_checkpoint(path)
