@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import pde_report
 from .config import ComponentBundle, build_components, load_config
-from .csvio import write_csv
+from .csvio import row_format, write_csv
 from .errors import ConfigError, LbmError
 from .scheme import (
     conservation_audit,
@@ -59,7 +59,7 @@ def _write_moment_fields(path, bundle: ComponentBundle, state) -> None:
     values = map(np.ndarray.tolist, m[..., : 1 + d].reshape(-1, 1 + d))
     nodes = itertools.product(*map(range, grid))  # row-major, as values
     rows = ((*idx, *vals) for idx, vals in zip(nodes, values))
-    write_csv(path, header, rows)
+    write_csv(path, header, rows, row_format([int] * len(grid) + [float] * (1 + d)))
 
 
 def cmd_run(args) -> int:

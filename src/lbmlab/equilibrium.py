@@ -102,29 +102,41 @@ def _check_density(W: np.ndarray) -> None:
         raise NonPositiveDensity("equilibrium evaluation requires rho > 0 everywhere")
 
 
-def _populations(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:
+def _populations(model: EquilibriumModel, W: np.ndarray, out=None,
+                 scratch=None) -> np.ndarray:
     """Populations G(W), population-major: W is (d+1, nodes), G is (J+1, nodes).
 
     The in-place ufuncs keep the association order of the formula in the
     module docstring, w * (((rho + vq/cs2) + vq^2/(2 cs2^2 rho)) - |q|^2/(2 cs2 rho)),
     so G is the same to the last bit whichever layout the caller stores.
+    G is written to ``out``, a (J+1, nodes) array, and the temporaries live in
+    ``scratch``, a flat float array of at least (J+3) * nodes values; either
+    is allocated when not given.
     """
+    nj, nodes = model.velocities.shape[0], W.shape[1]
+    if out is None:
+        out = np.empty((nj, nodes))
+    if scratch is None:
+        scratch = np.empty((nj + 2) * nodes)
+    vq = scratch[:nj * nodes].reshape(nj, nodes)
+    qq = scratch[nj * nodes:(nj + 1) * nodes]
+    tmp = scratch[(nj + 1) * nodes:(nj + 2) * nodes]
     rho = W[0]
     q = W[1:]
     cs2 = model.cs2
-    vq = model.velocities @ q
-    qq = q[0] * q[0]
+    np.matmul(model.velocities, q, out=vq)
+    np.multiply(q[0], q[0], out=qq)
     for qa in q[1:]:
-        qq += qa * qa
-    f = vq / cs2
-    f += rho
+        qq += np.multiply(qa, qa, out=tmp)
+    np.divide(vq, cs2, out=out)
+    out += rho
     vq *= vq
-    vq /= 2.0 * cs2 * cs2 * rho
-    f += vq
-    qq /= 2.0 * cs2 * rho
-    f -= qq
-    f *= model.weights[:, None]
-    return f
+    vq /= np.multiply(2.0 * cs2 * cs2, rho, out=tmp)
+    out += vq
+    qq /= np.multiply(2.0 * cs2, rho, out=tmp)
+    out -= qq
+    out *= model.weights[:, None]
+    return out
 
 
 def _populations_node_major(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lbmlab import errors, verify
+from lbmlab import errors, scheme, verify
 from lbmlab.cli import EXIT_CONFIG, EXIT_OK, main
 
 SMALL_VERIFY = """\
@@ -26,6 +26,11 @@ ux_offset = 0.6
 ux_amplitude = 0.3
 rho_amplitude = 0.3
 """
+
+# 128 x 128 nodes collide in two blocks of 8,192; the density first turns
+# non-positive in the second, entering step 32 at node (95, 0).
+BLOW_UP_LATER_BLOCK = (BLOW_UP.replace("nx = 16", "nx = 128")
+                       .replace("ux_offset = 0.6", "ux_offset = -0.6"))
 
 D1Q3_RUN = "[lattice]\nname = d1q3\n[grid]\nnx = 16\n[scheme]\nsteps = 3\n"
 
@@ -104,6 +109,15 @@ def test_run_exit_codes(tmp_path, capsys, config_text, code, stderr):
     err = capsys.readouterr().err
     assert err.startswith(stderr) if stderr else err == ""
     assert (out / "checkpoint.csv").exists() == (code == EXIT_OK)
+
+
+def test_blow_up_in_a_later_collide_block_names_its_node(tmp_path, capsys):
+    assert scheme._chunks(128 * 128)[1][0] <= 95 * 128
+    code, out = _cli(tmp_path, "run", BLOW_UP_LATER_BLOCK)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "simulation diverged: non-positive density at node (95, 0) entering step 32\n")
+    assert not (out / "checkpoint.csv").exists()
 
 
 def test_failed_study_exits_5(tmp_path):

@@ -87,6 +87,11 @@ CASES = [
     ("d1q3", 1.7, (2.0,), (32,), 200),
     ("d2q5", 1.7, (1.2, 1.7), (64, 8), 200),
     ("d2q5", 1.0, (2.0,), (32, 8), 200),
+    # more nodes than scheme.CHUNK_NODES, in blocks of unequal width; 8,193
+    # nodes in fixed blocks of 8,192 would leave a last block of one node
+    ("d2q9", 0.8, SIX_S, (97, 91), 75),
+    ("d1q3", 1.7, (1.3,), (20001,), 70),
+    ("d2q5", 1.7, (1.2, 1.7), (2731, 3), 70),
 ]
 
 

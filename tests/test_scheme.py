@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,30 @@ class TestStepAndRun:
         with np.errstate(invalid="ignore"), pytest.raises(SimulationDiverged):
             lb.run(state, 2, vs, mm, model, params)
 
+    def test_run_leaves_its_input_alone(self, d2q9):
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9)
+        before = state.f.copy()
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        out = lb.run(state, 3, vs, mm, model, params)
+        assert np.array_equal(state.f, before)
+        assert state.steps == 0
+        assert not np.shares_memory(out.f, state.f)
+
+    def test_run_peak_memory_is_bounded(self, d2q9):
+        # two population buffers and collide's block scratch, allocated once;
+        # the node-major result reuses the collision buffer
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9, grid=(256, 256))
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        tracemalloc.start()
+        try:
+            lb.run(state, 2, vs, mm, model, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * state.f.nbytes  # 2.54 measured; 4.22 with fresh arrays per step
+
     @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
     def test_run_then_step_equals_longer_run_bitwise(self, lattice, request):
         # one refinement simulation takes its step-n state from run(n - 1)
@@ -332,4 +357,19 @@ class TestCheckpoint:
         text = path.read_text()
         path.write_text(re.sub(rf" {key}=\S+", f" {key}={value}", text, count=1))
         with pytest.raises(LbmError, match=f"metadata {key}={value} does not parse"):
+            lb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "nan"), ("dt", "-1"), ("dt", "0"), ("lambda", "inf"), ("step", "-5"),
+        ("grid", "0x4"), ("grid", "4x-1"),
+    ])
+    def test_nonsense_metadata_value_names_its_key(self, d2q9, tmp_path, key, value):
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9, grid=(4, 4))
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        path = tmp_path / "chk.csv"
+        lb.save_checkpoint(path, state, params, mm)
+        text = path.read_text()
+        path.write_text(re.sub(rf" {key}=\S+", f" {key}={value}", text, count=1))
+        with pytest.raises(LbmError, match=f"metadata {key}={value} must be"):
             lb.load_checkpoint(path)
