@@ -162,6 +162,16 @@ def test_viscometry_near_s2_passes(tmp_path):
     assert code == EXIT_OK
 
 
+def test_viscometry_on_a_fine_grid_passes_within_the_rounding_floor(tmp_path):
+    # at N = 4096 rounding alone puts measured_error near 3e-9 cs2 dt, above
+    # VISCOSITY_ATOL; check (a) in per-step units leaves EIGENVALUE_ROUNDING
+    # (about 1.9e-8 cs2 dt here) for it, as check (b) does
+    code, _ = _cli(tmp_path, "verify",
+                   "[study]\nviscosity_s = 1.8\nviscosity_n = 4096\n",
+                   "--study", "viscosity")
+    assert code == EXIT_OK
+
+
 def test_viscosity_csv_has_one_finite_row_per_s(tmp_path):
     code, out = _cli(tmp_path, "verify",
                      "[study]\nviscosity_s = 1.5, 2.0\nviscosity_n = 32\n",
@@ -179,7 +189,7 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
     steps = []
     step = verify.step
     monkeypatch.setattr(verify, "step", lambda *args: steps.append(1) or step(*args))
-    # s = 2.0 alone could run; the s = 1.2 case after it cannot, so neither runs
+    # the grid is checked before the first case steps, whichever s comes first
     for cases in ("", "viscosity_s = 2.0, 1.2\n"):
         code, _ = _cli(tmp_path, "verify", "[study]\nviscosity_n = 4\n" + cases,
                        "--study", "viscosity")

@@ -143,12 +143,34 @@ class TestViscometry:
         assert abs(m.nu_measured / m.nu_exact - 1.0) <= 1e-9
 
     def test_measurement_at_s2_matches_exact_decay(self, d2q9_components):
-        # the exact decay vanishes, so the run lasts the capped 32 N steps
+        # the exact decay vanishes; the eigenmode start needs no longer run
         m = lb.measure_viscosity(d2q9_components, 32, 2.0)
-        assert m.steps == 32 * 32 and m.nu_predicted == 0.0
+        assert m.steps == verify.VISCOMETER_STEPS and m.nu_predicted == 0.0
         cs2_dt = d2q9_components.model.cs2 * m.dt
         assert abs(m.nu_measured - m.nu_exact) <= 1e-5 * cs2_dt
         assert abs(m.nu_exact) * m.k**2 * m.dt <= 64 * np.finfo(float).eps
+
+    def test_equilibrium_start_decays_at_the_exact_rate(self, d2q9_components):
+        # the paper's experiment: the wave starts at equilibrium, so the
+        # non-hydrodynamic modes it excites must die out before the fit
+        setup, n, s = d2q9_components, 64, 1.5
+        model = setup.model
+        dx = 1.0 / n
+        params = SchemeParams(dx=dx, dt=dx, s=np.full(6, s))
+        k = 2.0 * np.pi
+        decay = shear_mode_decay(setup, params, k)
+        steps = int(np.ceil(1.5 / decay))
+        field = lb.shear_wave_field(1.0, verify.SHEAR_WAVE_AMPLITUDE, 1)
+        state = lb.initialize_equilibrium(model, setup.vs, field.conserved((n, 8), dx))
+        amps = []
+        for _ in range(steps + 1):
+            u_y = (state.f @ model.velocities[:, 1]) / state.f.sum(axis=-1)
+            amps.append(2.0 * abs(np.fft.rfft(u_y.mean(axis=1))[1]) / n)
+            state = lb.step(state, setup.vs, setup.mm, model, params)
+        t = params.dt * np.arange(32, steps + 1)
+        nu = -np.polyfit(t, np.log(amps[32:]), 1)[0] / k**2
+        nu_exact = decay / (k * k * params.dt)
+        assert abs(nu - nu_exact) <= 1e-5 * model.cs2 * params.dt
 
     @pytest.mark.parametrize("s", [1.2, 1.5, 2.0])
     def test_mode_m_on_mN_nodes_decays_as_mode_1_on_N(self, d2q9_components, s):
@@ -205,7 +227,7 @@ class TestOrchestration:
         assert outcome.summary_value == pytest.approx(1e-4, rel=1e-3)
         monkeypatch.setattr(verify, "measure_viscosity", off_by(0.0))
         (outcome,) = lb.run_verification("viscosity", cfg)
-        assert outcome.passed and outcome.summary_value <= 1e-9
+        assert outcome.passed and outcome.summary_value <= 1e-11
 
     def test_all_emits_six_lines(self):
         cfg = RunConfig(viscosity_s=(1.5,), viscosity_n=32)
