@@ -8,7 +8,6 @@ config file.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .analysis import pde_report
 from .config import ComponentBundle, build_components, load_config
-from .csvio import row_format, write_csv
+from .csvio import write_csv
 from .errors import ConfigError, LbmError
 from .scheme import (
     conservation_audit,
@@ -51,26 +50,29 @@ def cmd_analyze(args) -> int:
 
 
 def _write_moment_fields(path, bundle: ComponentBundle, state) -> None:
-    m = moments_of(state, bundle.mm)
+    """One row per node in row-major order: the node's indices, then rho and
+    the momentum components; the indices print as floats, which ``%.17g``
+    writes as integers."""
     d = bundle.mm.d
     grid = state.grid_shape
-    index_names = ["i", "j"][: len(grid)]
-    header = index_names + ["rho", "qx", "qy"][: 1 + d]
-    values = map(np.ndarray.tolist, m[..., : 1 + d].reshape(-1, 1 + d))
-    nodes = itertools.product(*map(range, grid))  # row-major, as values
-    rows = ((*idx, *vals) for idx, vals in zip(nodes, values))
-    write_csv(path, header, rows, row_format([int] * len(grid) + [float] * (1 + d)))
+    header = ["i", "j"][: len(grid)] + ["rho", "qx", "qy"][: 1 + d]
+    m = moments_of(state, bundle.mm)[..., : 1 + d].reshape(-1, 1 + d)
+    table = np.empty((len(m), len(grid) + 1 + d))
+    table[:, : len(grid)] = np.indices(grid).reshape(len(grid), -1).T
+    table[:, len(grid):] = m
+    del m                            # the table alone is held while it is written
+    write_csv(path, header, table)
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     bundle = build_components(cfg)
     W0 = bundle.field.conserved(bundle.grid_shape, bundle.params.dx)
-    state = initialize_equilibrium(bundle.model, bundle.vs, W0)
-    initial = state
-    state = run(state, bundle.steps, bundle.vs, bundle.mm, bundle.model,
+    initial = initialize_equilibrium(bundle.model, bundle.vs, W0)
+    state = run(initial, bundle.steps, bundle.vs, bundle.mm, bundle.model,
                 bundle.params)
     audit = conservation_audit(initial, state, bundle.mm)
+    del W0, initial                  # the files below are written from state alone
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.csv", state, bundle.params, bundle.mm)

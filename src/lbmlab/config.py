@@ -282,9 +282,15 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
     """Materialize lattice, matrix, model, parameters, grid and initial field."""
     vs = build_velocity_set(cfg.vectors if cfg.vectors is not None
                             else cfg.lattice_name)
+    dx = cfg.length / cfg.nx
+    lam2 = cfg.lam * cfg.lam
+    # the built-in moment bases scale their rows by up to lambda**4, and cs2
+    # defaults to lambda**2 / 3
+    for derived, value in (("dx / lambda", dx / cfg.lam), ("lambda**4", lam2 * lam2)):
+        if not math.isfinite(value):
+            raise ConfigError(f"key 'lambda': {derived} = {value!r} is not finite")
     mm = build_moment_matrix(vs, cfg.lam, higher_rows=cfg.higher_rows)
     model = build_equilibrium(vs, cfg.lam, cs2=cfg.cs2, weights=cfg.weights)
-    dx = cfg.length / cfg.nx
     n_relaxed = vs.J - vs.d
     if len(cfg.s) == 1:
         s = np.full(n_relaxed, cfg.s[0])

@@ -90,8 +90,8 @@ def _validate_on_probe_set(model: EquilibriumModel) -> None:
     mass_rel = np.abs(feq.sum(-1) - rho) / rho
     momentum = feq @ model.velocities
     mom_rel = np.abs(momentum - W[:, 1:]) / (rho[:, None] * model.lam)
-    worst = max(mass_rel.max(), mom_rel.max())
-    if worst > PROBE_TOL:
+    worst = np.maximum(mass_rel.max(), mom_rel.max())   # NaN propagates, and fails
+    if not worst <= PROBE_TOL:
         raise InvalidEquilibrium(
             f"moment constraints violated on probe set (relative residual {worst:.3e})"
         )

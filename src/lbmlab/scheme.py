@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import format_value, row_format, write_rows
+from .csvio import format_value, write_table
 from .equilibrium import EquilibriumModel, _populations, equilibrium_distribution
 from .errors import (
     ComponentMismatch,
@@ -319,7 +319,7 @@ def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
 def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
         model: EquilibriumModel, params: SchemeParams) -> SchemeState:
     """Apply n_steps full updates, checking for divergence every
-    CHECK_INTERVAL steps and after the last.
+    CHECK_INTERVAL steps and after the last (or, for zero steps, the input).
 
     All large storage is allocated once, before the first step: ``collide``
     writes one (J+1, nodes) buffer, ``stream`` writes it back into a second,
@@ -329,7 +329,9 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     memory with it; zero steps return ``state`` itself when it is node-major.
     """
     if n_steps < 1:
-        return _node_major(state)
+        state = _node_major(state)
+        check_finite(state)
+        return state
     nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
     collided = np.empty((nj, nodes))
     streamed = np.empty((nj, nodes))
@@ -393,8 +395,7 @@ def save_checkpoint(path, state: SchemeState, params: SchemeParams,
             f"dt={format_value(params.dt)} lambda={format_value(mm.lam)} "
             f"step={state.steps}\n"
         )
-        rows = map(np.ndarray.tolist, state.f.reshape(-1, nj))
-        write_rows(fh, [f"f{j}" for j in range(nj)], rows, row_format([float] * nj))
+        write_table(fh, [f"f{j}" for j in range(nj)], state.f.reshape(-1, nj))
 
 
 def load_checkpoint(path) -> tuple[SchemeState, dict]:

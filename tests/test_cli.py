@@ -34,6 +34,11 @@ BLOW_UP_LATER_BLOCK = (BLOW_UP.replace("nx = 16", "nx = 128")
 
 D1Q3_RUN = "[lattice]\nname = d1q3\n[grid]\nnx = 16\n[scheme]\nsteps = 3\n"
 
+# numpy's warnings from configs whose populations overflow
+OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                       "ignore:invalid value:RuntimeWarning",
+                                       "ignore:divide by zero:RuntimeWarning")
+
 STUDY_FILES = {
     "prop3": {"prop3.csv"},
     "prop4": {"prop4.csv"},
@@ -102,6 +107,14 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
      "construction error: equilibrium evaluation requires rho > 0"),
     (BLOW_UP, 4,
      "simulation diverged: non-positive density at node (4, 0) entering step 7\n"),
+    # the probe set's equilibria are NaN, which a `worst > tolerance` test let pass
+    pytest.param("[equilibrium]\ncs2 = 1e-300\n[grid]\nnx = 16\n", 3,
+                 "construction error: moment constraints violated on probe set",
+                 marks=OVERFLOWS),
+    # with the default steps = 0, run returned the initial populations unchecked
+    pytest.param("[initial]\nux_offset = 1e+308\n[grid]\nnx = 16\n", 4,
+                 "simulation diverged: non-finite populations at node (0, 0) "
+                 "after 0 steps\n", marks=OVERFLOWS),
 ])
 def test_run_exit_codes(tmp_path, capsys, config_text, code, stderr):
     got, out = _cli(tmp_path, "run", config_text)
@@ -216,6 +229,8 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
     (D1Q3_RUN + "[initial]\nkind = uniform\nuy_mode = 3\n", "uy_mode", ()),
     ("[study]\nviscosity_n = 16\nviscosity_s = 2.0\nviscosity_mode = 9\n",
      "viscosity_mode", ("--study", "viscosity")),
+    # lambda**2 of the moment basis overflowed into a raw OverflowError
+    ("[scheme]\nlambda = 1e+308\n", "lambda", ()),
 ])
 def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, key,
                                                extra):
