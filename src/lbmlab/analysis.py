@@ -54,6 +54,16 @@ def fd_gradient(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * dx)
 
 
+def divergence(T: np.ndarray, dx: float) -> np.ndarray:
+    """sum_b d_b T[..., a, b] by ``fd_gradient``, shape (*grid, n), of a tensor
+    field T of shape (*grid, n, d); the b terms are added in order."""
+    out = np.zeros(T.shape[:-1])
+    for a in range(T.shape[-2]):
+        for b in range(T.shape[-1]):
+            out[..., a] += fd_gradient(T[..., a, b], b, dx)
+    return out
+
+
 @dataclass(frozen=True)
 class SmoothField:
     """Conserved variables W(x) on a periodic grid with spacing dx.
@@ -138,12 +148,7 @@ def euler_flux_divergence(field: SmoothField, model: EquilibriumModel,
     _require_usable(field)
     q = field.W[..., 1:]
     F = momentum_flux(model, vs, field.W)
-    out = np.zeros_like(field.W)
-    for b in range(field.d):
-        out[..., 0] += fd_gradient(q[..., b], b, field.dx)
-        for a in range(field.d):
-            out[..., 1 + a] += fd_gradient(F[..., a, b], b, field.dx)
-    return out
+    return divergence(np.concatenate([q[..., None, :], F], axis=-2), field.dx)
 
 
 def ns_flux_correction(defect: DefectField, model: EquilibriumModel,

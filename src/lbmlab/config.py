@@ -49,16 +49,12 @@ class RunConfig:
     ny: int | None = None
     length: float = 1.0
     # [initial]
-    initial_kind: str = "sine"
     rho0: float = 1.0
     rho_amplitude: float = 0.001
-    rho_mode: int = 1
     ux_offset: float = 0.0
     ux_amplitude: float = 0.0005773502691896258
-    ux_mode: int = 1
     uy_offset: float = 0.0
     uy_amplitude: float = 0.001
-    uy_mode: int = 1
     # [study]
     study_name: str = "all"
     resolutions: tuple[int, ...] = (32, 64, 128, 256)
@@ -95,16 +91,12 @@ _KEYS = (
     ("grid", "nx", "nx", int),
     ("grid", "ny", "ny", int),
     ("grid", "length", "length", float),
-    ("initial", "kind", "initial_kind", str.lower),
     ("initial", "rho0", "rho0", float),
     ("initial", "rho_amplitude", "rho_amplitude", float),
-    ("initial", "rho_mode", "rho_mode", int),
     ("initial", "ux_offset", "ux_offset", float),
     ("initial", "ux_amplitude", "ux_amplitude", float),
-    ("initial", "ux_mode", "ux_mode", int),
     ("initial", "uy_offset", "uy_offset", float),
     ("initial", "uy_amplitude", "uy_amplitude", float),
-    ("initial", "uy_mode", "uy_mode", int),
     ("study", "name", "study_name", str.lower),
     ("study", "resolutions", "resolutions", _items(int)),
     ("study", "coarse_steps", "coarse_steps", int),
@@ -185,8 +177,6 @@ def _finite(value) -> bool:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.initial_kind not in ("uniform", "sine"):
-        raise ConfigError(f"key 'kind': unknown initial field {cfg.initial_kind!r}")
     if cfg.nx <= 0 or (cfg.ny is not None and cfg.ny <= 0):
         raise ConfigError("grid sizes must be positive")
     if cfg.length <= 0:
@@ -256,25 +246,18 @@ class ComponentBundle:
 
 
 def build_field(cfg: RunConfig, d: int) -> InitialField:
-    sine = cfg.initial_kind == "sine"
     if d == 1:
-        # uy_* keys are meaningless on a 1-D lattice unless left untouched,
-        # whatever the kind
+        # uy_* keys are meaningless on a 1-D lattice unless left untouched
         touched = {
             "uy_offset": cfg.uy_offset != 0.0,
             "uy_amplitude": cfg.uy_amplitude not in (0.0, RunConfig.uy_amplitude),
-            "uy_mode": cfg.uy_mode != RunConfig.uy_mode,
         }
         for key, changed in touched.items():
             if changed:
                 raise ConfigError(f"key '{key}': no transverse component in 1-D")
-
-    def component(offset, amplitude, mode) -> SineComponent:
-        return SineComponent(offset, amplitude, mode) if sine else SineComponent(offset)
-
-    velocity = (component(cfg.ux_offset, cfg.ux_amplitude, cfg.ux_mode),
-                component(cfg.uy_offset, cfg.uy_amplitude, cfg.uy_mode))
-    return InitialField(rho=component(cfg.rho0, cfg.rho_amplitude, cfg.rho_mode),
+    velocity = (SineComponent(cfg.ux_offset, cfg.ux_amplitude),
+                SineComponent(cfg.uy_offset, cfg.uy_amplitude))
+    return InitialField(rho=SineComponent(cfg.rho0, cfg.rho_amplitude),
                         velocity=velocity[:d])
 
 
@@ -289,6 +272,11 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
     for derived, value in (("dx / lambda", dx / cfg.lam), ("lambda**4", lam2 * lam2)):
         if not math.isfinite(value):
             raise ConfigError(f"key 'lambda': {derived} = {value!r} is not finite")
+    # the equilibrium divides by 2 cs2**2
+    cs2, key = (cfg.cs2, "cs2") if cfg.cs2 is not None else (lam2 / 3.0, "lambda")
+    two_cs4 = 2.0 * cs2 * cs2
+    if not (math.isfinite(two_cs4) and two_cs4 > 0.0):
+        raise ConfigError(f"key '{key}': 2 cs2**2 = {two_cs4!r} is not finite and > 0")
     mm = build_moment_matrix(vs, cfg.lam, higher_rows=cfg.higher_rows)
     model = build_equilibrium(vs, cfg.lam, cs2=cfg.cs2, weights=cfg.weights)
     n_relaxed = vs.J - vs.d

@@ -8,7 +8,7 @@ the standard second-order polynomial in u = q/rho,
 
 which carries the same mass and momentum as W for any weights with unit sum,
 vanishing first moment and second moment cs2 * identity.  Those constraints
-are checked on a fixed pseudo-random probe set when a model is built, so a
+are checked on a fixed probe set when a model is built, so a
 user-supplied weight table that cannot conserve mass/momentum is rejected
 up front rather than polluting a simulation.
 """
@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InvalidEquilibrium, NonPositiveDensity, ShapeError
 from .lattice import MomentMatrix, VelocitySet
 
-PROBE_SEED = 42
 PROBE_COUNT = 100
 PROBE_TOL = 1e-12
 
@@ -82,9 +81,11 @@ def build_equilibrium(vs: VelocitySet, lam: float, cs2=None,
 
 
 def _validate_on_probe_set(model: EquilibriumModel) -> None:
-    rng = np.random.default_rng(PROBE_SEED)
-    rho = rng.uniform(0.5, 2.0, PROBE_COUNT)
-    u = rng.uniform(-0.1 * model.lam, 0.1 * model.lam, (PROBE_COUNT, model.d))
+    # rho spans [0.5, 2] and each u_a spans [-0.1 lam, 0.1 lam], every axis
+    # at its own frequency so that the axes do not move in step
+    phi = 2.0 * np.pi * np.arange(PROBE_COUNT) / PROBE_COUNT
+    rho = 1.25 + 0.75 * np.sin(3.0 * phi)
+    u = 0.1 * model.lam * np.cos(np.outer(phi, 5.0 + np.arange(model.d)))
     W = np.concatenate([rho[:, None], rho[:, None] * u], axis=1)
     feq = _populations_node_major(model, W)
     mass_rel = np.abs(feq.sum(-1) - rho) / rho

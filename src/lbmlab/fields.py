@@ -1,9 +1,10 @@
-"""Closed-form initial fields: uniform states and sine profiles along x.
+"""Closed-form initial fields: sine profiles along x.
 
 Profiles vary along the first grid axis only; the remaining axes are filled
 by broadcast.  Each component is offset + amplitude * sin(2 pi mode x / L)
 with L the periodic domain length, so exact spatial derivatives are
-available and analysis code can bypass finite differences entirely.
+available and analysis code can bypass finite differences entirely.  A
+uniform state is the profile of zero amplitude.
 """
 
 from __future__ import annotations

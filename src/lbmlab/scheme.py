@@ -421,20 +421,22 @@ def load_checkpoint(path) -> tuple[SchemeState, dict]:
     grid_shape, nj = info["grid_shape"], info["J"] + 1
     if len(header.strip().split(",")) != nj:
         raise LbmError(f"{path}: header does not match J={nj - 1}")
-    rows = [line.split(",") for line in body.splitlines() if line]
+    rows = [line for line in body.splitlines() if line]
     nodes = math.prod(grid_shape)
     if len(rows) != nodes:
         raise LbmError(
             f"{path}: expected {nodes} rows for grid {meta['grid']}, found {len(rows)}"
         )
-    for i, row in enumerate(rows):
-        if len(row) != nj:
-            raise LbmError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {nj}"
-            )
     try:
-        values = np.array([[float(x) for x in row] for row in rows])
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if values.shape != (nodes, nj):
+            raise ValueError(f"table of shape {values.shape}")
     except ValueError as exc:
+        # numpy's parser does not say which row has the wrong width; name it
+        for i, row in enumerate(rows):
+            if row.count(",") != nj - 1:
+                raise LbmError(f"{path}: row {i + 1} has {row.count(',') + 1} "
+                               f"columns, expected {nj}") from exc
         raise LbmError(f"{path}: {exc}") from exc
     f = values.reshape(*grid_shape, nj)
     return SchemeState(f=f, steps=info["step"]), info

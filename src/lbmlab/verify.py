@@ -53,8 +53,8 @@ import numpy as np
 from . import analysis
 from .analysis import (
     SmoothField,
+    divergence,
     euler_flux_divergence,
-    fd_gradient,
     ns_flux_correction,
     technical_lemma_prediction,
 )
@@ -140,10 +140,7 @@ def resolution_residuals(components: ComponentBundle, N: int, steps: int) -> dic
     dtW = (W_next - W_prev) / (2.0 * params.dt)
     efd = euler_flux_divergence(fld, model, vs)
     corrected = ns_flux_correction(defect, model, vs, mm, params)
-    div_corr = np.zeros(W.shape[:-1] + (mm.d,))
-    for a in range(mm.d):
-        for b in range(mm.d):
-            div_corr[..., a] += fd_gradient(corrected[..., a, b], b, dx)
+    div_corr = divergence(corrected, dx)
     return {
         "prop3": float(np.abs(m[..., nc:] - m_eq[..., nc:]).max()),
         "prop4": float(np.abs(dtW[..., 1:] + efd[..., 1:]).max()),
@@ -315,9 +312,9 @@ def shear_mode_decay(components: ComponentBundle, params: SchemeParams,
 
 
 def _mode_amplitude(f: np.ndarray, velocities: np.ndarray) -> float:
-    rho = f.sum(axis=-1)
-    q_y = f @ velocities[:, 1]
-    column = (q_y / rho).mean(axis=1)
+    # the momentum, not q_y / rho: dividing by the density's second-order
+    # fluctuation reads a decay that the shear eigenvalue does not have
+    column = (f @ velocities[:, 1]).mean(axis=1)
     coef = np.fft.rfft(column)[1]
     return 2.0 * abs(coef) / column.shape[0]
 
@@ -335,7 +332,8 @@ def measure_viscosity(components: ComponentBundle, N: int,
     against time, fitted from step 0, next to the exact -ln|lambda| / (k^2 dt)
     and the predicted cs2 dt (1/s_shear - 1/2).  A lattice that is not 2-D or
     a grid of fewer than MIN_NODES_PER_AXIS nodes is a ConfigError, raised
-    before any step.
+    before any step, and so is a domain length at which k^2 dt is not finite
+    and positive.
     """
     vs, mm, model = components.vs, components.mm, components.model
     if vs.d != 2:
@@ -346,6 +344,9 @@ def measure_viscosity(components: ComponentBundle, N: int,
     dx = components.length / N
     k = 2.0 * np.pi / components.length
     dt = dx / mm.lam
+    per_step = k * k * dt
+    if not (math.isfinite(per_step) and per_step > 0.0):
+        raise ConfigError(f"key 'length': k**2 dt = {per_step!r} is not finite and > 0")
     params = SchemeParams(dx=dx, dt=dt, s=np.full(vs.J - vs.d, s_shear))
     eigval, v = _shear_eigenpair(components, params, k)
     a = -1j * SHEAR_WAVE_AMPLITUDE / (mm.M @ v)[mm.names.index("momentum_y")]

@@ -107,10 +107,9 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
      "construction error: equilibrium evaluation requires rho > 0"),
     (BLOW_UP, 4,
      "simulation diverged: non-positive density at node (4, 0) entering step 7\n"),
-    # the probe set's equilibria are NaN, which a `worst > tolerance` test let pass
-    pytest.param("[equilibrium]\ncs2 = 1e-300\n[grid]\nnx = 16\n", 3,
-                 "construction error: moment constraints violated on probe set",
-                 marks=OVERFLOWS),
+    # 2 cs2**2 underflows to 0, so the equilibria would be NaN
+    ("[equilibrium]\ncs2 = 1e-300\n[grid]\nnx = 16\n", 2,
+     "config error: key 'cs2': "),
     # with the default steps = 0, run returned the initial populations unchecked
     pytest.param("[initial]\nux_offset = 1e+308\n[grid]\nnx = 16\n", 4,
                  "simulation diverged: non-finite populations at node (0, 0) "
@@ -146,7 +145,9 @@ def test_failed_study_exits_5(tmp_path):
 
 UNIFORM_VERIFY = """\
 [initial]
-kind = uniform
+rho_amplitude = 0
+ux_amplitude = 0
+uy_amplitude = 0
 [study]
 resolutions = 16,32,64,128
 coarse_steps = 20
@@ -222,15 +223,22 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
     ("[equilibrium]\nkind = anything\n", "kind", ()),
     ("[lattice]\nname = d1q3\n[grid]\nnx = 16\nny = 5\n[scheme]\nsteps = 2\n", "ny", ()),
     ("[study]\nname = prop9\n", "name", ()),
-    (D1Q3_RUN + "[initial]\nkind = uniform\nuy_offset = 0.5\n", "uy_offset", ()),
+    (D1Q3_RUN + "[initial]\nrho_amplitude = 0\nux_amplitude = 0\nuy_offset = 0.5\n",
+     "uy_offset", ()),
     (D1Q3_RUN + "[initial]\nuy_offset = 0.5\n", "uy_offset", ()),
     (D1Q3_RUN + "[initial]\nuy_amplitude = 0.5\n", "uy_amplitude", ()),
     (D1Q3_RUN + "[initial]\nuy_mode = 3\n", "uy_mode", ()),
-    (D1Q3_RUN + "[initial]\nkind = uniform\nuy_mode = 3\n", "uy_mode", ()),
+    (D1Q3_RUN + "[initial]\nrho_amplitude = 0\nux_amplitude = 0\nuy_mode = 3\n",
+     "uy_mode", ()),
     ("[study]\nviscosity_n = 16\nviscosity_s = 2.0\nviscosity_mode = 9\n",
      "viscosity_mode", ("--study", "viscosity")),
     # lambda**2 of the moment basis overflowed into a raw OverflowError
     ("[scheme]\nlambda = 1e+308\n", "lambda", ()),
+    # k**2 underflowed to 0 (a raw ZeroDivisionError) or overflowed (a raw
+    # LinAlgError from the decay fit) in the viscometer
+    ("[grid]\nlength = 1e+308\n", "length", ("--study", "viscosity")),
+    ("[grid]\nlength = 1e-300\n", "length", ("--study", "all")),
+    ("[equilibrium]\ncs2 = 1e200\n", "cs2", ()),
 ])
 def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, key,
                                                extra):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -173,7 +178,30 @@ class TestCustomTables:
         with pytest.raises(InvalidEquilibrium):
             lb.build_equilibrium(vs, 1.0, weights=tuple(D2Q9_WEIGHTS), cs2=0.2)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_equilibria_rejected(self):
+        # 2 cs2**2 underflows to 0, so the probe-set residual is NaN
+        vs = lb.build_velocity_set("d2q9")
+        with pytest.raises(InvalidEquilibrium, match="probe set"):
+            lb.build_equilibrium(vs, 1.0, cs2=1e-300)
+
     def test_custom_lattice_needs_weights(self):
         vs = lb.build_velocity_set([(0, 0), (1, 0), (0, 1), (-1, -1)])
         with pytest.raises(InvalidEquilibrium):
             lb.build_equilibrium(vs, 1.0)
+
+
+def test_building_components_does_not_import_numpy_random():
+    # the probe set is a fixed formula; importing numpy.random costs every
+    # process time and peak memory (about 11 ms and 2 MB on a 2-vCPU VM)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from lbmlab.config import RunConfig, build_components\n"
+            "build_components(RunConfig())\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

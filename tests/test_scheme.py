@@ -335,6 +335,19 @@ class TestCheckpoint:
         with pytest.raises(LbmError, match="expected 16 rows for grid 4x4, found 8"):
             lb.load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", ["x", "", "1.0.0"])
+    def test_unparsable_value_names_the_file(self, d2q9, tmp_path, bad):
+        vs, mm, model = d2q9
+        state, _ = small_state(d2q9, grid=(4, 4))
+        params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
+        path = tmp_path / "chk.csv"
+        lb.save_checkpoint(path, state, params, mm)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[7] = bad + lines[7][lines[7].index(","):]
+        path.write_text("".join(lines))
+        with pytest.raises(LbmError, match=re.escape(str(path))):
+            lb.load_checkpoint(path)
+
     def test_incomplete_metadata_rejected(self, d2q9, tmp_path):
         vs, mm, model = d2q9
         state, _ = small_state(d2q9, grid=(4, 4))

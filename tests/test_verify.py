@@ -38,7 +38,7 @@ def default_studies(d2q9_components):
 
 class TestResiduals:
     def test_uniform_field_residual_is_zero(self):
-        uniform = components(initial_kind="uniform")
+        uniform = components(rho_amplitude=0.0, ux_amplitude=0.0, uy_amplitude=0.0)
         assert lb.resolution_residuals(uniform, 32, 32)["prop3"] <= 1e-13
 
     def test_single_step_full_relaxation_brute_force(self):
@@ -228,6 +228,18 @@ class TestOrchestration:
         monkeypatch.setattr(verify, "measure_viscosity", off_by(0.0))
         (outcome,) = lb.run_verification("viscosity", cfg)
         assert outcome.passed and outcome.summary_value <= 1e-11
+
+    def test_undamped_shear_mode_reads_no_decay(self):
+        # this D2Q5 basis does not damp the shear wave (nu_exact ~ 0 at every
+        # s); the momentum sampler reads no decay either, so only check (b)
+        # fails.  Sampling q_y / rho read up to 4e-8 cs2 dt.
+        cfg = RunConfig(vectors=((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)),
+                        higher_rows=((0, 1, 1, 1, 1), (0, 1, -1, 1, -1)),
+                        weights=(1 / 3,) + (1 / 6,) * 4, lam=1.7, viscosity_n=32)
+        (outcome,) = lb.run_verification("viscosity", cfg)
+        assert max(column(outcome, "measured_error")) < verify.VISCOSITY_ATOL
+        assert not outcome.passed and "measured nu" not in outcome.note
+        assert "exact nu off the prediction" in outcome.note
 
     def test_all_emits_six_lines(self):
         cfg = RunConfig(viscosity_s=(1.5,), viscosity_n=32)
