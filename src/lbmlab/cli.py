@@ -69,7 +69,7 @@ def cmd_run(args) -> int:
     bundle = build_components(cfg)
     W0 = bundle.field.conserved(bundle.grid_shape, bundle.params.dx)
     initial = initialize_equilibrium(bundle.model, bundle.vs, W0)
-    state = run(initial, bundle.steps, bundle.vs, bundle.mm, bundle.model,
+    state = run(initial, cfg.steps, bundle.vs, bundle.mm, bundle.model,
                 bundle.params)
     audit = conservation_audit(initial, state, bundle.mm)
     del W0, initial                  # the files below are written from state alone
@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
     save_checkpoint(out / "checkpoint.csv", state, bundle.params, bundle.mm)
     _write_moment_fields(out / "moments.csv", bundle, state)
     mom = ", ".join(f"{x:.3e}" for x in audit["momentum_drift"])
-    _say(args, f"ran {bundle.steps} steps on grid {state.grid_shape}")
+    _say(args, f"ran {cfg.steps} steps on grid {state.grid_shape}")
     _say(args, f"conservation audit: mass drift {audit['mass_drift']:.3e} "
                f"relative, momentum drift [{mom}] relative")
     _say(args, f"wrote {out / 'checkpoint.csv'} and {out / 'moments.csv'}")

@@ -5,7 +5,9 @@ Unknown sections or keys are hard errors (a silently ignored typo in, say,
 a relaxation rate would poison a convergence study), and the diagnostic
 names the offending key with its line where available.  Every RunConfig,
 parsed or built in Python, is validated as a whole, so invalid [study] values
-fail ``run`` and ``analyze`` too.  dt is not a key: it is always dx / lambda.
+fail ``run`` and ``analyze`` too.  [grid] has the one key ``nx``: a grid has
+nx nodes per axis (nx x nx on a 2-D lattice) over a periodic domain of unit
+length, so dx = 1 / nx.  dt is not a key: it is always dx / lambda.
 A parsed config serializes back to a canonical text whose re-parse is identical.
 """
 
@@ -46,15 +48,14 @@ class RunConfig:
     steps: int = 0
     # [grid]
     nx: int = 64
-    ny: int | None = None
-    length: float = 1.0
     # [initial]
     rho0: float = 1.0
     rho_amplitude: float = 0.001
     ux_offset: float = 0.0
     ux_amplitude: float = 0.0005773502691896258
     uy_offset: float = 0.0
-    uy_amplitude: float = 0.001
+    # None tells an absent key from a given one; 2-D lattices read it as 0.001
+    uy_amplitude: float | None = None
     # [study]
     study_name: str = "all"
     resolutions: tuple[int, ...] = (32, 64, 128, 256)
@@ -89,8 +90,6 @@ _KEYS = (
     ("scheme", "s", "s", _items(float)),
     ("scheme", "steps", "steps", int),
     ("grid", "nx", "nx", int),
-    ("grid", "ny", "ny", int),
-    ("grid", "length", "length", float),
     ("initial", "rho0", "rho0", float),
     ("initial", "rho_amplitude", "rho_amplitude", float),
     ("initial", "ux_offset", "ux_offset", float),
@@ -177,12 +176,12 @@ def _finite(value) -> bool:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.nx <= 0 or (cfg.ny is not None and cfg.ny <= 0):
-        raise ConfigError("grid sizes must be positive")
-    if cfg.length <= 0:
-        raise ConfigError("key 'length': domain length must be positive")
+    if cfg.nx <= 0:
+        raise ConfigError("key 'nx': grid size must be positive")
     if cfg.lam <= 0:
         raise ConfigError("key 'lambda': celerity must be positive")
+    if cfg.cs2 is not None and cfg.cs2 <= 0:
+        raise ConfigError("key 'cs2': squared sound speed must be positive")
     if cfg.steps < 0:
         raise ConfigError("key 'steps': step count must be non-negative")
     if cfg.study_name not in STUDY_NAMES:
@@ -191,6 +190,9 @@ def _validate(cfg: RunConfig) -> None:
     validate_ladder(cfg.resolutions, cfg.coarse_steps)
     if cfg.viscosity_n < 1:
         raise ConfigError(f"key 'viscosity_n': must be >= 1, got {cfg.viscosity_n}")
+    if not all(0.0 < s <= 2.0 for s in cfg.viscosity_s):
+        raise ConfigError(f"key 'viscosity_s': relaxation ratios {list(cfg.viscosity_s)} "
+                          f"violate the stability bound 0 < s <= 2")
 
 
 def validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
@@ -233,7 +235,7 @@ def config_text(cfg: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class ComponentBundle:
-    """Everything one config builds; ``length`` is the exact domain length."""
+    """Everything one config builds."""
 
     vs: object
     mm: object
@@ -241,22 +243,17 @@ class ComponentBundle:
     params: SchemeParams
     grid_shape: tuple[int, ...]
     field: InitialField
-    steps: int
-    length: float
 
 
 def build_field(cfg: RunConfig, d: int) -> InitialField:
     if d == 1:
-        # uy_* keys are meaningless on a 1-D lattice unless left untouched
-        touched = {
-            "uy_offset": cfg.uy_offset != 0.0,
-            "uy_amplitude": cfg.uy_amplitude not in (0.0, RunConfig.uy_amplitude),
-        }
-        for key, changed in touched.items():
-            if changed:
+        # a 1-D lattice has no transverse velocity for a non-zero uy_* to set
+        for key in ("uy_offset", "uy_amplitude"):
+            if getattr(cfg, key) not in (None, 0.0):
                 raise ConfigError(f"key '{key}': no transverse component in 1-D")
+    uy_amplitude = 0.001 if cfg.uy_amplitude is None else cfg.uy_amplitude
     velocity = (SineComponent(cfg.ux_offset, cfg.ux_amplitude),
-                SineComponent(cfg.uy_offset, cfg.uy_amplitude))
+                SineComponent(cfg.uy_offset, uy_amplitude))
     return InitialField(rho=SineComponent(cfg.rho0, cfg.rho_amplitude),
                         velocity=velocity[:d])
 
@@ -265,7 +262,7 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
     """Materialize lattice, matrix, model, parameters, grid and initial field."""
     vs = build_velocity_set(cfg.vectors if cfg.vectors is not None
                             else cfg.lattice_name)
-    dx = cfg.length / cfg.nx
+    dx = 1.0 / cfg.nx
     lam2 = cfg.lam * cfg.lam
     # the built-in moment bases scale their rows by up to lambda**4, and cs2
     # defaults to lambda**2 / 3
@@ -289,13 +286,12 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
             f"key 's': expected 1 or {n_relaxed} relaxation ratios, got {len(cfg.s)}"
         )
     params = SchemeParams(dx=dx, dt=dx / cfg.lam, s=s)
-    if vs.d == 1:
-        if cfg.ny is not None:
-            raise ConfigError("key 'ny': no second grid axis on a 1-D lattice")
-        grid_shape: tuple[int, ...] = (cfg.nx,)
-    else:
-        grid_shape = (cfg.nx, cfg.ny if cfg.ny is not None else cfg.nx)
+    # pde_report prints mu_k = dt (1/s_k - 1/2) and the viscosity cs2 dt (1/s_k - 1/2)
+    for sk in cfg.s:
+        rate = 1.0 / sk - 0.5
+        if not (math.isfinite(params.dt * rate) and math.isfinite(cs2 * params.dt * rate)):
+            raise ConfigError(f"key 's': dt (1/s - 1/2) or cs2 times it is not finite "
+                              f"at s = {sk!r}")
     field = build_field(cfg, vs.d)
     return ComponentBundle(vs=vs, mm=mm, model=model, params=params,
-                           grid_shape=grid_shape, field=field, steps=cfg.steps,
-                           length=cfg.length)
+                           grid_shape=(cfg.nx,) * vs.d, field=field)

@@ -2,9 +2,9 @@
 
 Profiles vary along the first grid axis only; the remaining axes are filled
 by broadcast.  Each component is offset + amplitude * sin(2 pi mode x / L)
-with L the periodic domain length, so exact spatial derivatives are
-available and analysis code can bypass finite differences entirely.  A
-uniform state is the profile of zero amplitude.
+with L = n dx the periodic domain length, 1 on every grid lbmlab builds, so
+exact spatial derivatives are available and analysis code can bypass finite
+differences entirely.  A uniform state is the profile of zero amplitude.
 """
 
 from __future__ import annotations

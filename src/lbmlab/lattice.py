@@ -70,9 +70,9 @@ def build_velocity_set(name_or_vectors="D2Q9") -> VelocitySet:
         vectors = tuple(tuple(c for c in vec) for vec in name_or_vectors)
         name = "custom"
 
-    arr = np.asarray(vectors)
-    if arr.ndim != 2:
+    if len({len(vec) for vec in vectors}) != 1:
         raise InvalidVelocitySet("vectors must all have the same dimension")
+    arr = np.asarray(vectors)
     if not np.issubdtype(arr.dtype, np.integer):
         as_float = np.asarray(arr, dtype=float)
         if not np.all(as_float == np.round(as_float)):
@@ -185,11 +185,12 @@ def build_moment_matrix(vs: VelocitySet, lam: float, higher_rows=None) -> Moment
     names: tuple[str, ...]
     shear_index: int | None
     if higher_rows is not None:
-        rows = np.asarray(higher_rows, dtype=float)
-        if rows.shape != (J - d, J + 1):
+        lengths = [len(row) for row in higher_rows]
+        if lengths != [J + 1] * (J - d):
             raise ShapeError(
-                f"higher_rows must have shape {(J - d, J + 1)}, got {rows.shape}"
+                f"higher_rows must have shape {(J - d, J + 1)}, got row lengths {lengths}"
             )
+        rows = np.asarray(higher_rows, dtype=float)
         names = tuple(["density"] + [f"momentum_{ax}" for ax in "xy"[:d]]
                       + [f"m{k}" for k in range(d + 1, J + 1)])
         shear_index = None

@@ -375,10 +375,6 @@ def conservation_audit(initial: SchemeState, final: SchemeState,
     return {
         "mass_drift": abs(mass1 - mass0) / mass_scale,
         "momentum_drift": np.abs(mom1 - mom0) / mom_scale,
-        "mass_initial": mass0,
-        "mass_final": mass1,
-        "momentum_initial": mom0,
-        "momentum_final": mom1,
     }
 
 

@@ -117,7 +117,7 @@ def resolution_residuals(components: ComponentBundle, N: int, steps: int) -> dic
     global mass over the whole run.
     """
     vs, mm, model = components.vs, components.mm, components.model
-    dx = components.length / N
+    dx = 1.0 / N
     params = SchemeParams(dx=dx, dt=dx / mm.lam, s=components.params.s)
     grid = (N,) if vs.d == 1 else (N, CROSS_AXIS_NODES)
     state = initialize_equilibrium(model, vs, components.field.conserved(grid, dx))
@@ -207,7 +207,7 @@ class StudyOutcome:
 
 def _assemble(experiment: str, components: ComponentBundle, ns,
               residuals) -> StudyOutcome:
-    dxs = tuple(components.length / n for n in ns)
+    dxs = tuple(1.0 / n for n in ns)
     dts = tuple(dx / components.mm.lam for dx in dxs)
     rows = tuple(zip(ns, dxs, dts, residuals, running_slopes(residuals, dts)))
     outcome = partial(StudyOutcome, experiment, REFINEMENT_HEADER, rows)
@@ -327,13 +327,13 @@ def measure_viscosity(components: ComponentBundle, N: int,
     relaxed moment at ``s_shear`` on an N by CROSS_AXIS_NODES grid for
     VISCOMETER_STEPS steps, from the scheme's own shear eigenmode
     f = w + Re(a v exp(i k x)): w = f_eq(rho = 1, q = 0), (lambda, v) is the
-    shear eigenpair for k = 2 pi / L, and a makes the momentum_y wave
-    SHEAR_WAVE_AMPLITUDE sin(k x).  Returns nu = -slope/k^2 of ln(amplitude)
-    against time, fitted from step 0, next to the exact -ln|lambda| / (k^2 dt)
-    and the predicted cs2 dt (1/s_shear - 1/2).  A lattice that is not 2-D or
-    a grid of fewer than MIN_NODES_PER_AXIS nodes is a ConfigError, raised
-    before any step, and so is a domain length at which k^2 dt is not finite
-    and positive.
+    shear eigenpair for k = 2 pi on the unit domain, and a makes the
+    momentum_y wave SHEAR_WAVE_AMPLITUDE sin(k x).  Returns nu = -slope/k^2
+    of ln(amplitude) against time, fitted from step 0, next to the exact
+    -ln|lambda| / (k^2 dt) and the predicted cs2 dt (1/s_shear - 1/2).  A
+    lattice that is not 2-D, a grid of fewer than MIN_NODES_PER_AXIS nodes,
+    a k^2 dt that is not finite and > 0 and a predicted nu that is not finite
+    are ConfigErrors, raised before any step.
     """
     vs, mm, model = components.vs, components.mm, components.model
     if vs.d != 2:
@@ -341,13 +341,17 @@ def measure_viscosity(components: ComponentBundle, N: int,
     if N < analysis.MIN_NODES_PER_AXIS:
         raise ConfigError(f"key 'viscosity_n': need at least "
                           f"{analysis.MIN_NODES_PER_AXIS} nodes, got {N}")
-    dx = components.length / N
-    k = 2.0 * np.pi / components.length
+    dx = 1.0 / N
+    k = 2.0 * np.pi
     dt = dx / mm.lam
     per_step = k * k * dt
     if not (math.isfinite(per_step) and per_step > 0.0):
-        raise ConfigError(f"key 'length': k**2 dt = {per_step!r} is not finite and > 0")
+        raise ConfigError(f"key 'lambda': k**2 dt = {per_step!r} is not finite and > 0")
     params = SchemeParams(dx=dx, dt=dt, s=np.full(vs.J - vs.d, s_shear))
+    nu_predicted = model.cs2 * dt * (1.0 / s_shear - 0.5)
+    if not math.isfinite(nu_predicted):
+        raise ConfigError(f"key 'viscosity_s': cs2 dt (1/s - 1/2) = {nu_predicted!r} "
+                          f"is not finite at s = {s_shear!r}")
     eigval, v = _shear_eigenpair(components, params, k)
     a = -1j * SHEAR_WAVE_AMPLITUDE / (mm.M @ v)[mm.names.index("momentum_y")]
     wave = np.real(a * np.exp(1j * k * dx * np.arange(N))[:, None] * v)
@@ -367,7 +371,7 @@ def measure_viscosity(components: ComponentBundle, N: int,
     return ViscosityMeasurement(
         s_shear=s_shear, N=N, dx=dx, dt=dt, k=k,
         nu_measured=-slope / (k * k), nu_exact=-math.log(abs(eigval)) / (k * k * dt),
-        nu_predicted=model.cs2 * dt * (1.0 / s_shear - 0.5),
+        nu_predicted=nu_predicted,
         fit_r2=r2, steps=VISCOMETER_STEPS, mass_drift=audit["mass_drift"],
     )
 

@@ -1,10 +1,16 @@
 import csv
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbmlab import errors, scheme, verify
-from lbmlab.cli import EXIT_CONFIG, EXIT_OK, main
+from lbmlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
+from lbmlab.config import _KEYS, STUDY_NAMES
 
 SMALL_VERIFY = """\
 [study]
@@ -60,7 +66,7 @@ def _cli(tmp_path, command, config_text, *extra):
 
 @pytest.mark.parametrize("section, key, value", [
     ("scheme", "lambda", "nan"),
-    ("grid", "length", "inf"),
+    ("equilibrium", "cs2", "inf"),
     ("scheme", "s", "1.5, -inf"),
 ])
 def test_non_finite_value_is_config_error(tmp_path, capsys, section, key, value):
@@ -114,6 +120,11 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
     pytest.param("[initial]\nux_offset = 1e+308\n[grid]\nnx = 16\n", 4,
                  "simulation diverged: non-finite populations at node (0, 0) "
                  "after 0 steps\n", marks=OVERFLOWS),
+    # ragged tables ended in a raw ValueError from numpy
+    ("[lattice]\nvectors = 0; 1,0; -1\n", 3,
+     "construction error: vectors must all have the same dimension\n"),
+    ("[lattice]\nname = d1q3\nhigher_rows = 0,1,1; 1\n", 3,
+     "construction error: higher_rows must have shape (1, 3), got row lengths [3, 1]\n"),
 ])
 def test_run_exit_codes(tmp_path, capsys, config_text, code, stderr):
     got, out = _cli(tmp_path, "run", config_text)
@@ -221,6 +232,7 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
     ("[study]\nviscosity_amplitude = 0.1\n", "viscosity_amplitude", ()),
     ("[scheme]\ndt = 0.015625\n", "dt", ()),
     ("[equilibrium]\nkind = anything\n", "kind", ()),
+    # [grid] has nx alone: ny and length are unknown keys
     ("[lattice]\nname = d1q3\n[grid]\nnx = 16\nny = 5\n[scheme]\nsteps = 2\n", "ny", ()),
     ("[study]\nname = prop9\n", "name", ()),
     (D1Q3_RUN + "[initial]\nrho_amplitude = 0\nux_amplitude = 0\nuy_offset = 0.5\n",
@@ -234,11 +246,22 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
      "viscosity_mode", ("--study", "viscosity")),
     # lambda**2 of the moment basis overflowed into a raw OverflowError
     ("[scheme]\nlambda = 1e+308\n", "lambda", ()),
-    # k**2 underflowed to 0 (a raw ZeroDivisionError) or overflowed (a raw
-    # LinAlgError from the decay fit) in the viscometer
+    # whatever its value, [grid] length is an unknown key
     ("[grid]\nlength = 1e+308\n", "length", ("--study", "viscosity")),
     ("[grid]\nlength = 1e-300\n", "length", ("--study", "all")),
     ("[equilibrium]\ncs2 = 1e200\n", "cs2", ()),
+    # a cs2 <= 0 was a construction error that named no key
+    ("[equilibrium]\ncs2 = -1\n", "cs2", ()),
+    ("[equilibrium]\ncs2 = 0\n", "cs2", ("--study", "prop3")),
+    # run ignored an unstable viscometer rate, and verify named no key
+    ("[study]\nviscosity_s = 2.5\n", "viscosity_s", ()),
+    ("[study]\nviscosity_s = 1.5, 0\n", "viscosity_s", ("--study", "viscosity")),
+    # a given uy_amplitude equal to the 2-D default passed on a 1-D lattice
+    (D1Q3_RUN + "[initial]\nuy_amplitude = 0.001\n", "uy_amplitude", ()),
+    # analyze printed an infinite viscosity, and verify passed with one
+    ("[scheme]\nlambda = 100\ns = 1e-308\n[grid]\nnx = 1\n", "s", ()),
+    ("[study]\nviscosity_s = 5e-324\nviscosity_n = 16\n", "viscosity_s",
+     ("--study", "viscosity")),
 ])
 def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, key,
                                                extra):
@@ -275,3 +298,95 @@ def test_every_error_class_has_its_exit_code():
     classes = {errors.LbmError, *_subclasses(errors.LbmError)}
     assert {cls: cls.exit_code for cls in classes} == expected
     assert all(cls.label for cls in classes)
+
+
+# The config fuzzer.  Values mix the ordinary with the extreme: zero, negative,
+# subnormal, huge and non-finite.  nx, steps, viscosity_n and the ladder are
+# capped, and the keys in CAPPED, whose defaults are not cheap, are always set,
+# so that an example costs milliseconds.
+EXTREMES = (0.0, -1.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308,
+            math.inf, math.nan)
+fuzz_floats = st.sampled_from(EXTREMES) | st.floats(-3.0, 3.0)
+
+
+def _listed(items, sep=","):
+    return items.map(lambda values: sep.join(map(str, values)))
+
+
+FUZZ_VALUES = {
+    ("lattice", "name"): st.sampled_from(["d2q9", "d1q3", "D1Q3", "d3q19"]),
+    ("lattice", "vectors"): st.sampled_from([
+        "0,0; 1,0; 0,1; -1,0; 0,-1", "0; 1; -1", "0,0; 1,0; 1,0", "0,0,0; 1,0,0",
+    ]) | _listed(st.lists(_listed(st.lists(st.integers(-2, 2), min_size=1,
+                                           max_size=2)),
+                          min_size=1, max_size=9), "; "),
+    ("lattice", "higher_rows"): st.sampled_from(["0,1,1,1,1; 0,1,-1,1,-1", "0,1,1"])
+    | _listed(st.lists(_listed(st.lists(fuzz_floats, min_size=1, max_size=5)),
+                       min_size=1, max_size=4), "; "),
+    ("equilibrium", "cs2"): fuzz_floats,
+    ("equilibrium", "weights"): _listed(st.sampled_from([(1 / 3,) + (1 / 6,) * 4,
+                                                          (2 / 3, 1 / 6, 1 / 6)])
+                                        | st.lists(fuzz_floats, min_size=1, max_size=9)),
+    ("scheme", "lambda"): fuzz_floats,
+    ("scheme", "s"): _listed(st.lists(fuzz_floats, min_size=1, max_size=6)),
+    ("scheme", "steps"): st.integers(-1, 8),
+    ("grid", "nx"): st.integers(-1, 32),
+    ("initial", "rho0"): fuzz_floats,
+    ("initial", "rho_amplitude"): fuzz_floats,
+    ("initial", "ux_offset"): fuzz_floats,
+    ("initial", "ux_amplitude"): fuzz_floats,
+    ("initial", "uy_offset"): fuzz_floats,
+    ("initial", "uy_amplitude"): fuzz_floats,
+    ("study", "name"): st.sampled_from([*STUDY_NAMES, "prop9"]),
+    ("study", "resolutions"): st.sampled_from(["8,16,32,64"] * 4
+                                              + ["8,16,32", "0,0,0,0"]),
+    ("study", "coarse_steps"): st.sampled_from([20] * 4 + [19, -1]),
+    ("study", "viscosity_s"): _listed(st.lists(fuzz_floats, min_size=1, max_size=2)),
+    ("study", "viscosity_n"): st.integers(-1, 32),
+}
+CAPPED = {("grid", "nx"), ("study", "resolutions"), ("study", "coarse_steps"),
+          ("study", "viscosity_n")}
+ERROR_CLASSES = (errors.LbmError, *_subclasses(errors.LbmError))
+EXIT_CODES = {EXIT_OK, EXIT_VERIFICATION} | {cls.exit_code for cls in ERROR_CLASSES}
+TOKEN = re.compile(r"[^\s,=()']+")
+
+
+@st.composite
+def fuzz_configs(draw):
+    keys = [(section, key) for section, key, _, _ in _KEYS]
+    chosen = draw(st.sets(st.sampled_from(keys), max_size=4)) | CAPPED
+    sections = {}
+    for section, key in keys:          # canonical order
+        if (section, key) in chosen:
+            value = draw(FUZZ_VALUES[section, key])
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines)
+                   for section, lines in sections.items())
+
+
+def _non_finite_numbers(path):
+    bad = []
+    for token in TOKEN.findall(path.read_text()):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            bad.append(token)
+    return bad
+
+
+@OVERFLOWS
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fuzz_configs())
+def test_fuzzed_config_ends_in_a_documented_exit(config_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.ini"
+        config.write_text(config_text)
+        for command in ("run", "analyze", "verify"):
+            out = Path(tmp) / command
+            code = main([command, "--config", str(config), "--out", str(out), "--quiet"])
+            assert code in EXIT_CODES, (command, code)
+            if code == EXIT_OK and command != "verify":
+                for path in sorted(out.iterdir()):
+                    assert not _non_finite_numbers(path), (command, path.name)

@@ -21,8 +21,8 @@ def _render(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# Raw values for every key except [scheme] lambda, [grid] nx and length,
-# which the strategy below always sets.  [study] values are drawn from their
+# Raw values for every key except [scheme] lambda and [grid] nx, which the
+# strategy below always sets.  cs2 and the [study] values are drawn from their
 # valid ranges: a config is validated as a whole.
 KEY_VALUES = {
     ("lattice", "name"): names,
@@ -30,11 +30,10 @@ KEY_VALUES = {
                                      min_size=1, max_size=4),
     ("lattice", "higher_rows"): st.lists(st.lists(floats, min_size=1, max_size=3),
                                          min_size=1, max_size=3),
-    ("equilibrium", "cs2"): floats,
+    ("equilibrium", "cs2"): positive,
     ("equilibrium", "weights"): st.lists(floats, min_size=1, max_size=9),
     ("scheme", "s"): st.lists(floats, min_size=1, max_size=6),
     ("scheme", "steps"): st.integers(0, 10**6),
-    ("grid", "ny"): st.integers(1, 10**4),
     ("initial", "rho0"): floats,
     ("initial", "rho_amplitude"): floats,
     ("initial", "ux_offset"): floats,
@@ -45,7 +44,8 @@ KEY_VALUES = {
     ("study", "resolutions"): st.builds(lambda n, k: [n * 2**i for i in range(k)],
                                         st.integers(1, 10**4), st.integers(4, 6)),
     ("study", "coarse_steps"): st.integers(20, 10**6),
-    ("study", "viscosity_s"): st.lists(floats, min_size=1, max_size=4),
+    ("study", "viscosity_s"): st.lists(st.floats(0.0, 2.0, exclude_min=True),
+                                       min_size=1, max_size=4),
     ("study", "viscosity_n"): st.integers(1, 10**6),
 }
 
@@ -55,10 +55,8 @@ def config_texts(draw):
     """Config text over a random subset of keys that parse_config accepts."""
     chosen = draw(st.sets(st.sampled_from(sorted(KEY_VALUES))))
     values = {key: draw(KEY_VALUES[key]) for key in chosen}
-    lam, nx, length = draw(positive), draw(st.integers(1, 10**4)), draw(positive)
-    values[("scheme", "lambda")] = lam
-    values[("grid", "nx")] = nx
-    values[("grid", "length")] = length
+    values[("scheme", "lambda")] = draw(positive)
+    values[("grid", "nx")] = draw(st.integers(1, 10**4))
     sections = {}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {_render(value)}")
@@ -108,6 +106,9 @@ def test_unparsable_value_names_its_line(text, line):
     ("[grid]\nnx = 8\n\n[schemes]\ns = 1.5\n", r"unknown section \[schemes\]", 4),
     ("[grid]\nnx = 8\nnz = 8\n", r"unknown key 'nz' in section \[grid\]", 3),
     ("[grid]\nNZ = 8\n", r"unknown key 'nz' in section \[grid\]", 2),
+    # every grid is nx x nx nodes on a unit domain
+    ("[grid]\nnx = 8\nny = 8\n", r"unknown key 'ny' in section \[grid\]", 3),
+    ("[grid]\nlength = 2\n", r"unknown key 'length' in section \[grid\]", 2),
     ("[initial]\nname = sine\n", r"unknown key 'name' in section \[initial\]", 2),
     ("[scheme]\nsteps = 3\ndt = 0.015625\n", r"unknown key 'dt' in section \[scheme\]", 3),
     ("[equilibrium]\nkind = anything\n",

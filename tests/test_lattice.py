@@ -44,6 +44,11 @@ def test_rank_deficient_rejected():
         lb.build_velocity_set([(0, 0), (1, 0), (-1, 0)])
 
 
+def test_ragged_vectors_rejected():
+    with pytest.raises(InvalidVelocitySet, match="same dimension"):
+        lb.build_velocity_set([(0,), (1, 2), (-1,)])
+
+
 def test_3d_rejected():
     with pytest.raises(InvalidVelocitySet):
         lb.build_velocity_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -87,6 +92,12 @@ class TestMomentMatrix:
         vs = lb.build_velocity_set("d1q3")
         with pytest.raises(ShapeError):
             lb.build_moment_matrix(vs, 1.0, higher_rows=[[1.0, 2.0]])
+
+    def test_ragged_higher_rows_rejected(self):
+        vs = lb.build_velocity_set("d2q9")
+        rows = [[1.0] * 9] * 5 + [[1.0]]
+        with pytest.raises(ShapeError):
+            lb.build_moment_matrix(vs, 1.0, higher_rows=rows)
 
     def test_custom_higher_rows_used(self):
         vs = lb.build_velocity_set("d1q3")
