@@ -286,12 +286,16 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
             f"key 's': expected 1 or {n_relaxed} relaxation ratios, got {len(cfg.s)}"
         )
     params = SchemeParams(dx=dx, dt=dx / cfg.lam, s=s)
-    # pde_report prints mu_k = dt (1/s_k - 1/2) and the viscosity cs2 dt (1/s_k - 1/2)
-    for sk in cfg.s:
-        rate = 1.0 / sk - 0.5
-        if not (math.isfinite(params.dt * rate) and math.isfinite(cs2 * params.dt * rate)):
-            raise ConfigError(f"key 's': dt (1/s - 1/2) or cs2 times it is not finite "
-                              f"at s = {sk!r}")
+    # pde_report prints mu_k = dt (1/s_k - 1/2) and the viscosity cs2 dt (1/s_k - 1/2),
+    # and the viscometer predicts the latter on its own grid: every case is
+    # checked here, before anything steps
+    for key, dt, ratios in (("s", params.dt, cfg.s),
+                            ("viscosity_s", 1.0 / cfg.viscosity_n / cfg.lam, cfg.viscosity_s)):
+        for sk in ratios:
+            rate = 1.0 / sk - 0.5
+            if not (math.isfinite(dt * rate) and math.isfinite(cs2 * dt * rate)):
+                raise ConfigError(f"key '{key}': dt (1/s - 1/2) or cs2 times it is not "
+                                  f"finite at s = {sk!r}")
     field = build_field(cfg, vs.d)
     return ComponentBundle(vs=vs, mm=mm, model=model, params=params,
                            grid_shape=(cfg.nx,) * vs.d, field=field)

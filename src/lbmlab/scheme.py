@@ -10,10 +10,11 @@ population, never by interpolation, so transport is exact: the CFL number is
 
 Both kernels compute on population-major storage, one row of nodes per
 population (Wittmann et al., Comput. Math. Appl. 65 (2013)), so ``run``
-steps without copying between layouts; see ``SchemeState``.  ``run``
-allocates that storage once per call: two (J+1, nodes) buffers that
-``collide`` and ``stream`` write in turn, and the chunk scratch of
-``collide``, which sweeps the nodes in blocks of at most ``CHUNK_NODES``.
+steps without copying between layouts and returns the state that the last
+``stream`` wrote; see ``SchemeState``.  ``run`` allocates that storage once
+per call: two (J+1, nodes) buffers that ``collide`` and ``stream`` write in
+turn, and the chunk scratch of ``collide``, which sweeps the nodes in blocks
+of at most ``CHUNK_NODES``.  ``step`` is ``run`` for one step.
 """
 
 from __future__ import annotations
@@ -82,14 +83,12 @@ class SchemeParams:
 class SchemeState:
     """Populations on a periodic grid plus an integer step counter.
 
-    ``f`` has shape (*grid_shape, J+1) in every state.  Its memory order
-    depends on who made it: ``initialize_equilibrium``, ``step``, ``run`` and
-    ``load_checkpoint`` return C-contiguous node-major arrays (the J+1
-    populations of a node are adjacent), which is what flat sums and the CSV
-    writers read.  ``collide`` and ``stream`` return a view of C-contiguous
+    ``f`` has shape (*grid_shape, J+1) in every state; its memory order is
+    not part of the contract, and every kernel accepts either order.
+    ``collide``, ``stream``, ``step`` and ``run`` return a view of
     population-major storage of shape (J+1, nodes), so a run of them makes no
-    copy between layouts; both accept either order.  Time is tracked as an
-    integer count so long runs accumulate no floating-point drift in t.
+    copy between layouts.  Time is tracked as an integer count so long runs
+    accumulate no floating-point drift in t.
     """
 
     f: np.ndarray
@@ -164,13 +163,6 @@ def _populations_first(f: np.ndarray) -> np.ndarray:
 def _populations_last(storage: np.ndarray) -> np.ndarray:
     """(*grid, J+1) view of storage of shape (J+1, *grid)."""
     return storage.transpose(*range(1, storage.ndim), 0)
-
-
-def _node_major(state: SchemeState) -> SchemeState:
-    """``state`` itself if its populations are C-contiguous, else a C-contiguous copy."""
-    if state.f.flags.c_contiguous:
-        return state
-    return SchemeState(f=np.ascontiguousarray(state.f), steps=state.steps)
 
 
 @functools.lru_cache(maxsize=32)
@@ -297,23 +289,10 @@ def stream(state: SchemeState, vs: VelocitySet, out=None) -> SchemeState:
     return SchemeState(f=_populations_last(dest), steps=state.steps)
 
 
-def _advance(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
-             model: EquilibriumModel, params: SchemeParams, collided=None,
-             scratch=None, streamed=None) -> SchemeState:
-    # looked up on the module at every call, where bench/tracing.py counts them;
-    # the buffers go positionally, so a wrapper that forwards *args passes them on
-    new = stream(collide(state, mm, model, params, collided, scratch), vs, streamed)
-    new.steps = state.steps + 1
-    return new
-
-
 def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
          model: EquilibriumModel, params: SchemeParams) -> SchemeState:
-    """One full update: collision then streaming; advances the step counter.
-
-    The result is node-major, as ``run``'s.
-    """
-    return _node_major(_advance(state, vs, mm, model, params))
+    """One full update: collision then streaming; advances the step counter."""
+    return run(state, 1, vs, mm, model, params)
 
 
 def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
@@ -323,26 +302,25 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
 
     All large storage is allocated once, before the first step: ``collide``
     writes one (J+1, nodes) buffer, ``stream`` writes it back into a second,
-    and ``collide``'s block scratch is reused every step.  The populations
-    are made node-major once, into the collision buffer, which is free after
-    the last step.  The input is never written, and the result shares no
-    memory with it; zero steps return ``state`` itself when it is node-major.
+    and ``collide``'s block scratch is reused every step.  The result is the
+    state that the last ``stream`` wrote, a (*grid, J+1) view of the second
+    buffer.  The input is never written, and the result shares no memory
+    with it; zero steps return ``state`` itself.
     """
-    if n_steps < 1:
-        state = _node_major(state)
-        check_finite(state)
-        return state
-    nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-    collided = np.empty((nj, nodes))
-    streamed = np.empty((nj, nodes))
-    scratch = _collide_scratch(nj, nodes)
-    for i in range(n_steps):
-        state = _advance(state, vs, mm, model, params, collided, scratch, streamed)
-        if (i + 1) % CHECK_INTERVAL == 0 or i + 1 == n_steps:
+    if n_steps > 0:
+        nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
+        collided = np.empty((nj, nodes))
+        streamed = np.empty((nj, nodes))
+        scratch = _collide_scratch(nj, nodes)
+    for i in range(1, n_steps + 1):
+        # looked up on the module at every call, where bench/tracing.py counts them;
+        # the buffers go positionally, so a wrapper that forwards *args passes them on
+        state = stream(collide(state, mm, model, params, collided, scratch), vs, streamed)
+        state.steps += 1
+        if i % CHECK_INTERVAL == 0 and i < n_steps:
             check_finite(state)
-    f = collided.reshape(state.f.shape)
-    f[...] = state.f
-    return SchemeState(f=f, steps=state.steps)
+    check_finite(state)
+    return state
 
 
 def check_finite(state: SchemeState) -> None:

@@ -210,18 +210,37 @@ def test_viscosity_csv_has_one_finite_row_per_s(tmp_path):
     assert abs(float(rows[1]["nu_exact"])) < 1e-12
 
 
+# s = 5e-324 predicts an infinite viscosity; only verify --study viscosity
+# rejected it, and only after the s = 1.5 case had stepped
+INFINITE_NU = ("[grid]\nnx = 16\n[scheme]\nsteps = 2\n"
+               "[study]\nviscosity_s = 1.5, 5e-324\nviscosity_n = 16\n")
+
+
 def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypatch):
     steps = []
     step = verify.step
     monkeypatch.setattr(verify, "step", lambda *args: steps.append(1) or step(*args))
-    # the grid is checked before the first case steps, whichever s comes first
-    for cases in ("", "viscosity_s = 2.0, 1.2\n"):
-        code, _ = _cli(tmp_path, "verify", "[study]\nviscosity_n = 4\n" + cases,
-                       "--study", "viscosity")
+    # the grid and every s are checked before the first case steps, whichever
+    # s comes first
+    for config_text, key in (("[study]\nviscosity_n = 4\n", "viscosity_n"),
+                             ("[study]\nviscosity_n = 4\nviscosity_s = 2.0, 1.2\n",
+                              "viscosity_n"),
+                             (INFINITE_NU, "viscosity_s")):
+        code, _ = _cli(tmp_path, "verify", config_text, "--study", "viscosity")
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: key 'viscosity_n': ")
+        assert err.startswith(f"config error: key '{key}': ")
     assert not steps
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", ()), ("analyze", ()), ("verify", ("--study", "prop3"))])
+def test_infinite_predicted_viscosity_fails_every_command(tmp_path, capsys, command,
+                                                         extra):
+    code, out = _cli(tmp_path, command, INFINITE_NU, *extra)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: key 'viscosity_s': ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config_text, key, extra", [

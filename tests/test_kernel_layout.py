@@ -7,6 +7,9 @@ input is stored in.  The agreement rests on BLAS forming the dot products of
 ``M @ f`` exactly as those of ``f @ M.T``, so this file also pins that.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -95,20 +98,52 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("lattice, lam, s, grid, steps", CASES,
-                         ids=[f"{c[0]}-{'x'.join(map(str, c[3]))}-s{len(c[2])}"
-                              for c in CASES])
-def test_run_matches_node_major_reference_bitwise(lattice, lam, s, grid, steps):
+# the cases whose grids collide in more than one block
+MULTI_BLOCK = [c for c in CASES if math.prod(c[3]) > lbmlab.scheme.CHUNK_NODES]
+
+
+def case_ids(cases):
+    return [f"{c[0]}-{'x'.join(map(str, c[3]))}-s{len(c[2])}" for c in cases]
+
+
+def case_setup(lattice, lam, s, grid):
+    """Components, parameters and the initial state of a case."""
     vs, mm, model = components(lattice, lam)
     dx = 1.0 / grid[0]
     s = np.broadcast_to(np.asarray(s), (vs.J - vs.d,)).copy()
     params = lb.SchemeParams(dx=dx, dt=dx / lam, s=s)
-    state = sine_state(vs, model, grid, dx)
+    return (vs, mm, model, params), sine_state(vs, model, grid, dx)
+
+
+@functools.cache
+def reference_run(lattice, lam, s, grid, steps):
+    """Populations of a case after ``steps`` reference steps, shared by the tests."""
+    (vs, mm, model, params), state = case_setup(lattice, lam, s, grid)
     f = state.f
     for _ in range(steps):
-        f = reference_stream(reference_collide(f, mm, model, s), vs)
-    out = lb.run(state, steps, vs, mm, model, params)
-    assert np.array_equal(out.f, f)
+        f = reference_stream(reference_collide(f, mm, model, params.s), vs)
+    return f
+
+
+@pytest.mark.parametrize("lattice, lam, s, grid, steps", CASES, ids=case_ids(CASES))
+def test_run_matches_node_major_reference_bitwise(lattice, lam, s, grid, steps):
+    args, state = case_setup(lattice, lam, s, grid)
+    out = lb.run(state, steps, *args)
+    assert np.array_equal(out.f, reference_run(lattice, lam, s, grid, steps))
+
+
+@pytest.mark.parametrize("lattice, lam, s, grid, steps", MULTI_BLOCK,
+                         ids=case_ids(MULTI_BLOCK))
+def test_steps_fed_population_major_results_match_reference_bitwise(
+        lattice, lam, s, grid, steps):
+    # every step is fed population-major storage, starting with a copy of the
+    # initial state, then the result of the step before
+    args, state = case_setup(lattice, lam, s, grid)
+    out = lb.SchemeState(f=population_major_copy(state.f))
+    for _ in range(steps):
+        out = lb.step(out, *args)
+    assert np.array_equal(out.f, reference_run(lattice, lam, s, grid, steps))
+    assert out.steps == steps
 
 
 @pytest.mark.parametrize("lattice", ["d2q9", "d1q3", "d2q5"])
@@ -145,20 +180,6 @@ def test_equilibrium_distribution_matches_reference_bitwise(lattice, lam, shape)
     assert feq.shape == shape + (vs.J + 1,)
     assert feq.flags.c_contiguous
     assert np.array_equal(feq, reference_populations(model, W))
-
-
-@pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
-def test_run_and_step_return_node_major_storage(lattice):
-    vs, mm, model = components(lattice, 1.0)
-    grid = (16, 8) if vs.d == 2 else (16,)
-    params = lb.SchemeParams(dx=1 / 16, dt=1 / 16, s=np.full(vs.J - vs.d, 1.4))
-    state = sine_state(vs, model, grid, 1 / 16)
-    for out in (lb.run(state, 5, vs, mm, model, params),
-                lb.step(state, vs, mm, model, params),
-                lb.step(lb.SchemeState(f=population_major_copy(state.f)),
-                        vs, mm, model, params)):
-        assert out.f.shape == grid + (vs.J + 1,)
-        assert out.f.flags.c_contiguous
 
 
 @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])

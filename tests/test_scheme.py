@@ -259,7 +259,7 @@ class TestStepAndRun:
 
     def test_run_peak_memory_is_bounded(self, d2q9):
         # two population buffers and collide's block scratch, allocated once;
-        # the node-major result reuses the collision buffer
+        # the result is a view of the streaming buffer
         vs, mm, model = d2q9
         state, _ = small_state(d2q9, grid=(256, 256))
         params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
