@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConstructionError,
     InvalidVelocitySet,
     LbmError,
     RankDeficient,
@@ -176,10 +177,10 @@ def build_moment_matrix(vs: VelocitySet, lam: float, higher_rows=None) -> Moment
     Rows 0..d are always (1, v^alpha) regardless of input.  Rows d+1..J come
     from ``higher_rows`` (shape (J-d, J+1)) or from the built-in default basis
     of the named set.  Raises SingularMomentMatrix if the result cannot be
-    inverted.
+    inverted, and ConstructionError if ``lam`` is not positive (or is NaN).
     """
     if not lam > 0:
-        raise ValueError(f"velocity scale must be positive, got {lam}")
+        raise ConstructionError(f"velocity scale must be positive, got {lam}")
     d, J = vs.d, vs.J
     v = lam * vs.e.astype(float)
     names: tuple[str, ...]

@@ -14,7 +14,8 @@ steps without copying between layouts and returns the state that the last
 ``stream`` wrote; see ``SchemeState``.  ``run`` allocates that storage once
 per call: two (J+1, nodes) buffers that ``collide`` and ``stream`` write in
 turn, and the chunk scratch of ``collide``, which sweeps the nodes in blocks
-of at most ``CHUNK_NODES``.  ``step`` is ``run`` for one step.
+of at most ``CHUNK_NODES``.  Every buffer the kernels allocate starts on a
+cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ from .lattice import MomentMatrix, VelocitySet
 
 CHECK_INTERVAL = 64
 
+# Bytes in a cache line; the kernels' buffers start on one (``_aligned_empty``).
+CACHE_LINE = 64
+
 # Most nodes ``collide`` works on at a time.  Its scratch for a D2Q9 block of
 # 8,192 nodes is 29 rows of 64 KiB, 1.9 MB, so a block's moments, equilibrium
 # and M f_eq stay in a 2 MiB L2 from the first matmul to the back-transform.
-# On a 2-vCPU Xeon with 2 MiB of L2 per core, a 256x256 D2Q9 step took a
-# median 6.3 ms in blocks of 8,192 nodes, 7.4 ms in blocks of 4,096 or 16,384,
-# 8.1 ms in blocks of 2,048 (interpreter overhead per block) and 8.2 ms in one
-# block of 65,536.
+# On a 2-vCPU Xeon with 2 MiB of L2 per core and every buffer on a cache line,
+# a 256x256 D2Q9 step took a median 5.1 ms in blocks of 8,192 nodes, 6.1 ms in
+# blocks of 4,096, 7.0 ms in blocks of 16,384, 6.6 ms in blocks of 2,048
+# (interpreter overhead per block) and 8.3 ms in one block of 65,536.
 CHUNK_NODES = 8192
 
 
@@ -142,17 +146,18 @@ def _check_scales(mm: MomentMatrix, model: EquilibriumModel, params: SchemeParam
         )
 
 
-def _fail_at_first(bad: np.ndarray, problem: str, when: str, grid,
+def _fail_at_first(bad: np.ndarray, problem: str, when: str, steps: int, grid,
                    offset: int = 0) -> None:
     """Raise SimulationDiverged naming the first node where the mask ``bad`` holds.
 
     ``bad`` covers the nodes offset, offset + 1, ... of ``grid`` in row-major
-    order, whatever its shape.
+    order, whatever its shape.  The message ends in ``when.format(steps)``,
+    formatted only when raising.
     """
-    if np.any(bad):
+    if bad.any():
         first = offset + int(np.argmax(bad))
         node = tuple(int(i) for i in np.unravel_index(first, grid))
-        raise SimulationDiverged(f"{problem} at node {node} {when}")
+        raise SimulationDiverged(f"{problem} at node {node} {when.format(steps)}")
 
 
 def _populations_first(f: np.ndarray) -> np.ndarray:
@@ -180,6 +185,21 @@ def _chunks(nodes: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds, bounds[1:]))
 
 
+def _aligned_empty(size: int) -> np.ndarray:
+    """Uninitialized flat float64 array of ``size`` values whose first value
+    starts on a CACHE_LINE-byte boundary.
+
+    malloc aligns large blocks to 16 bytes only; a buffer that starts mid-line
+    splits every vector load and store of a bandwidth-bound ``collide`` or
+    ``stream`` pass across two lines, which made a D2Q9 step on 256x256 or
+    512x8 nodes up to a third slower.
+    """
+    pad = CACHE_LINE // 8
+    raw = np.empty(size + pad)
+    start = -raw.ctypes.data % CACHE_LINE // 8
+    return raw[start:start + size]
+
+
 def _collide_scratch(nj: int, nodes: int) -> np.ndarray:
     """Flat scratch for ``collide`` on ``nodes`` nodes of nj populations.
 
@@ -189,7 +209,7 @@ def _collide_scratch(nj: int, nodes: int) -> np.ndarray:
     its scratch before M f_eq is formed.
     """
     width = max(stop - start for start, stop in _chunks(nodes))
-    return np.empty((3 * nj + 2) * width)
+    return _aligned_empty((3 * nj + 2) * width)
 
 
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
@@ -201,9 +221,9 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     of ``_chunks`` at a time, with every intermediate of a block in views of
     ``scratch`` (from ``_collide_scratch``) and the back-transform written
     straight into the block's columns of ``out``, a C-contiguous (J+1, nodes)
-    array that must not overlap the input; either is allocated when not
-    given.  The result's ``f`` is a (*grid, J+1) view of ``out`` (see
-    ``SchemeState``).
+    array that must not overlap the input; either is allocated, on a cache
+    line, when not given.  The result's ``f`` is a (*grid, J+1) view of
+    ``out`` (see ``SchemeState``).
     """
     _check_scales(mm, model, params)
     nc = mm.d + 1
@@ -221,7 +241,7 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     src = _populations_first(f).reshape(nj, -1)
     nodes = src.shape[1]
     if out is None:
-        out = np.empty((nj, nodes))
+        out = _aligned_empty(nj * nodes).reshape(nj, nodes)
     if scratch is None:
         scratch = _collide_scratch(nj, nodes)
     s = params.s[:, None]
@@ -231,8 +251,8 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         f_eq = scratch[size:2 * size].reshape(nj, -1)
         rest = scratch[2 * size:]
         np.matmul(mm.M, src[:, start:stop], out=m)
-        _fail_at_first(m[0] <= 0.0, "non-positive density",
-                       f"entering step {state.steps + 1}", grid, start)
+        _fail_at_first(m[0] <= 0.0, "non-positive density", "entering step {}",
+                       state.steps + 1, grid, start)
         # All of M, not M[nc:]: with one relaxed row numpy would take a
         # matrix-vector product, whose sums may round differently from f @ M.T's.
         m_eq = np.matmul(mm.M, _populations(model, m[:nc], f_eq, rest),
@@ -280,7 +300,7 @@ def stream(state: SchemeState, vs: VelocitySet, out=None) -> SchemeState:
     grid = f.shape[:-1]
     src = _populations_first(f)
     if out is None:
-        out = np.empty((vs.J + 1, math.prod(grid)))
+        out = _aligned_empty((vs.J + 1) * math.prod(grid))
     dest = out.reshape(vs.J + 1, *grid)
     plan = _stream_plan(tuple(map(tuple, vs.e.tolist())), grid)
     for dest_j, src_j, blocks in zip(dest, src, plan):
@@ -300,17 +320,18 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     """Apply n_steps full updates, checking for divergence every
     CHECK_INTERVAL steps and after the last (or, for zero steps, the input).
 
-    All large storage is allocated once, before the first step: ``collide``
-    writes one (J+1, nodes) buffer, ``stream`` writes it back into a second,
-    and ``collide``'s block scratch is reused every step.  The result is the
-    state that the last ``stream`` wrote, a (*grid, J+1) view of the second
-    buffer.  The input is never written, and the result shares no memory
-    with it; zero steps return ``state`` itself.
+    All large storage is allocated once, before the first step, each buffer
+    starting on a cache line: ``collide`` writes one (J+1, nodes) buffer,
+    ``stream`` writes it back into a second, and ``collide``'s block scratch
+    is reused every step.  The result is the state that the last ``stream``
+    wrote, a (*grid, J+1) view of the second buffer.  The input is never
+    written, and the result shares no memory with it; zero steps return
+    ``state`` itself.
     """
     if n_steps > 0:
         nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-        collided = np.empty((nj, nodes))
-        streamed = np.empty((nj, nodes))
+        collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
+        streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
         scratch = _collide_scratch(nj, nodes)
     for i in range(1, n_steps + 1):
         # looked up on the module at every call, where bench/tracing.py counts them;
@@ -326,7 +347,7 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
 def check_finite(state: SchemeState) -> None:
     """Raise SimulationDiverged naming the first node with a non-finite population."""
     _fail_at_first(~np.isfinite(state.f).all(axis=-1), "non-finite populations",
-                   f"after {state.steps} steps", state.grid_shape)
+                   "after {} steps", state.steps, state.grid_shape)
 
 
 def total_mass(state: SchemeState) -> float:

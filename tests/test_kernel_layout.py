@@ -146,6 +146,50 @@ def test_steps_fed_population_major_results_match_reference_bitwise(
     assert out.steps == steps
 
 
+def test_kernel_storage_starts_on_a_cache_line():
+    for size in [*range(1, 40), 4096, 8192 * 29, 9 * 97 * 91]:
+        flat = lbmlab.scheme._aligned_empty(size)
+        assert flat.shape == (size,) and flat.dtype == np.float64
+        assert flat.ctypes.data % 64 == 0
+    for lattice, grid in [("d2q9", (97, 91)), ("d2q9", (16, 8)), ("d1q3", (33,))]:
+        args, state = case_setup(lattice, 1.0, (1.3,), grid)
+        vs, mm, model, params = args
+        nj, nodes = vs.J + 1, math.prod(grid)
+        assert lb.run(state, 2, *args).f.ctypes.data % 64 == 0
+        assert lbmlab.scheme._collide_scratch(nj, nodes).ctypes.data % 64 == 0
+        assert lb.collide(state, mm, model, params).f.ctypes.data % 64 == 0
+        assert lb.stream(state, vs).f.ctypes.data % 64 == 0
+
+
+# a multi-block case and an N x 8 case
+OFF_LINE_CASES = [c for c in CASES if c[3] in ((97, 91), (64, 8)) and c[0] == "d2q9"]
+
+
+@pytest.mark.parametrize("offset", [8, 16, 48])
+@pytest.mark.parametrize("lattice, lam, s, grid, steps", OFF_LINE_CASES,
+                         ids=case_ids(OFF_LINE_CASES))
+def test_kernels_bitwise_on_storage_off_a_cache_line(lattice, lam, s, grid, steps,
+                                                     offset):
+    # where a buffer starts may change speed, never a result
+    args, state = case_setup(lattice, lam, s, grid)
+    vs, mm, model, params = args
+    nj, nodes = vs.J + 1, math.prod(grid)
+
+    def off_line(size):
+        flat = lbmlab.scheme._aligned_empty(size + offset // 8)[offset // 8:]
+        assert flat.ctypes.data % 64 == offset
+        return flat
+
+    collided = off_line(nj * nodes).reshape(nj, nodes)
+    streamed = off_line(nj * nodes).reshape(nj, nodes)
+    scratch = off_line(lbmlab.scheme._collide_scratch(nj, nodes).size)
+    for _ in range(3):
+        state = lb.stream(lb.collide(state, mm, model, params, collided, scratch),
+                          vs, streamed)
+        state.steps += 1
+    assert np.array_equal(state.f, reference_run(lattice, lam, s, grid, 3))
+
+
 @pytest.mark.parametrize("lattice", ["d2q9", "d1q3", "d2q5"])
 def test_kernels_match_reference_in_either_layout(lattice):
     vs, mm, model = components(lattice, 1.3)

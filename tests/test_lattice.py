@@ -3,6 +3,7 @@ import pytest
 
 import lbmlab as lb
 from lbmlab.errors import (
+    ConstructionError,
     InvalidVelocitySet,
     RankDeficient,
     ShapeError,
@@ -108,8 +109,9 @@ class TestMomentMatrix:
 
     def test_nonpositive_lambda_rejected(self):
         vs = lb.build_velocity_set("d1q3")
-        with pytest.raises(ValueError):
-            lb.build_moment_matrix(vs, 0.0)
+        for lam in (0.0, float("nan")):
+            with pytest.raises(ConstructionError, match="velocity scale must be positive"):
+                lb.build_moment_matrix(vs, lam)
 
     def test_lambda_scaling(self):
         vs = lb.build_velocity_set("d2q9")
