@@ -46,8 +46,6 @@ from .scheme import (
     save_checkpoint,
     step,
     stream,
-    total_mass,
-    total_momentum,
 )
 from .verify import (
     StudyOutcome,

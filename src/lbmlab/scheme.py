@@ -16,6 +16,16 @@ per call: two (J+1, nodes) buffers that ``collide`` and ``stream`` write in
 turn, and the chunk scratch of ``collide``, which sweeps the nodes in blocks
 of at most ``CHUNK_NODES``.  Every buffer the kernels allocate starts on a
 cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
+
+Collision is node-local and streaming a permutation per population, so a
+``run`` call of at least two blocks and two steps may step on two processes:
+this one sweeps the first half of the blocks and streams the first half of
+the populations, a forked worker the second halves, through the same
+``_sweep`` and ``_stream_rows``, on buffers in one shared mapping.  A spin
+barrier on two shared counters separates the phases (correct under x86-64's
+total store order; elsewhere ``run`` stays serial), each process is pinned
+to its own CPU, and one CPU, no ``os.fork`` or a one-block grid means one
+process.  The results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -101,9 +111,6 @@ class SchemeState:
     @property
     def grid_shape(self) -> tuple[int, ...]:
         return self.f.shape[:-1]
-
-    def time(self, dt: float) -> float:
-        return self.steps * dt
 
 
 def initialize_equilibrium(model: EquilibriumModel, vs: VelocitySet, W) -> SchemeState:
@@ -213,7 +220,7 @@ def _collide_scratch(nj: int, nodes: int) -> np.ndarray:
 
 
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
-            params: SchemeParams, out=None, scratch=None) -> SchemeState:
+            params: SchemeParams, out=None, scratch=None, *, team=None) -> SchemeState:
     """Node-local relaxation in moment space; conserved moments are copied.
 
     m*_k = m_k for k <= d, m*_k = m_k - s_k (m_k - m_eq,k) otherwise, then
@@ -223,10 +230,10 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     straight into the block's columns of ``out``, a C-contiguous (J+1, nodes)
     array that must not overlap the input; either is allocated, on a cache
     line, when not given.  The result's ``f`` is a (*grid, J+1) view of
-    ``out`` (see ``SchemeState``).
+    ``out`` (see ``SchemeState``).  ``team`` is ``run``'s private
+    ``_team.Team``, whose worker sweeps the second half of the blocks.
     """
     _check_scales(mm, model, params)
-    nc = mm.d + 1
     if params.s.shape[0] != mm.J - mm.d:
         raise ShapeError(
             f"expected {mm.J - mm.d} relaxation ratios, got {params.s.shape[0]}"
@@ -244,15 +251,36 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         out = _aligned_empty(nj * nodes).reshape(nj, nodes)
     if scratch is None:
         scratch = _collide_scratch(nj, nodes)
+    if team is None:
+        _sweep(src, out, scratch, _chunks(nodes), mm, model, params, state.steps, grid)
+    else:
+        own, theirs = team.blocks
+        team.go()
+        _sweep(src, out, scratch, own, mm, model, params, state.steps, grid)
+        if team.join():
+            # the worker's blocks failed: sweep them here, from the same source,
+            # to raise what a serial sweep raises
+            _sweep(src, out, scratch, theirs, mm, model, params, state.steps, grid)
+    return SchemeState(f=_populations_last(out.reshape(nj, *grid)), steps=state.steps)
+
+
+def _sweep(src, out, scratch, blocks, mm: MomentMatrix, model: EquilibriumModel,
+           params: SchemeParams, steps: int, grid) -> None:
+    """Collide the (start, stop) column ``blocks`` of ``src``, a (J+1, nodes)
+    view of the populations after ``steps`` steps on ``grid``, into the same
+    columns of ``out``; the body of ``collide``, which both processes of a
+    ``_team.Team`` call on their own blocks."""
+    nc = mm.d + 1
+    nj = src.shape[0]
     s = params.s[:, None]
-    for start, stop in _chunks(nodes):
+    for start, stop in blocks:
         size = nj * (stop - start)
         m = scratch[:size].reshape(nj, -1)
         f_eq = scratch[size:2 * size].reshape(nj, -1)
         rest = scratch[2 * size:]
         np.matmul(mm.M, src[:, start:stop], out=m)
         _fail_at_first(m[0] <= 0.0, "non-positive density", "entering step {}",
-                       state.steps + 1, grid, start)
+                       steps + 1, grid, start)
         # All of M, not M[nc:]: with one relaxed row numpy would take a
         # matrix-vector product, whose sums may round differently from f @ M.T's.
         m_eq = np.matmul(mm.M, _populations(model, m[:nc], f_eq, rest),
@@ -263,7 +291,6 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         relaxed *= s
         m[nc:] -= relaxed
         np.matmul(mm.M_inv, m, out=out[:, start:stop])
-    return SchemeState(f=_populations_last(out.reshape(nj, *grid)), steps=state.steps)
 
 
 def _shifted_blocks(shift: int, n: int):
@@ -285,14 +312,16 @@ def _stream_plan(rows: tuple, grid: tuple) -> tuple:
     )
 
 
-def stream(state: SchemeState, vs: VelocitySet, out=None) -> SchemeState:
+def stream(state: SchemeState, vs: VelocitySet, out=None, *, team=None) -> SchemeState:
     """Advect every population one lattice link: f_j(x) <- f_j(x - e_j).
 
     Each population is copied as at most 2^d periodic blocks, a permutation
     of storage with no arithmetic, so transported values are bit-identical.
     The blocks are written to ``out``, a C-contiguous (J+1, nodes) array
     that must not overlap the input (allocated when not given), and the
-    result's ``f`` is a (*grid, J+1) view of it.
+    result's ``f`` is a (*grid, J+1) view of it.  ``team`` is ``run``'s
+    private ``_team.Team``, whose worker streams the second half of the
+    populations.
     """
     f = state.f
     if f.shape[-1] != vs.J + 1:
@@ -302,11 +331,25 @@ def stream(state: SchemeState, vs: VelocitySet, out=None) -> SchemeState:
     if out is None:
         out = _aligned_empty((vs.J + 1) * math.prod(grid))
     dest = out.reshape(vs.J + 1, *grid)
-    plan = _stream_plan(tuple(map(tuple, vs.e.tolist())), grid)
-    for dest_j, src_j, blocks in zip(dest, src, plan):
-        for to, from_ in blocks:
-            dest_j[to] = src_j[from_]
+    if team is None:
+        _stream_rows(vs, dest, src, range(vs.J + 1))
+    else:
+        team.go()
+        _stream_rows(vs, dest, src, team.rows[0])
+        team.join()
     return SchemeState(f=_populations_last(dest), steps=state.steps)
+
+
+def _stream_rows(vs: VelocitySet, dest, src, rows) -> None:
+    """Stream the populations j in ``rows`` of ``src``, (J+1, *grid), into
+    ``dest``; the body of ``stream``, which both processes of a
+    ``_team.Team`` call on their own rows."""
+    grid = src.shape[1:]
+    plan = _stream_plan(tuple(map(tuple, vs.e.tolist())), grid)
+    for j in rows:
+        dest_j, src_j = dest[j], src[j]
+        for to, from_ in plan[j]:
+            dest_j[to] = src_j[from_]
 
 
 def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
@@ -327,20 +370,46 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     wrote, a (*grid, J+1) view of the second buffer.  The input is never
     written, and the result shares no memory with it; zero steps return
     ``state`` itself.
+
+    With at least two blocks of ``_chunks`` and two steps, on x86-64, with
+    ``os.fork`` and at least two CPUs in ``os.sched_getaffinity(0)``, the call
+    steps on two processes (``_team``): the two buffers are then one shared
+    mapping, this process collides the first half of the blocks and streams
+    the first half of the populations, a forked worker the second halves,
+    and a spin barrier separates the phases.  Each process is pinned to its
+    own CPU for the call.  The result is bit-identical to one process's.  On
+    every way out, the worker is reaped and this process's CPU mask restored.
     """
-    if n_steps > 0:
-        nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-        collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
-        streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
-        scratch = _collide_scratch(nj, nodes)
-    for i in range(1, n_steps + 1):
-        # looked up on the module at every call, where bench/tracing.py counts them;
-        # the buffers go positionally, so a wrapper that forwards *args passes them on
-        state = stream(collide(state, mm, model, params, collided, scratch), vs, streamed)
-        state.steps += 1
-        if i % CHECK_INTERVAL == 0 and i < n_steps:
-            check_finite(state)
-    check_finite(state)
+    team = None
+    try:
+        if n_steps > 0:
+            nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
+            # forking and reaping cost about one step's saving; the block count
+            # is the cheap test, and every N x 8 grid of verify is one block
+            if n_steps > 1 and len(_chunks(nodes)) > 1:
+                from ._team import team_for
+
+                team = team_for(state, vs, mm, model, params)
+            if team is None:
+                collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
+                streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
+            else:
+                collided, streamed = team.collided, team.streamed
+            scratch = _collide_scratch(nj, nodes)
+        for i in range(1, n_steps + 1):
+            # looked up on the module at every call, where bench/tracing.py counts
+            # them; the buffers go positionally and the team by keyword, so a
+            # wrapper that forwards *args and **kwargs passes them on
+            state = stream(
+                collide(state, mm, model, params, collided, scratch, team=team),
+                vs, streamed, team=team)
+            state.steps += 1
+            if i % CHECK_INTERVAL == 0 and i < n_steps:
+                check_finite(state)
+        check_finite(state)
+    finally:
+        if team is not None:
+            team.close()
     return state
 
 

@@ -9,12 +9,19 @@ input is stored in.  The agreement rests on BLAS forming the dot products of
 
 import functools
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lbmlab as lb
+import lbmlab._team
 import lbmlab.scheme
+from lbmlab.errors import LbmError, SimulationDiverged
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.scheme import relax_update
 
@@ -229,19 +236,181 @@ def test_equilibrium_distribution_matches_reference_bitwise(lattice, lam, shape)
 @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
 def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
     # the benchmark counts node updates as f.size // f.shape[-1] over the
-    # calls of lbmlab.scheme.collide; a run that bypassed it would read 0
+    # calls of lbmlab.scheme.collide; a run that bypassed it would read 0.
+    # The second grid is more than one block, where run steps on two
+    # processes wherever it may
     vs, mm, model = components(lattice, 1.0)
-    grid = (16, 8) if vs.d == 2 else (16,)
-    params = lb.SchemeParams(dx=1 / 16, dt=1 / 16, s=np.full(vs.J - vs.d, 1.4))
-    state = sine_state(vs, model, grid, 1 / 16)
     seen = []
     collide = lbmlab.scheme.collide
 
-    def counting(state, *args):
+    def counting(state, *args, **kwargs):
         seen.append((state.f.shape[-1], state.f.size // state.f.shape[-1]))
-        return collide(state, *args)
+        return collide(state, *args, **kwargs)
 
     monkeypatch.setattr(lbmlab.scheme, "collide", counting)
     n = 70
-    lb.run(state, n, vs, mm, model, params)
-    assert seen == [(vs.J + 1, int(np.prod(grid)))] * n
+    for grid in [(16, 8), (97, 91)] if vs.d == 2 else [(16,), (20001,)]:
+        params = lb.SchemeParams(dx=1 / grid[0], dt=1 / grid[0],
+                                 s=np.full(vs.J - vs.d, 1.4))
+        state = sine_state(vs, model, grid, 1 / grid[0])
+        seen.clear()
+        lb.run(state, n, vs, mm, model, params)
+        assert seen == [(vs.J + 1, int(np.prod(grid)))] * n
+
+
+# the CPUs this process may run on; run restores its mask on every way out
+CPUS = os.sched_getaffinity(0)
+
+
+def two_cpus():
+    if len(CPUS) < 2:
+        pytest.skip("this process may run on one CPU only, so run steps on one process")
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(CPUS)})
+
+
+def counting_forks(monkeypatch):
+    """A list that gains one entry per os.fork call in this process."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == CPUS
+
+
+@pytest.mark.parametrize("lattice, lam, s, grid, steps", MULTI_BLOCK,
+                         ids=case_ids(MULTI_BLOCK))
+def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypatch):
+    args, state = case_setup(lattice, lam, s, grid)
+    expected = reference_run(lattice, lam, s, grid, steps)
+    with monkeypatch.context() as patch:
+        one_cpu(patch)
+        forks = counting_forks(patch)
+        assert np.array_equal(lb.run(state, steps, *args).f, expected)
+        assert forks == []
+    two_cpus()
+    forks = counting_forks(monkeypatch)
+    assert np.array_equal(lb.run(state, steps, *args).f, expected)
+    assert forks == [1]
+    assert_no_worker_left()
+
+
+def test_one_step_or_one_block_stays_on_one_process(monkeypatch):
+    forks = counting_forks(monkeypatch)
+    for grid, steps in [((97, 91), 1), ((64, 8), 5)]:
+        args, state = case_setup("d2q9", 1.0, (1.3,), grid)
+        lb.run(state, steps, *args)
+    assert forks == []
+
+
+def failing_run(state, args, steps, monkeypatch, serial):
+    """The message of the SimulationDiverged that run raises, on one process
+    or, where it may, on two, and the number of forks it made."""
+    with monkeypatch.context() as patch:
+        if serial:
+            one_cpu(patch)
+        forks = counting_forks(patch)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(SimulationDiverged) as failure:
+            lb.run(state, steps, *args)
+    assert_no_worker_left()
+    return str(failure.value), len(forks)
+
+
+def in_workers_blocks(message, grid):
+    """True if the node that ``message`` names is in the blocks of ``grid``
+    that the worker sweeps, the second half."""
+    node = re.search(r"at node \(([\d, ]+)\)", message)[1].split(",")
+    blocks = lbmlab.scheme._chunks(math.prod(grid))
+    first = blocks[len(blocks) // 2][0]
+    return np.ravel_multi_index(tuple(map(int, node)), grid) >= first
+
+
+@pytest.mark.parametrize("start_step", [0, 41])
+def test_non_positive_density_in_the_workers_blocks_names_the_serial_node(
+        start_step, monkeypatch):
+    # uniform rest except one node of the worker's blocks, of density 100 moving at
+    # lam along x, whose equilibrium streams negative mass to (90, 44) and
+    # (90, 46): the second step fails on the worker's side, reading the
+    # shared buffer the first step streamed into
+    two_cpus()
+    grid = (97, 91)
+    (vs, mm, model, params), _ = case_setup("d2q9", 1.0, (1.0,), grid)
+    W = np.zeros(grid + (3,))
+    W[..., 0] = 1.0
+    W[90, 45] = (100.0, 100.0, 0.0)
+    state = lb.initialize_equilibrium(model, vs, W)
+    state.steps = start_step
+    args = (vs, mm, model, params)
+    serial, _ = failing_run(state, args, 5, monkeypatch, serial=True)
+    assert serial == ("non-positive density at node (90, 44) "
+                      f"entering step {start_step + 2}")
+    assert failing_run(state, args, 5, monkeypatch, serial=False) == (serial, 1)
+    assert in_workers_blocks(serial, grid)
+
+
+def test_non_finite_population_in_the_workers_blocks_is_named(monkeypatch):
+    two_cpus()
+    grid = (97, 91)
+    args, state = case_setup("d2q9", 1.0, SIX_S, grid)
+    state.f[90, 30, 4] = np.nan
+    serial, _ = failing_run(state, args, 3, monkeypatch, serial=True)
+    assert serial.startswith("non-finite populations at node")
+    assert serial.endswith("after 3 steps")
+    assert failing_run(state, args, 3, monkeypatch, serial=False) == (serial, 1)
+    assert in_workers_blocks(serial, grid)
+
+
+def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
+    two_cpus()
+    forks = counting_forks(monkeypatch)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
+    lb.run(state, 3, *args)
+    assert_no_worker_left()
+
+    def interrupted(state):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lbmlab.scheme, "check_finite", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        lb.run(state, lbmlab.scheme.CHECK_INTERVAL + 1, *args)
+    assert forks == [1, 1]
+    assert_no_worker_left()
+
+
+def test_worker_that_dies_is_an_lbm_error(monkeypatch):
+    two_cpus()
+    parent, sweep = os.getpid(), lbmlab._team._sweep
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sweep(*args)
+
+    monkeypatch.setattr(lbmlab._team, "_sweep", dying)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
+    with pytest.raises(LbmError, match="stepping worker exited"):
+        lb.run(state, 3, *args)
+    assert_no_worker_left()
+
+
+def test_import_loads_neither_multiprocessing_nor_mmap():
+    # multiprocessing costs about 10 ms of import; run maps memory itself
+    code = ("import sys, lbmlab; "
+            "print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lbmlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
