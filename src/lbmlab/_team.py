@@ -1,14 +1,17 @@
 """Two processes stepping one ``scheme.run`` call on shared buffers.
 
-``scheme.run`` imports this module only for a grid of at least two blocks
-and at least two steps, where two processes can pay, and asks ``team_for``
-whether they can run.  Both processes call ``scheme._sweep`` and
-``scheme._stream_rows``, on their halves of the blocks and of the
-populations, so every value is computed as on one process.
+``scheme.run`` imports this module only for a grid of at least
+``scheme.TEAM_NODES`` nodes and at least two steps, where two processes can
+pay, and asks ``team_for`` whether they can run.  Both processes call
+``scheme._sweep`` and ``scheme._stream_rows``, on their halves of the nodes
+(``halves``) and of the populations, so every value is computed as on one
+process.
 """
 
 from __future__ import annotations
 
+import _signal
+import gc
 import math
 import mmap
 import os
@@ -35,6 +38,16 @@ POSTED, DONE, FAILED = 0, CACHE_LINE // 8, CACHE_LINE // 8 + 1
 STOP = 1 << 62
 
 
+def halves(nodes: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The (start, stop) blocks each process sweeps of ``nodes`` nodes: the
+    ``_chunks`` of the first ``nodes // 2`` and of the rest, offset by it, so
+    the two halves differ by at most one node.  With at least 4 nodes, no
+    block is narrower than two (see ``_chunks``)."""
+    half = nodes // 2
+    return _chunks(half), tuple((start + half, stop + half)
+                                for start, stop in _chunks(nodes - half))
+
+
 def team_for(state, vs, mm, model, params):
     """A ``Team`` for ``run``'s call, or None to step on one process: without
     ``os.fork`` or ``os.sched_getaffinity``, off x86-64 (the barrier needs its
@@ -58,16 +71,17 @@ class Team:
     shared mapping, each starting on a page; all else the worker reads, the
     input included, is its copy of this process's memory at the fork.  Each
     kernel call is a phase: ``go`` posts its number, both processes do their
-    half (``blocks`` or ``rows``), and ``join`` waits until the worker posts
-    the number back.  The worker then waits for the next post, so the two
-    counters are a barrier.  It rests on x86-64's total store order: the
-    buffer stores made before a counter is posted are visible to whoever
-    reads that counter.  A waiter spins SPINS reads, then yields between
-    reads and checks the other side: the worker exits if its parent changes,
-    and this process raises ``LbmError`` if the worker has died.  Without
-    pinning, a fresh process often ran both on one CPU and gained nothing.
-    If the worker's blocks raise, it posts the phase as failed, and
-    ``collide`` sweeps them again here to raise the same error.
+    half (``blocks``, from ``halves``, or ``rows``), and ``join`` waits until
+    the worker posts the number back.  The worker then waits for the next
+    post, so the two counters are a barrier.  It rests on x86-64's total
+    store order: the buffer stores made before a counter is posted are
+    visible to whoever reads that counter.  A waiter spins SPINS reads, then
+    yields between reads and checks the other side: the worker exits if its
+    parent changes, and this process raises ``LbmError`` if the worker has
+    died.  Without pinning, a fresh process often ran both on one CPU and
+    gained nothing.  If the worker's blocks raise, it posts the phase as
+    failed, and ``collide`` sweeps them again here to raise the same error;
+    this process's block scratch holds the widest block of either half.
     """
 
     def __init__(self, state, vs, mm, model, params, cpus):
@@ -79,8 +93,7 @@ class Team:
             np.frombuffer(self._shared, np.float64, nj * nodes, k * span)
             .reshape(nj, nodes) for k in (0, 1))
         self._control = memoryview(self._shared)[2 * span:].cast("q")
-        blocks = _chunks(nodes)
-        self.blocks = blocks[:len(blocks) // 2], blocks[len(blocks) // 2:]
+        self.blocks = halves(nodes)
         self.rows = range((nj + 1) // 2), range((nj + 1) // 2, nj)
         self.phase = 0
         self._cpus = cpus
@@ -90,13 +103,12 @@ class Team:
         if self.pid == 0:
             status = 1
             try:
-                import gc
-                import signal
-
                 # no finalizer of the garbage copied at the fork runs twice, and
-                # an interrupt is the caller's to handle, which stops this worker
+                # an interrupt is the caller's to handle, which stops this worker.
+                # _signal, the module under signal, is loaded at start-up;
+                # importing signal here took 3 ms of copied pages
                 gc.disable()
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
                 pin(second)
                 self._serve(_populations_first(state.f).reshape(nj, nodes), vs, mm,
                             model, params, state.steps, grid)
@@ -155,7 +167,7 @@ class Team:
         ``streamed``) and stream its rows, each after its post, until STOP."""
         control, blocks, rows = self._control, self.blocks[1], self.rows[1]
         shape = (len(self.collided), *grid)
-        scratch = _collide_scratch(*self.collided.shape)
+        scratch = _collide_scratch(len(self.collided), blocks)
         while self._next():
             try:
                 _sweep(src, self.collided, scratch, blocks, mm, model, params, steps,

@@ -18,14 +18,15 @@ of at most ``CHUNK_NODES``.  Every buffer the kernels allocate starts on a
 cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
 
 Collision is node-local and streaming a permutation per population, so a
-``run`` call of at least two blocks and two steps may step on two processes:
-this one sweeps the first half of the blocks and streams the first half of
-the populations, a forked worker the second halves, through the same
-``_sweep`` and ``_stream_rows``, on buffers in one shared mapping.  A spin
-barrier on two shared counters separates the phases (correct under x86-64's
-total store order; elsewhere ``run`` stays serial), each process is pinned
-to its own CPU, and one CPU, no ``os.fork`` or a one-block grid means one
-process.  The results are bit-identical either way.
+``run`` call of at least ``TEAM_NODES`` nodes and two steps may step on two
+processes: this one sweeps the blocks of the first half of the nodes and
+streams the first half of the populations, a forked worker the second
+halves, through the same ``_sweep`` and ``_stream_rows``, on buffers in one
+shared mapping.  A spin barrier on two shared counters separates the phases
+(correct under x86-64's total store order; elsewhere ``run`` stays serial),
+each process is pinned to its own CPU, and one CPU, no ``os.fork`` or fewer
+than ``TEAM_NODES`` nodes means one process.  The results are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ CACHE_LINE = 64
 # blocks of 4,096, 7.0 ms in blocks of 16,384, 6.6 ms in blocks of 2,048
 # (interpreter overhead per block) and 8.3 ms in one block of 65,536.
 CHUNK_NODES = 8192
+
+# Fewest nodes ``run`` steps on two processes.  Per step of run(N - 1) on an
+# N x 8 D2Q9 grid on the Xeon above, fork and reap included, two processes
+# took 0.94-1.54 times one process's median time at 1,024 nodes, 0.79-0.82 at
+# 2,048 and 0.71-0.73 at 4,096, in three rounds of 15-21 interleaved calls
+# (one process: 122-193, 250-265 and 352-415 us per step).
+TEAM_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -207,15 +215,16 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start:start + size]
 
 
-def _collide_scratch(nj: int, nodes: int) -> np.ndarray:
-    """Flat scratch for ``collide`` on ``nodes`` nodes of nj populations.
+def _collide_scratch(nj: int, blocks) -> np.ndarray:
+    """Flat scratch for ``collide`` sweeping the (start, stop) ``blocks`` of
+    nj populations, sized for the widest.
 
     For a block of w nodes it holds, each viewed as a contiguous (nj, w)
     array, the moments m, the equilibrium f_eq and M f_eq; two more rows of
     w follow, so that the M f_eq rows and these serve ``_populations`` as
     its scratch before M f_eq is formed.
     """
-    width = max(stop - start for start, stop in _chunks(nodes))
+    width = max(stop - start for start, stop in blocks)
     return _aligned_empty((3 * nj + 2) * width)
 
 
@@ -231,7 +240,9 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     array that must not overlap the input; either is allocated, on a cache
     line, when not given.  The result's ``f`` is a (*grid, J+1) view of
     ``out`` (see ``SchemeState``).  ``team`` is ``run``'s private
-    ``_team.Team``, whose worker sweeps the second half of the blocks.
+    ``_team.Team``: this process sweeps the blocks of the first half of the
+    nodes, its worker those of the second, and ``scratch`` must hold the
+    widest of either.
     """
     _check_scales(mm, model, params)
     if params.s.shape[0] != mm.J - mm.d:
@@ -250,7 +261,7 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     if out is None:
         out = _aligned_empty(nj * nodes).reshape(nj, nodes)
     if scratch is None:
-        scratch = _collide_scratch(nj, nodes)
+        scratch = _collide_scratch(nj, _chunks(nodes))
     if team is None:
         _sweep(src, out, scratch, _chunks(nodes), mm, model, params, state.steps, grid)
     else:
@@ -371,31 +382,34 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     written, and the result shares no memory with it; zero steps return
     ``state`` itself.
 
-    With at least two blocks of ``_chunks`` and two steps, on x86-64, with
+    With at least ``TEAM_NODES`` nodes and two steps, on x86-64, with
     ``os.fork`` and at least two CPUs in ``os.sched_getaffinity(0)``, the call
     steps on two processes (``_team``): the two buffers are then one shared
-    mapping, this process collides the first half of the blocks and streams
-    the first half of the populations, a forked worker the second halves,
-    and a spin barrier separates the phases.  Each process is pinned to its
-    own CPU for the call.  The result is bit-identical to one process's.  On
-    every way out, the worker is reaped and this process's CPU mask restored.
+    mapping, this process collides the first half of the nodes, in blocks of
+    ``_chunks`` of that half, and streams the first half of the populations,
+    a forked worker the second halves, and a spin barrier separates the
+    phases.  The block scratch then holds the widest block of either half.
+    Each process is pinned to its own CPU for the call.  The result is
+    bit-identical to one process's.  On every way out, the worker is reaped
+    and this process's CPU mask restored.
     """
     team = None
     try:
         if n_steps > 0:
             nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-            # forking and reaping cost about one step's saving; the block count
-            # is the cheap test, and every N x 8 grid of verify is one block
-            if n_steps > 1 and len(_chunks(nodes)) > 1:
+            # forking and reaping cost about 4-5 ms: in seven rounds, run(2) on
+            # 512 x 8 took a median 1.0-1.2 ms on one process, 4.7-6.3 on two
+            if n_steps > 1 and nodes >= TEAM_NODES:
                 from ._team import team_for
 
                 team = team_for(state, vs, mm, model, params)
             if team is None:
                 collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
                 streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
+                scratch = _collide_scratch(nj, _chunks(nodes))
             else:
                 collided, streamed = team.collided, team.streamed
-            scratch = _collide_scratch(nj, nodes)
+                scratch = _collide_scratch(nj, team.blocks[0] + team.blocks[1])
         for i in range(1, n_steps + 1):
             # looked up on the module at every call, where bench/tracing.py counts
             # them; the buffers go positionally and the team by keyword, so a

@@ -102,11 +102,17 @@ CASES = [
     ("d2q9", 0.8, SIX_S, (97, 91), 75),
     ("d1q3", 1.7, (1.3,), (20001,), 70),
     ("d2q5", 1.7, (1.2, 1.7), (2731, 3), 70),
+    # one block each, but at least scheme.TEAM_NODES nodes
+    ("d2q9", 1.0, SIX_S, (512, 8), 70),
+    ("d1q3", 1.0, (1.3,), (4096,), 70),
+    ("d2q5", 1.0, (1.2, 1.7), (512, 8), 70),
 ]
 
 
 # the cases whose grids collide in more than one block
 MULTI_BLOCK = [c for c in CASES if math.prod(c[3]) > lbmlab.scheme.CHUNK_NODES]
+# the cases that run steps on two processes wherever it may
+TEAMED = [c for c in CASES if math.prod(c[3]) >= lbmlab.scheme.TEAM_NODES]
 
 
 def case_ids(cases):
@@ -163,7 +169,8 @@ def test_kernel_storage_starts_on_a_cache_line():
         vs, mm, model, params = args
         nj, nodes = vs.J + 1, math.prod(grid)
         assert lb.run(state, 2, *args).f.ctypes.data % 64 == 0
-        assert lbmlab.scheme._collide_scratch(nj, nodes).ctypes.data % 64 == 0
+        scratch = lbmlab.scheme._collide_scratch(nj, lbmlab.scheme._chunks(nodes))
+        assert scratch.ctypes.data % 64 == 0
         assert lb.collide(state, mm, model, params).f.ctypes.data % 64 == 0
         assert lb.stream(state, vs).f.ctypes.data % 64 == 0
 
@@ -189,7 +196,8 @@ def test_kernels_bitwise_on_storage_off_a_cache_line(lattice, lam, s, grid, step
 
     collided = off_line(nj * nodes).reshape(nj, nodes)
     streamed = off_line(nj * nodes).reshape(nj, nodes)
-    scratch = off_line(lbmlab.scheme._collide_scratch(nj, nodes).size)
+    blocks = lbmlab.scheme._chunks(nodes)
+    scratch = off_line(lbmlab.scheme._collide_scratch(nj, blocks).size)
     for _ in range(3):
         state = lb.stream(lb.collide(state, mm, model, params, collided, scratch),
                           vs, streamed)
@@ -290,8 +298,7 @@ def assert_no_worker_left():
     assert os.sched_getaffinity(0) == CPUS
 
 
-@pytest.mark.parametrize("lattice, lam, s, grid, steps", MULTI_BLOCK,
-                         ids=case_ids(MULTI_BLOCK))
+@pytest.mark.parametrize("lattice, lam, s, grid, steps", TEAMED, ids=case_ids(TEAMED))
 def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypatch):
     args, state = case_setup(lattice, lam, s, grid)
     expected = reference_run(lattice, lam, s, grid, steps)
@@ -307,9 +314,11 @@ def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypat
     assert_no_worker_left()
 
 
-def test_one_step_or_one_block_stays_on_one_process(monkeypatch):
+def test_one_step_or_fewer_than_team_nodes_stays_on_one_process(monkeypatch):
+    # 128 x 8 is the N x 8 grid of verify just under TEAM_NODES
+    assert 128 * 8 < lbmlab.scheme.TEAM_NODES <= 256 * 8
     forks = counting_forks(monkeypatch)
-    for grid, steps in [((97, 91), 1), ((64, 8), 5)]:
+    for grid, steps in [((97, 91), 1), ((128, 8), 5)]:
         args, state = case_setup("d2q9", 1.0, (1.3,), grid)
         lb.run(state, steps, *args)
     assert forks == []
@@ -331,34 +340,51 @@ def failing_run(state, args, steps, monkeypatch, serial):
 
 def in_workers_blocks(message, grid):
     """True if the node that ``message`` names is in the blocks of ``grid``
-    that the worker sweeps, the second half."""
+    that the worker sweeps, those of the second half of the nodes."""
     node = re.search(r"at node \(([\d, ]+)\)", message)[1].split(",")
-    blocks = lbmlab.scheme._chunks(math.prod(grid))
-    first = blocks[len(blocks) // 2][0]
-    return np.ravel_multi_index(tuple(map(int, node)), grid) >= first
+    return np.ravel_multi_index(tuple(map(int, node)), grid) >= math.prod(grid) // 2
 
 
 @pytest.mark.parametrize("start_step", [0, 41])
 def test_non_positive_density_in_the_workers_blocks_names_the_serial_node(
         start_step, monkeypatch):
     # uniform rest except one node of the worker's blocks, of density 100 moving at
-    # lam along x, whose equilibrium streams negative mass to (90, 44) and
-    # (90, 46): the second step fails on the worker's side, reading the
-    # shared buffer the first step streamed into
+    # lam along x, whose equilibrium streams negative mass to (i, j - 1) and
+    # (i, j + 1): the second step fails on the worker's side, reading the
+    # shared buffer the first step streamed into.
+    # One process collides 97 x 91 in two blocks and 512 x 8 in one
     two_cpus()
-    grid = (97, 91)
-    (vs, mm, model, params), _ = case_setup("d2q9", 1.0, (1.0,), grid)
-    W = np.zeros(grid + (3,))
-    W[..., 0] = 1.0
-    W[90, 45] = (100.0, 100.0, 0.0)
-    state = lb.initialize_equilibrium(model, vs, W)
-    state.steps = start_step
-    args = (vs, mm, model, params)
-    serial, _ = failing_run(state, args, 5, monkeypatch, serial=True)
-    assert serial == ("non-positive density at node (90, 44) "
-                      f"entering step {start_step + 2}")
-    assert failing_run(state, args, 5, monkeypatch, serial=False) == (serial, 1)
-    assert in_workers_blocks(serial, grid)
+    for grid, (i, j) in [((97, 91), (90, 45)), ((512, 8), (400, 4))]:
+        (vs, mm, model, params), _ = case_setup("d2q9", 1.0, (1.0,), grid)
+        W = np.zeros(grid + (3,))
+        W[..., 0] = 1.0
+        W[i, j] = (100.0, 100.0, 0.0)
+        state = lb.initialize_equilibrium(model, vs, W)
+        state.steps = start_step
+        args = (vs, mm, model, params)
+        serial, _ = failing_run(state, args, 5, monkeypatch, serial=True)
+        assert serial == (f"non-positive density at node ({i}, {j - 1}) "
+                          f"entering step {start_step + 2}")
+        assert failing_run(state, args, 5, monkeypatch, serial=False) == (serial, 1)
+        assert in_workers_blocks(serial, grid)
+
+
+@pytest.mark.parametrize("nodes", [2048, 4096, 8193, 20001, 24577, 90000])
+def test_halves_differ_by_at_most_one_node(nodes):
+    own, theirs = lbmlab._team.halves(nodes)
+    blocks = own + theirs
+    assert blocks[0][0] == 0 and blocks[-1][1] == nodes
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [sum(stop - start for start, stop in half) for half in (own, theirs)]
+    assert abs(sizes[0] - sizes[1]) <= 1
+    # no block is narrower than two nodes: see the one-column rule of _chunks
+    widths = [stop - start for start, stop in blocks]
+    assert 2 <= min(widths) and max(widths) <= lbmlab.scheme.CHUNK_NODES
+
+
+def test_256_squared_splits_into_four_blocks_a_side():
+    blocks = tuple((k * 8192, (k + 1) * 8192) for k in range(8))
+    assert lbmlab._team.halves(256 * 256) == (blocks[:4], blocks[4:])
 
 
 def test_non_finite_population_in_the_workers_blocks_is_named(monkeypatch):

@@ -1,4 +1,5 @@
 import mmap
+import os
 import re
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import lbmlab as lb
+import lbmlab._team  # run imports it to step on two processes; not its memory
 from lbmlab.errors import (
     ComponentMismatch,
     InvalidRelaxation,
@@ -257,13 +259,19 @@ class TestStepAndRun:
         assert state.steps == 0
         assert not np.shares_memory(out.f, state.f)
 
-    def test_run_peak_memory_is_bounded(self, d2q9, monkeypatch):
+    @pytest.mark.parametrize("grid, bound", [((256, 256), 3.0), ((512, 8), 3.9)],
+                             ids=["256x256", "512x8"])
+    def test_run_peak_memory_is_bounded(self, d2q9, monkeypatch, grid, bound):
         # two population buffers and collide's block scratch, allocated once;
         # the result is a view of the streaming buffer.  tracemalloc does not
         # see mmap memory, so the shared mapping that holds the two buffers
-        # when run steps on two processes is added to the traced peak
+        # when run steps on two processes is added to the traced peak.
+        # 512 x 8 is one block, which two processes sweep in halves, each with
+        # a scratch half as wide as one process's
+        if grid == (512, 8) and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may run on one CPU only, so run steps on one process")
         vs, mm, model = d2q9
-        state, _ = small_state(d2q9, grid=(256, 256))
+        state, _ = small_state(d2q9, grid=grid)
         params = lb.SchemeParams(1.0, 1.0, np.full(6, 1.5))
         mapped = []
 
@@ -280,8 +288,11 @@ class TestStepAndRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2.54 measured on one process, 2.54 on two; 4.22 with fresh arrays per step
-        assert peak + sum(mapped) <= 3.0 * state.f.nbytes
+        # 256 x 256: 2.54 measured on one process, 2.54 on two; 4.22 with fresh
+        # arrays per step.  512 x 8: 3.89 measured on two processes, against 5.49
+        # on one, whose scratch is as wide as the grid
+        assert mapped or grid == (256, 256)
+        assert peak + sum(mapped) <= bound * state.f.nbytes
 
     @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
     def test_run_then_step_equals_longer_run_bitwise(self, lattice, request):

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -249,3 +250,30 @@ class TestOrchestration:
         assert len(names) == 6
         for o in outcomes:
             assert o.summary_line()
+
+    def test_only_run_calls_of_team_nodes_fork(self, monkeypatch):
+        # verify-refine's ladder: run(N - 1) on N x 8 forks a worker from
+        # scheme.TEAM_NODES = 2,048 nodes on; its two steps per resolution and
+        # every viscometry step go one at a time, and never fork
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("this process may run on one CPU only, so run steps on one process")
+        forks, calls = [], []
+        fork, run = os.fork, verify.run
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        def recording_run(state, n_steps, *args):
+            before = len(forks)
+            out = run(state, n_steps, *args)
+            calls.append((state.f.size // state.f.shape[-1], n_steps, len(forks) - before))
+            return out
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(verify, "run", recording_run)
+        cfg = RunConfig(resolutions=(64, 128, 256, 512), coarse_steps=64,
+                        viscosity_s=(1.5,), viscosity_n=32)
+        lb.run_verification("all", cfg)
+        assert calls == [(512, 63, 0), (1024, 127, 0), (2048, 255, 1), (4096, 511, 1)]
+        assert len(forks) == 2
