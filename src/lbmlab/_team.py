@@ -1,11 +1,19 @@
-"""Two processes stepping one ``scheme.run`` call on shared buffers.
+"""A second process on a second CPU: ``Worker``, and its two uses.
 
-``scheme.run`` imports this module only for a grid of at least
-``scheme.TEAM_NODES`` nodes and at least two steps, where two processes can
-pay, and asks ``team_for`` whether they can run.  Both processes call
-``scheme._sweep`` and ``scheme._stream_rows``, on their halves of the nodes
-(``halves``) and of the populations, so every value is computed as on one
-process.
+``Worker`` is the one way lbmlab starts a process: it forks, pins the worker
+and this process to CPUs of their own, and on every way out reaps the worker
+and restores this process's CPU mask.  ``fork_worker`` starts one where this
+process may run on two CPUs.
+
+* ``Team``: two processes stepping one ``scheme.run`` call on shared
+  buffers.  ``scheme.run`` imports this module only where two processes can
+  pay (``scheme.TEAM_NODES`` and ``scheme.TEAM_UPDATES``) and asks
+  ``team_for`` whether they can run.  Both processes call ``scheme._sweep``
+  and ``scheme._stream_rows``, on their halves of the nodes (``halves``) and
+  of the populations, so every value is computed as on one process.
+* The writer of ``lbmlab run``: ``cli.cmd_run`` imports this module only on a
+  grid of at least ``cli.WRITER_NODES`` nodes, and a worker writes the moment
+  fields while this process writes the checkpoint.
 """
 
 from __future__ import annotations
@@ -48,20 +56,100 @@ def halves(nodes: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                                 for start, stop in _chunks(nodes - half))
 
 
-def team_for(state, vs, mm, model, params):
-    """A ``Team`` for ``run``'s call, or None to step on one process: without
-    ``os.fork`` or ``os.sched_getaffinity``, off x86-64 (the barrier needs its
-    store order), with one CPU in this process's mask, or when the mapping or
-    the fork fails."""
-    if not hasattr(os, "fork") or os.uname().machine != "x86_64":
+def _cpus():
+    """This process's CPU mask, or None where it may not fork a worker onto a
+    second CPU: without ``os.fork`` or ``os.sched_getaffinity``, or with one
+    CPU in the mask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2:
+    cpus = os.sched_getaffinity(0)
+    return cpus if len(cpus) >= 2 else None
+
+
+def fork_worker(body):
+    """A ``Worker`` running ``body()``, or None to do the work on one
+    process: where ``_cpus`` finds no second CPU, or when the fork fails."""
+    cpus = _cpus()
+    if cpus is None:
+        return None
+    try:
+        return Worker(body, cpus)
+    except OSError:
+        return None
+
+
+def team_for(state, vs, mm, model, params):
+    """A ``Team`` for ``run``'s call, or None to step on one process: off
+    x86-64 (the barrier needs its store order), where ``_cpus`` finds no
+    second CPU, or when the mapping or the fork fails."""
+    cpus = _cpus()
+    if cpus is None or os.uname().machine != "x86_64":
         return None
     try:
         return Team(state, vs, mm, model, params, cpus)
     except OSError:
         return None
+
+
+class Worker:
+    """A forked process running ``body()`` on the second CPU of ``cpus``,
+    while this process runs on the first.
+
+    Without pinning, a fresh process often ran both on one CPU and gained
+    nothing.  The worker disables the garbage collector, so that no finalizer
+    of the garbage copied at the fork runs twice, and ignores SIGINT: an
+    interrupt is this process's to handle, and it stops the worker.  It ends
+    in ``os._exit``, with status 0 if ``body`` returned and 1 if it raised,
+    and so runs no exit handler and flushes no buffer of this process.
+    ``reap`` waits for it and restores this process's mask ``cpus``.  As a
+    context manager, the worker is reaped when the block ends, and killed
+    first if the block raises.
+    """
+
+    def __init__(self, body, cpus):
+        first, second = sorted(cpus)[:2]
+        self.cpus = cpus
+        self.status = None
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                # _signal, the module under signal, is loaded at start-up;
+                # importing signal here took 3 ms of copied pages
+                gc.disable()
+                _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+                pin(second)
+                body()
+                status = 0
+            finally:
+                os._exit(status)
+        pin(first)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        self.reap(kill=kind is not None)
+
+    def poll(self):
+        """The worker's wait status if it has exited, reaping it; else None."""
+        if self.status is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.status = status
+        return self.status
+
+    def reap(self, kill: bool = False) -> int:
+        """Wait for the worker, after killing it if ``kill``, restore this
+        process's CPU mask, and return the worker's wait status."""
+        try:
+            if self.status is None:
+                if kill:
+                    os.kill(self.pid, _signal.SIGKILL)
+                self.status = os.waitpid(self.pid, 0)[1]
+        finally:
+            os.sched_setaffinity(0, self.cpus)
+        return self.status
 
 
 class Team:
@@ -78,10 +166,10 @@ class Team:
     visible to whoever reads that counter.  A waiter spins SPINS reads, then
     yields between reads and checks the other side: the worker exits if its
     parent changes, and this process raises ``LbmError`` if the worker has
-    died.  Without pinning, a fresh process often ran both on one CPU and
-    gained nothing.  If the worker's blocks raise, it posts the phase as
-    failed, and ``collide`` sweeps them again here to raise the same error;
-    this process's block scratch holds the widest block of either half.
+    died.  The worker is a ``Worker``.  If the worker's blocks raise, it posts
+    the phase as failed, and ``collide`` sweeps them again here to raise the
+    same error; this process's block scratch holds the widest block of either
+    half.
     """
 
     def __init__(self, state, vs, mm, model, params, cpus):
@@ -96,26 +184,10 @@ class Team:
         self.blocks = halves(nodes)
         self.rows = range((nj + 1) // 2), range((nj + 1) // 2, nj)
         self.phase = 0
-        self._cpus = cpus
-        first, second = sorted(cpus)[:2]
         self._parent = os.getpid()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                # no finalizer of the garbage copied at the fork runs twice, and
-                # an interrupt is the caller's to handle, which stops this worker.
-                # _signal, the module under signal, is loaded at start-up;
-                # importing signal here took 3 ms of copied pages
-                gc.disable()
-                _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-                pin(second)
-                self._serve(_populations_first(state.f).reshape(nj, nodes), vs, mm,
-                            model, params, state.steps, grid)
-                status = 0
-            finally:
-                os._exit(status)
-        pin(first)
+        self._worker = Worker(
+            lambda: self._serve(_populations_first(state.f).reshape(nj, nodes), vs,
+                                mm, model, params, state.steps, grid), cpus)
 
     def go(self) -> None:
         """Post the next phase: the source of its kernel is ready."""
@@ -132,13 +204,8 @@ class Team:
         """Stop and reap the worker, restore this process's CPU mask, and free
         the pages of ``collided``: ``run``'s result is a view of ``streamed``,
         which keeps the whole mapping alive."""
-        try:
-            if self.pid is not None:
-                self._control[POSTED] = STOP
-                os.waitpid(self.pid, 0)
-                self.pid = None
-        finally:
-            os.sched_setaffinity(0, self._cpus)
+        self._control[POSTED] = STOP
+        self._worker.reap()
         self._shared.madvise(mmap.MADV_REMOVE, 0, self._span)
 
     def _wait_past(self, slot: int, value: int, alive) -> int:
@@ -152,9 +219,8 @@ class Team:
         return control[slot]
 
     def _worker_alive(self) -> None:
-        pid, status = os.waitpid(self.pid, os.WNOHANG)
-        if pid:
-            self.pid = None
+        status = self._worker.poll()
+        if status is not None:
             raise LbmError(f"the stepping worker exited (wait status {status}) "
                            f"in phase {self.phase} of run")
 

@@ -24,9 +24,9 @@ streams the first half of the populations, a forked worker the second
 halves, through the same ``_sweep`` and ``_stream_rows``, on buffers in one
 shared mapping.  A spin barrier on two shared counters separates the phases
 (correct under x86-64's total store order; elsewhere ``run`` stays serial),
-each process is pinned to its own CPU, and one CPU, no ``os.fork`` or fewer
-than ``TEAM_NODES`` nodes means one process.  The results are bit-identical
-either way.
+each process is pinned to its own CPU, and one CPU, no ``os.fork``, one
+step, fewer than ``TEAM_NODES`` nodes or fewer than ``TEAM_UPDATES`` node
+updates means one process.  The results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -70,6 +70,17 @@ CHUNK_NODES = 8192
 # 2,048 and 0.71-0.73 at 4,096, in three rounds of 15-21 interleaved calls
 # (one process: 122-193, 250-265 and 352-415 us per step).
 TEAM_NODES = 2048
+
+# Fewest node updates, steps times nodes, of a ``run`` call on two processes:
+# below it the fork and reap cost more than the second CPU saves.  Two
+# processes' median time over one process's, in 9 alternating calls per cell
+# on the Xeon above, D2Q9:
+#
+#   updates      256 x 8   512 x 8   128 x 128   256 x 256
+#   2^17          1.10      1.07       1.37        1.53
+#   2^18          0.91      0.95       1.03        1.11
+#   2^19          0.80      0.77       0.81        0.90
+TEAM_UPDATES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -382,7 +393,8 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     written, and the result shares no memory with it; zero steps return
     ``state`` itself.
 
-    With at least ``TEAM_NODES`` nodes and two steps, on x86-64, with
+    With two steps or more, at least ``TEAM_NODES`` nodes and at least
+    ``TEAM_UPDATES`` node updates (steps times nodes), on x86-64, with
     ``os.fork`` and at least two CPUs in ``os.sched_getaffinity(0)``, the call
     steps on two processes (``_team``): the two buffers are then one shared
     mapping, this process collides the first half of the nodes, in blocks of
@@ -397,9 +409,10 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     try:
         if n_steps > 0:
             nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-            # forking and reaping cost about 4-5 ms: in seven rounds, run(2) on
-            # 512 x 8 took a median 1.0-1.2 ms on one process, 4.7-6.3 on two
-            if n_steps > 1 and nodes >= TEAM_NODES:
+            # forking, pinning and reaping cost 3-6 ms, which the second CPU
+            # wins back over about 2^18 node updates: see TEAM_UPDATES
+            if (n_steps > 1 and nodes >= TEAM_NODES
+                    and n_steps * nodes >= TEAM_UPDATES):
                 from ._team import team_for
 
                 team = team_for(state, vs, mm, model, params)

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbmlab import errors, scheme, verify
+from lbmlab import cli, errors, scheme, verify
 from lbmlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 from lbmlab.config import _KEYS, STUDY_NAMES
+from workers import assert_no_worker_left, counting_forks, one_cpu, two_cpus
 
 SMALL_VERIFY = """\
 [study]
@@ -296,6 +298,98 @@ def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
         yield from _subclasses(sub)
+
+
+# Grids of cli.WRITER_NODES nodes whose three steps pay for no stepping fork
+# (scheme.TEAM_UPDATES), so that a run command forks once, for its writer
+WRITER_RUNS = {
+    "d2q9": "[grid]\nnx = 128\n[scheme]\nsteps = 3\n",
+    "d1q3": "[lattice]\nname = d1q3\n[grid]\nnx = 16384\n[scheme]\nsteps = 3\n",
+}
+
+
+def _run_on(tmp_path, config_text, monkeypatch, cpus):
+    """Exit code, output directory and fork count of ``lbmlab run`` on one or
+    two CPUs; the worker, if any, is gone and the mask restored after."""
+    tmp_path.mkdir(exist_ok=True)
+    with monkeypatch.context() as patch:
+        if cpus == 1:
+            one_cpu(patch)
+        forks = counting_forks(patch)
+        code, out = _cli(tmp_path, "run", config_text)
+    assert_no_worker_left()
+    return code, out, len(forks)
+
+
+@pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
+def test_run_writes_the_same_bytes_on_one_process_and_two(tmp_path, monkeypatch,
+                                                          lattice):
+    two_cpus()
+    config_text = WRITER_RUNS[lattice]
+    code, serial, forks = _run_on(tmp_path / "one", config_text, monkeypatch, 1)
+    assert (code, forks) == (EXIT_OK, 0)
+    code, forked, forks = _run_on(tmp_path / "two", config_text, monkeypatch, 2)
+    assert (code, forks) == (EXIT_OK, 1)
+    # a writer that dies: this process writes the moment fields itself
+    parent, write = os.getpid(), cli._write_moment_fields
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_write_moment_fields", dying)
+    code, rewritten, forks = _run_on(tmp_path / "dead", config_text, monkeypatch, 2)
+    assert (code, forks) == (EXIT_OK, 1)
+    for name in ("checkpoint.csv", "moments.csv"):
+        expected = (serial / name).read_bytes()
+        assert (forked / name).read_bytes() == expected
+        assert (rewritten / name).read_bytes() == expected
+
+
+def test_only_run_commands_of_writer_nodes_fork(tmp_path, monkeypatch):
+    assert 127 * 127 < cli.WRITER_NODES <= 128 * 128 <= 16384
+    assert 3 * 16384 < scheme.TEAM_UPDATES
+    two_cpus()
+    forks = counting_forks(monkeypatch)
+    below = WRITER_RUNS["d2q9"].replace("nx = 128", "nx = 127")
+    assert _cli(tmp_path, "run", below)[0] == EXIT_OK
+    assert _cli(tmp_path, "analyze", WRITER_RUNS["d2q9"])[0] == EXIT_OK
+    assert _cli(tmp_path, "verify", SMALL_VERIFY, "--study", "all")[0] == EXIT_OK
+    assert forks == []
+    for config_text in WRITER_RUNS.values():
+        assert _cli(tmp_path, "run", config_text)[0] == EXIT_OK
+    assert forks == [1, 1]
+    assert_no_worker_left()
+
+
+def test_unwritable_moments_file_fails_alike_on_one_process_and_two(
+        tmp_path, capsys, monkeypatch):
+    two_cpus()
+    (tmp_path / "out" / "moments.csv").mkdir(parents=True)
+    failures = []
+    for cpus in (1, 2):
+        code, out, forks = _run_on(tmp_path, WRITER_RUNS["d2q9"], monkeypatch, cpus)
+        failures.append((code, capsys.readouterr().err))
+        assert forks == cpus - 1
+    assert failures[0] == failures[1]
+    assert failures[0] == (EXIT_CONFIG, f"error: [Errno 21] Is a directory: "
+                                        f"'{out / 'moments.csv'}'\n")
+
+
+def test_interrupt_while_writing_the_checkpoint_stops_the_writer(tmp_path,
+                                                                  monkeypatch):
+    two_cpus()
+    forks = counting_forks(monkeypatch)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "save_checkpoint", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _cli(tmp_path, "run", WRITER_RUNS["d2q9"])
+    assert forks == [1]
+    assert_no_worker_left()
 
 
 def test_every_error_class_has_its_exit_code():

@@ -24,6 +24,7 @@ import lbmlab.scheme
 from lbmlab.errors import LbmError, SimulationDiverged
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.scheme import relax_update
+from workers import assert_no_worker_left, counting_forks, one_cpu, two_cpus
 
 D2Q5_VECTORS = ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
 D2Q5_HIGHER_ROWS = ((0, 1, 1, 1, 1), (0, 1, -1, 1, -1))
@@ -111,8 +112,16 @@ CASES = [
 
 # the cases whose grids collide in more than one block
 MULTI_BLOCK = [c for c in CASES if math.prod(c[3]) > lbmlab.scheme.CHUNK_NODES]
+
+
+def teamed_steps(grid):
+    """The fewest steps of a ``run`` on ``grid`` that pay for a fork."""
+    return max(2, -(-lbmlab.scheme.TEAM_UPDATES // math.prod(grid)))
+
+
 # the cases that run steps on two processes wherever it may
-TEAMED = [c for c in CASES if math.prod(c[3]) >= lbmlab.scheme.TEAM_NODES]
+TEAMED = [c for c in CASES
+          if math.prod(c[3]) >= lbmlab.scheme.TEAM_NODES and c[4] >= teamed_steps(c[3])]
 
 
 def case_ids(cases):
@@ -266,38 +275,6 @@ def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
         assert seen == [(vs.J + 1, int(np.prod(grid)))] * n
 
 
-# the CPUs this process may run on; run restores its mask on every way out
-CPUS = os.sched_getaffinity(0)
-
-
-def two_cpus():
-    if len(CPUS) < 2:
-        pytest.skip("this process may run on one CPU only, so run steps on one process")
-
-
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(CPUS)})
-
-
-def counting_forks(monkeypatch):
-    """A list that gains one entry per os.fork call in this process."""
-    forks = []
-    fork = os.fork
-
-    def counting():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-def assert_no_worker_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.sched_getaffinity(0) == CPUS
-
-
 @pytest.mark.parametrize("lattice, lam, s, grid, steps", TEAMED, ids=case_ids(TEAMED))
 def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypatch):
     args, state = case_setup(lattice, lam, s, grid)
@@ -322,6 +299,20 @@ def test_one_step_or_fewer_than_team_nodes_stays_on_one_process(monkeypatch):
         args, state = case_setup("d2q9", 1.0, (1.3,), grid)
         lb.run(state, steps, *args)
     assert forks == []
+
+
+def test_run_too_short_to_pay_for_a_fork_stays_on_one_process(monkeypatch):
+    # verify's two steps per resolution on 512 x 8, and one step fewer than pays
+    # on 97 x 91; one more forks
+    forks = counting_forks(monkeypatch)
+    for grid, steps in [((512, 8), 2), ((97, 91), teamed_steps((97, 91)) - 1)]:
+        args, state = case_setup("d2q9", 1.0, (1.3,), grid)
+        lb.run(state, steps, *args)
+    assert forks == []
+    two_cpus()
+    lb.run(state, teamed_steps((97, 91)), *args)
+    assert forks == [1]
+    assert_no_worker_left()
 
 
 def failing_run(state, args, steps, monkeypatch, serial):
@@ -361,11 +352,11 @@ def test_non_positive_density_in_the_workers_blocks_names_the_serial_node(
         W[i, j] = (100.0, 100.0, 0.0)
         state = lb.initialize_equilibrium(model, vs, W)
         state.steps = start_step
-        args = (vs, mm, model, params)
-        serial, _ = failing_run(state, args, 5, monkeypatch, serial=True)
+        args, steps = (vs, mm, model, params), teamed_steps(grid)
+        serial, _ = failing_run(state, args, steps, monkeypatch, serial=True)
         assert serial == (f"non-positive density at node ({i}, {j - 1}) "
                           f"entering step {start_step + 2}")
-        assert failing_run(state, args, 5, monkeypatch, serial=False) == (serial, 1)
+        assert failing_run(state, args, steps, monkeypatch, serial=False) == (serial, 1)
         assert in_workers_blocks(serial, grid)
 
 
@@ -388,14 +379,16 @@ def test_256_squared_splits_into_four_blocks_a_side():
 
 
 def test_non_finite_population_in_the_workers_blocks_is_named(monkeypatch):
+    # the NaN spreads one node a step, and stays in the worker's rows
     two_cpus()
-    grid = (97, 91)
+    grid = (181, 181)
+    steps = teamed_steps(grid)
     args, state = case_setup("d2q9", 1.0, SIX_S, grid)
-    state.f[90, 30, 4] = np.nan
-    serial, _ = failing_run(state, args, 3, monkeypatch, serial=True)
+    state.f[170, 30, 4] = np.nan
+    serial, _ = failing_run(state, args, steps, monkeypatch, serial=True)
     assert serial.startswith("non-finite populations at node")
-    assert serial.endswith("after 3 steps")
-    assert failing_run(state, args, 3, monkeypatch, serial=False) == (serial, 1)
+    assert serial.endswith(f"after {steps} steps")
+    assert failing_run(state, args, steps, monkeypatch, serial=False) == (serial, 1)
     assert in_workers_blocks(serial, grid)
 
 
@@ -403,7 +396,7 @@ def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
     two_cpus()
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
-    lb.run(state, 3, *args)
+    lb.run(state, teamed_steps((97, 91)), *args)
     assert_no_worker_left()
 
     def interrupted(state):
@@ -428,14 +421,15 @@ def test_worker_that_dies_is_an_lbm_error(monkeypatch):
     monkeypatch.setattr(lbmlab._team, "_sweep", dying)
     args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
     with pytest.raises(LbmError, match="stepping worker exited"):
-        lb.run(state, 3, *args)
+        lb.run(state, teamed_steps((97, 91)), *args)
     assert_no_worker_left()
 
 
 def test_import_loads_neither_multiprocessing_nor_mmap():
-    # multiprocessing costs about 10 ms of import; run maps memory itself
-    code = ("import sys, lbmlab; "
-            "print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))")
+    # multiprocessing costs about 10 ms of import; run maps memory itself, and
+    # only run and the run command import lbmlab._team, where they may fork
+    code = ("import sys, lbmlab, lbmlab.cli; print(sorted("
+            "{'multiprocessing', 'mmap', 'lbmlab._team'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(lbmlab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -282,9 +282,11 @@ class TestStepAndRun:
 
         real_mmap = mmap.mmap
         monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        # the fewest steps whose run pays for a fork
+        steps = -(-lbmlab.scheme.TEAM_UPDATES // (grid[0] * grid[1]))
         tracemalloc.start()
         try:
-            lb.run(state, 2, vs, mm, model, params)
+            lb.run(state, steps, vs, mm, model, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
