@@ -141,12 +141,21 @@ class Worker:
 
     def reap(self, kill: bool = False) -> int:
         """Wait for the worker, after killing it if ``kill``, restore this
-        process's CPU mask, and return the worker's wait status."""
+        process's CPU mask, and return the worker's wait status.  If the wait
+        raises, an interrupt included, the worker is killed and reaped first,
+        so that it outlives no failed command."""
         try:
             if self.status is None:
                 if kill:
                     os.kill(self.pid, _signal.SIGKILL)
-                self.status = os.waitpid(self.pid, 0)[1]
+                try:
+                    self.status = os.waitpid(self.pid, 0)[1]
+                except ChildProcessError:
+                    raise                    # reaped elsewhere: the pid is not ours
+                except BaseException:
+                    os.kill(self.pid, _signal.SIGKILL)
+                    self.status = os.waitpid(self.pid, 0)[1]
+                    raise
         finally:
             os.sched_setaffinity(0, self.cpus)
         return self.status

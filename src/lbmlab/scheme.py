@@ -25,8 +25,9 @@ halves, through the same ``_sweep`` and ``_stream_rows``, on buffers in one
 shared mapping.  A spin barrier on two shared counters separates the phases
 (correct under x86-64's total store order; elsewhere ``run`` stays serial),
 each process is pinned to its own CPU, and one CPU, no ``os.fork``, one
-step, fewer than ``TEAM_NODES`` nodes or fewer than ``TEAM_UPDATES`` node
-updates means one process.  The results are bit-identical either way.
+step, fewer than ``TEAM_NODES`` nodes or fewer than ``TEAM_UPDATES``
+population updates means one process.  The results are bit-identical either
+way.
 """
 
 from __future__ import annotations
@@ -68,19 +69,33 @@ CHUNK_NODES = 8192
 # N x 8 D2Q9 grid on the Xeon above, fork and reap included, two processes
 # took 0.94-1.54 times one process's median time at 1,024 nodes, 0.79-0.82 at
 # 2,048 and 0.71-0.73 at 4,096, in three rounds of 15-21 interleaved calls
-# (one process: 122-193, 250-265 and 352-415 us per step).
+# (one process: 122-193, 250-265 and 352-415 us per step).  Those calls were
+# short; over 2^19 node updates (4.7M population updates, past TEAM_UPDATES),
+# in rounds of 9 alternating calls with single-threaded BLAS, two processes
+# took 0.94, 1.09 and 1.11 times one process's time at 256 nodes, 0.88-0.99
+# at 512, 0.84-0.87 at 1,024 and 0.82-0.88 at 1,536.  So a floor is needed;
+# it could sit as low as 512 nodes, and stays at 2,048, where the short calls
+# above gained too.
 TEAM_NODES = 2048
 
-# Fewest node updates, steps times nodes, of a ``run`` call on two processes:
-# below it the fork and reap cost more than the second CPU saves.  Two
-# processes' median time over one process's, in 9 alternating calls per cell
-# on the Xeon above, D2Q9:
+# Fewest population updates, steps times nodes times populations (J + 1), of
+# a ``run`` call on two processes: below it the fork and reap cost more than
+# the second CPU saves.  A step's work grows with J + 1, so the same node
+# updates pay on D2Q9 and not on D1Q3: at 2^18 node updates, two processes
+# took 1.54 times one process's time on D1Q3 16,384 nodes, and 1.01-1.22 on
+# D2Q9 128 x 128 and 256 x 256.  At the fewest steps past 2^22 population
+# updates, in 9-11 alternating calls per grid on the Xeon above with
+# single-threaded BLAS, they took:
 #
-#   updates      256 x 8   512 x 8   128 x 128   256 x 256
-#   2^17          1.10      1.07       1.37        1.53
-#   2^18          0.91      0.95       1.03        1.11
-#   2^19          0.80      0.77       0.81        0.90
-TEAM_UPDATES = 2 ** 18
+#   D2Q9  256 x 8, 228 steps  0.84-0.86 (1.04 in one round of four)
+#         512 x 8, 114        0.79        128 x 128, 29   0.81
+#         181 x 181, 15       0.77-0.93   256 x 256, 8    0.86
+#   D1Q3  16,384 nodes, 86    0.74        65,536, 22      0.73
+#         262,144, 6          0.83
+#
+# One step never forks: on 700 x 700 D2Q9, 4.4M population updates, two
+# processes took 1.31 times one process's time for one step, 0.98 for two.
+TEAM_UPDATES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -394,25 +409,26 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     ``state`` itself.
 
     With two steps or more, at least ``TEAM_NODES`` nodes and at least
-    ``TEAM_UPDATES`` node updates (steps times nodes), on x86-64, with
-    ``os.fork`` and at least two CPUs in ``os.sched_getaffinity(0)``, the call
-    steps on two processes (``_team``): the two buffers are then one shared
-    mapping, this process collides the first half of the nodes, in blocks of
-    ``_chunks`` of that half, and streams the first half of the populations,
-    a forked worker the second halves, and a spin barrier separates the
-    phases.  The block scratch then holds the widest block of either half.
-    Each process is pinned to its own CPU for the call.  The result is
-    bit-identical to one process's.  On every way out, the worker is reaped
-    and this process's CPU mask restored.
+    ``TEAM_UPDATES`` population updates (steps times nodes times J + 1), on
+    x86-64, with ``os.fork`` and at least two CPUs in
+    ``os.sched_getaffinity(0)``, the call steps on two processes (``_team``):
+    the two buffers are then one shared mapping, this process collides the
+    first half of the nodes, in blocks of ``_chunks`` of that half, and
+    streams the first half of the populations, a forked worker the second
+    halves, and a spin barrier separates the phases.  The block scratch then
+    holds the widest block of either half.  Each process is pinned to its own
+    CPU for the call.  The result is bit-identical to one process's.  On
+    every way out, the worker is reaped and this process's CPU mask
+    restored.
     """
     team = None
     try:
         if n_steps > 0:
             nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
             # forking, pinning and reaping cost 3-6 ms, which the second CPU
-            # wins back over about 2^18 node updates: see TEAM_UPDATES
+            # wins back within 2^22 population updates: see TEAM_UPDATES
             if (n_steps > 1 and nodes >= TEAM_NODES
-                    and n_steps * nodes >= TEAM_UPDATES):
+                    and n_steps * nj * nodes >= TEAM_UPDATES):
                 from ._team import team_for
 
                 team = team_for(state, vs, mm, model, params)

@@ -2,7 +2,9 @@ import csv
 import math
 import os
 import re
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -349,7 +351,7 @@ def test_run_writes_the_same_bytes_on_one_process_and_two(tmp_path, monkeypatch,
 
 def test_only_run_commands_of_writer_nodes_fork(tmp_path, monkeypatch):
     assert 127 * 127 < cli.WRITER_NODES <= 128 * 128 <= 16384
-    assert 3 * 16384 < scheme.TEAM_UPDATES
+    assert 3 * 9 * 16384 < scheme.TEAM_UPDATES
     two_cpus()
     forks = counting_forks(monkeypatch)
     below = WRITER_RUNS["d2q9"].replace("nx = 128", "nx = 127")
@@ -389,6 +391,32 @@ def test_interrupt_while_writing_the_checkpoint_stops_the_writer(tmp_path,
     with pytest.raises(KeyboardInterrupt):
         _cli(tmp_path, "run", WRITER_RUNS["d2q9"])
     assert forks == [1]
+    assert_no_worker_left()
+
+
+def test_interrupt_while_waiting_for_the_writer_kills_it(tmp_path, monkeypatch):
+    # the writer hangs; the first blocking wait for it is interrupted
+    two_cpus()
+    parent, waitpid, statuses = os.getpid(), os.waitpid, []
+
+    def hanging(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+
+    def interrupted(pid, options):
+        if options == 0 and not statuses:
+            statuses.append(None)
+            raise KeyboardInterrupt
+        pid, status = waitpid(pid, options)
+        statuses.append(status)
+        return pid, status
+
+    monkeypatch.setattr(cli, "_write_moment_fields", hanging)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "waitpid", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _cli(tmp_path, "run", WRITER_RUNS["d2q9"])
+    assert len(statuses) == 2 and os.WTERMSIG(statuses[1]) == signal.SIGKILL
     assert_no_worker_left()
 
 

@@ -114,14 +114,17 @@ CASES = [
 MULTI_BLOCK = [c for c in CASES if math.prod(c[3]) > lbmlab.scheme.CHUNK_NODES]
 
 
-def teamed_steps(grid):
+POPULATIONS = {"d1q3": 3, "d2q5": 5, "d2q9": 9}
+
+
+def teamed_steps(grid, lattice="d2q9"):
     """The fewest steps of a ``run`` on ``grid`` that pay for a fork."""
-    return max(2, -(-lbmlab.scheme.TEAM_UPDATES // math.prod(grid)))
+    values = POPULATIONS[lattice] * math.prod(grid)
+    return max(2, -(-lbmlab.scheme.TEAM_UPDATES // values))
 
 
-# the cases that run steps on two processes wherever it may
-TEAMED = [c for c in CASES
-          if math.prod(c[3]) >= lbmlab.scheme.TEAM_NODES and c[4] >= teamed_steps(c[3])]
+# the cases whose grids run may step on two processes
+TEAMED = [c for c in CASES if math.prod(c[3]) >= lbmlab.scheme.TEAM_NODES]
 
 
 def case_ids(cases):
@@ -277,6 +280,9 @@ def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
 
 @pytest.mark.parametrize("lattice, lam, s, grid, steps", TEAMED, ids=case_ids(TEAMED))
 def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypatch):
+    # the values must not depend on the call's length: every case steps on two
+    # processes, whether or not its steps pay for the fork
+    monkeypatch.setattr(lbmlab.scheme, "TEAM_UPDATES", 0)
     args, state = case_setup(lattice, lam, s, grid)
     expected = reference_run(lattice, lam, s, grid, steps)
     with monkeypatch.context() as patch:
@@ -292,26 +298,40 @@ def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypat
 
 
 def test_one_step_or_fewer_than_team_nodes_stays_on_one_process(monkeypatch):
-    # 128 x 8 is the N x 8 grid of verify just under TEAM_NODES
+    # each call passes every other condition of a fork.  128 x 8 is the N x 8
+    # grid of verify just under TEAM_NODES, run for enough steps to pay; one
+    # step of a state of TEAM_UPDATES values stays serial, and two steps fork
     assert 128 * 8 < lbmlab.scheme.TEAM_NODES <= 256 * 8
+    two_cpus()
     forks = counting_forks(monkeypatch)
-    for grid, steps in [((97, 91), 1), ((128, 8), 5)]:
-        args, state = case_setup("d2q9", 1.0, (1.3,), grid)
-        lb.run(state, steps, *args)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (128, 8))
+    lb.run(state, teamed_steps((128, 8)), *args)
+    grid = (-(-lbmlab.scheme.TEAM_UPDATES // 3),)
+    args, state = case_setup("d1q3", 1.0, (1.3,), grid)
+    assert teamed_steps(grid, "d1q3") == 2
+    lb.run(state, 1, *args)
     assert forks == []
+    lb.run(state, 2, *args)
+    assert forks == [1]
+    assert_no_worker_left()
 
 
 def test_run_too_short_to_pay_for_a_fork_stays_on_one_process(monkeypatch):
-    # verify's two steps per resolution on 512 x 8, and one step fewer than pays
-    # on 97 x 91; one more forks
+    # two steps on 512 x 8, and one step fewer than pays on 97 x 91 D2Q9 and
+    # on a D1Q3 grid of as many nodes, whose steps update a third as many
+    # values and so need three times as many; one more forks
+    two_cpus()
     forks = counting_forks(monkeypatch)
-    for grid, steps in [((512, 8), 2), ((97, 91), teamed_steps((97, 91)) - 1)]:
-        args, state = case_setup("d2q9", 1.0, (1.3,), grid)
+    runs = [("d2q9", (512, 8), 2), ("d2q9", (97, 91), teamed_steps((97, 91)) - 1),
+            ("d1q3", (97 * 91,), teamed_steps((97 * 91,), "d1q3") - 1)]
+    for lattice, grid, steps in runs:
+        args, state = case_setup(lattice, 1.0, (1.3,), grid)
         lb.run(state, steps, *args)
     assert forks == []
-    two_cpus()
-    lb.run(state, teamed_steps((97, 91)), *args)
-    assert forks == [1]
+    for lattice, grid, steps in runs[1:]:
+        args, state = case_setup(lattice, 1.0, (1.3,), grid)
+        lb.run(state, steps + 1, *args)
+    assert forks == [1, 1]
     assert_no_worker_left()
 
 
@@ -383,8 +403,9 @@ def test_non_finite_population_in_the_workers_blocks_is_named(monkeypatch):
     two_cpus()
     grid = (181, 181)
     steps = teamed_steps(grid)
+    assert 91 <= 160 - steps and 160 + steps < 181
     args, state = case_setup("d2q9", 1.0, SIX_S, grid)
-    state.f[170, 30, 4] = np.nan
+    state.f[160, 30, 4] = np.nan
     serial, _ = failing_run(state, args, steps, monkeypatch, serial=True)
     assert serial.startswith("non-finite populations at node")
     assert serial.endswith(f"after {steps} steps")

@@ -283,7 +283,7 @@ class TestStepAndRun:
         real_mmap = mmap.mmap
         monkeypatch.setattr(mmap, "mmap", recording_mmap)
         # the fewest steps whose run pays for a fork
-        steps = -(-lbmlab.scheme.TEAM_UPDATES // (grid[0] * grid[1]))
+        steps = -(-lbmlab.scheme.TEAM_UPDATES // state.f.size)
         tracemalloc.start()
         try:
             lb.run(state, steps, vs, mm, model, params)

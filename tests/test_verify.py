@@ -253,8 +253,8 @@ class TestOrchestration:
 
     def test_only_run_calls_of_team_nodes_fork(self, monkeypatch):
         # verify-refine's ladder: run(N - 1) on N x 8 forks a worker from
-        # scheme.TEAM_NODES = 2,048 nodes on, whose 522k and 2.1M node updates
-        # pass scheme.TEAM_UPDATES; its two steps per resolution and every
+        # scheme.TEAM_NODES = 2,048 nodes on, whose 4.7M and 18.8M population
+        # updates pass scheme.TEAM_UPDATES; its two steps per resolution and every
         # viscometry step go one at a time, and never fork
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("this process may run on one CPU only, so run steps on one process")
