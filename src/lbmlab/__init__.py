@@ -25,7 +25,7 @@ from .equilibrium import (
     equilibrium_moments,
     momentum_flux,
 )
-from .fields import InitialField, SineComponent, shear_wave_field
+from .fields import InitialField, SineComponent
 from .lattice import (
     MomentMatrix,
     VelocitySet,

@@ -1,19 +1,21 @@
-"""A second process on a second CPU: ``Worker``, and its two uses.
+"""A second process on a second CPU: when, where and how lbmlab forks one.
 
-``Worker`` is the one way lbmlab starts a process: it forks, pins the worker
-and this process to CPUs of their own, and on every way out reaps the worker
-and restores this process's CPU mask.  ``fork_worker`` starts one where this
-process may run on two CPUs.
+Every rule of lbmlab's second process lives here.  ``scheme.run`` asks
+``team_for`` for a ``Team``, two processes stepping one call on shared
+buffers: both call ``scheme._sweep`` and ``scheme._stream_rows`` on their
+halves of the nodes (``halves``) and of the populations, so every value is
+computed as on one process.  ``lbmlab run`` writes its two files through
+``write_both``.  Each forks only where its thresholds (``TEAM_NODES``,
+``TEAM_UPDATES``, ``WRITER_NODES``) say that a worker pays, and only through
+one gate, ``_forked``.  ``places`` keeps this process on the CPU it runs on
+and puts the worker on the next CPU of the mask; each is pinned there,
+because unpinned, a fresh process often ran both on one CPU and gained
+nothing.  ``Worker.reap`` restores this process's mask on every way out.
 
-* ``Team``: two processes stepping one ``scheme.run`` call on shared
-  buffers.  ``scheme.run`` imports this module only where two processes can
-  pay (``scheme.TEAM_NODES`` and ``scheme.TEAM_UPDATES``) and asks
-  ``team_for`` whether they can run.  Both processes call ``scheme._sweep``
-  and ``scheme._stream_rows``, on their halves of the nodes (``halves``) and
-  of the populations, so every value is computed as on one process.
-* The writer of ``lbmlab run``: ``cli.cmd_run`` imports this module only on a
-  grid of at least ``cli.WRITER_NODES`` nodes, and a worker writes the moment
-  fields while this process writes the checkpoint.
+Only the calling thread is pinned, so OpenBLAS's helper threads are not: on
+256x256 D2Q9 a teamed ``run(10)`` took 170 ms with OpenBLAS's default threads
+against 37-47 ms with one (CHANGES.md, FOUND).  The thresholds below were
+measured, and the benchmark runs, with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -36,6 +38,47 @@ from .scheme import (
     _sweep,
 )
 
+# Fewest nodes ``run`` steps on two processes.  Per step of run(N - 1) on an
+# N x 8 D2Q9 grid on a 2-vCPU Xeon, fork and reap included, two processes
+# took 0.94-1.54 times one process's median time at 1,024 nodes, 0.79-0.82 at
+# 2,048 and 0.71-0.73 at 4,096, in three rounds of 15-21 interleaved calls
+# (one process: 122-193, 250-265 and 352-415 us per step).  Those calls were
+# short; over 2^19 node updates (4.7M population updates, past TEAM_UPDATES),
+# in rounds of 9 alternating calls with single-threaded BLAS, two processes
+# took 0.94, 1.09 and 1.11 times one process's time at 256 nodes, 0.88-0.99
+# at 512, 0.84-0.87 at 1,024 and 0.82-0.88 at 1,536.  So a floor is needed;
+# it could sit as low as 512 nodes, and stays at 2,048, where the short calls
+# above gained too.
+TEAM_NODES = 2048
+
+# Fewest population updates, steps times nodes times populations (J + 1), of
+# a ``run`` call on two processes: below it the fork and reap cost more than
+# the second CPU saves.  A step's work grows with J + 1, so the same node
+# updates pay on D2Q9 and not on D1Q3: at 2^18 node updates, two processes
+# took 1.54 times one process's time on D1Q3 16,384 nodes, and 1.01-1.22 on
+# D2Q9 128 x 128 and 256 x 256.  At the fewest steps past 2^22 population
+# updates, in 9-11 alternating calls per grid on the Xeon above with
+# single-threaded BLAS, they took:
+#
+#   D2Q9  256 x 8, 228 steps  0.84-0.86 (1.04 in one round of four)
+#         512 x 8, 114        0.79        128 x 128, 29   0.81
+#         181 x 181, 15       0.77-0.93   256 x 256, 8    0.86
+#   D1Q3  16,384 nodes, 86    0.74        65,536, 22      0.73
+#         262,144, 6          0.83
+#
+# One step never forks: on 700 x 700 D2Q9, 4.4M population updates, two
+# processes took 1.31 times one process's time for one step, 0.98 for two.
+TEAM_UPDATES = 2 ** 22
+
+# Fewest nodes of a grid whose moment fields ``lbmlab run`` writes in a worker
+# process while it writes the checkpoint (see ``write_both``).  The
+# forked write's median time over the serial one's, in 15 alternating calls
+# per grid on a 2-vCPU Xeon, fork and reap included: D2Q9 1.05-1.17 at 4,096
+# nodes, 0.87 at 6,084, 0.75-0.83 at 8,281, 0.65-0.68 at 16,384 and 0.61 at
+# 65,536; D1Q3, whose rows are shorter, 1.08-1.09 at 8,192, 1.13 at 12,288,
+# 0.93-0.95 at 16,384, 0.80 at 24,576 and 0.55 at 65,536.
+WRITER_NODES = 16384
+
 # Spin reads of the other process's counter before each os.sched_yield.
 SPINS = 1000
 
@@ -56,48 +99,82 @@ def halves(nodes: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                                 for start, stop in _chunks(nodes - half))
 
 
-def _cpus():
-    """This process's CPU mask, or None where it may not fork a worker onto a
-    second CPU: without ``os.fork`` or ``os.sched_getaffinity``, or with one
-    CPU in the mask."""
+def team_for(state, n_steps, vs, mm, model, params):
+    """A ``Team`` for ``scheme.run``'s call of ``n_steps`` steps from
+    ``state``, or None to step on this process alone: for one step, fewer
+    than ``TEAM_NODES`` nodes or ``TEAM_UPDATES`` population updates, off
+    x86-64 (the barrier needs its store order), or where ``_forked`` finds
+    no second CPU or the mapping or the fork fails."""
+    nodes = math.prod(state.grid_shape)
+    if (n_steps < 2 or nodes < TEAM_NODES
+            or n_steps * state.f.shape[-1] * nodes < TEAM_UPDATES
+            or os.uname().machine != "x86_64"):
+        return None
+    return _forked(lambda cpus: Team(state, vs, mm, model, params, cpus))
+
+
+def write_both(nodes: int, here, there) -> None:
+    """Call ``here()`` on this process and ``there()`` in a worker at the same
+    time, for files of a grid of ``nodes`` nodes; one after the other here
+    below ``WRITER_NODES`` nodes or where ``_forked`` allows no worker.  If
+    the worker fails, ``there()`` runs here and raises what it raises; if
+    ``here()`` raises, an interrupt included, the worker is killed and
+    reaped."""
+    worker = (_forked(lambda cpus: Worker(there, cpus))
+              if nodes >= WRITER_NODES else None)
+    if worker is None:
+        here()
+        there()
+        return
+    with worker:
+        here()
+    if worker.status != 0:
+        there()
+
+
+def _forked(start):
+    """``start(cpus)``, which forks a worker onto a second CPU of this
+    process's mask ``cpus``; None where there is no second CPU (no
+    ``os.fork``, no ``os.sched_getaffinity`` or one CPU in the mask) or when
+    ``start`` raises ``OSError``."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     cpus = os.sched_getaffinity(0)
-    return cpus if len(cpus) >= 2 else None
-
-
-def fork_worker(body):
-    """A ``Worker`` running ``body()``, or None to do the work on one
-    process: where ``_cpus`` finds no second CPU, or when the fork fails."""
-    cpus = _cpus()
-    if cpus is None:
+    if len(cpus) < 2:
         return None
     try:
-        return Worker(body, cpus)
+        return start(cpus)
     except OSError:
         return None
 
 
-def team_for(state, vs, mm, model, params):
-    """A ``Team`` for ``run``'s call, or None to step on one process: off
-    x86-64 (the barrier needs its store order), where ``_cpus`` finds no
-    second CPU, or when the mapping or the fork fails."""
-    cpus = _cpus()
-    if cpus is None or os.uname().machine != "x86_64":
-        return None
+def places(cpus) -> tuple[int, int]:
+    """The CPUs of the mask ``cpus`` for this process and its worker: the one
+    this process runs on (the lowest where that is unknown or outside the
+    mask), and the next in the mask after it, wrapping around."""
+    order = sorted(cpus)
+    here = _current_cpu()
+    first = here if here in cpus else order[0]
+    return first, order[(order.index(first) + 1) % len(order)]
+
+
+def _current_cpu():
+    """The CPU the calling thread runs on, field 39 of its /proc stat, or
+    None where that cannot be read."""
     try:
-        return Team(state, vs, mm, model, params, cpus)
-    except OSError:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # fields from the third on follow the ")" that ends the command name
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
         return None
 
 
 class Worker:
-    """A forked process running ``body()`` on the second CPU of ``cpus``,
-    while this process runs on the first.
+    """A forked process running ``body()``; it and this process are each
+    pinned to a CPU of the mask ``cpus`` (``places``).
 
-    Without pinning, a fresh process often ran both on one CPU and gained
-    nothing.  The worker disables the garbage collector, so that no finalizer
-    of the garbage copied at the fork runs twice, and ignores SIGINT: an
+    The worker disables the garbage collector, so that no finalizer of the
+    garbage copied at the fork runs twice, and ignores SIGINT: an
     interrupt is this process's to handle, and it stops the worker.  It ends
     in ``os._exit``, with status 0 if ``body`` returned and 1 if it raised,
     and so runs no exit handler and flushes no buffer of this process.
@@ -107,7 +184,7 @@ class Worker:
     """
 
     def __init__(self, body, cpus):
-        first, second = sorted(cpus)[:2]
+        first, second = places(cpus)
         self.cpus = cpus
         self.status = None
         self.pid = os.fork()
@@ -177,8 +254,8 @@ class Team:
     parent changes, and this process raises ``LbmError`` if the worker has
     died.  The worker is a ``Worker``.  If the worker's blocks raise, it posts
     the phase as failed, and ``collide`` sweeps them again here to raise the
-    same error; this process's block scratch holds the widest block of either
-    half.
+    same error, so this process's block scratch ``scratch`` holds the widest
+    block of either half.
     """
 
     def __init__(self, state, vs, mm, model, params, cpus):
@@ -197,6 +274,7 @@ class Team:
         self._worker = Worker(
             lambda: self._serve(_populations_first(state.f).reshape(nj, nodes), vs,
                                 mm, model, params, state.steps, grid), cpus)
+        self.scratch = _collide_scratch(nj, self.blocks[0] + self.blocks[1])
 
     def go(self) -> None:
         """Post the next phase: the source of its kernel is ready."""

@@ -31,15 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
 EXIT_VERIFICATION = 5
 
-# Fewest nodes of a grid whose moment fields ``run`` writes in a worker
-# process while it writes the checkpoint (see ``_write_outputs``).  The
-# forked write's median time over the serial one's, in 15 alternating calls
-# per grid on a 2-vCPU Xeon, fork and reap included: D2Q9 1.05-1.17 at 4,096
-# nodes, 0.87 at 6,084, 0.75-0.83 at 8,281, 0.65-0.68 at 16,384 and 0.61 at
-# 65,536; D1Q3, whose rows are shorter, 1.08-1.09 at 8,192, 1.13 at 12,288,
-# 0.93-0.95 at 16,384, 0.80 at 24,576 and 0.55 at 65,536.
-WRITER_NODES = 16384
-
 
 def _say(args, message: str) -> None:
     if not args.quiet:
@@ -74,40 +65,16 @@ def _write_moment_fields(path, bundle: ComponentBundle, state) -> None:
     write_csv(path, header, table)
 
 
-def _write_outputs(out: Path, bundle: ComponentBundle, state) -> None:
-    """Write ``checkpoint.csv`` and ``moments.csv`` of ``state`` to ``out``,
-    the moment fields in a worker where ``cmd_run`` says."""
-    checkpoint, moments = out / "checkpoint.csv", out / "moments.csv"
-    worker = None
-    if math.prod(state.grid_shape) >= WRITER_NODES:
-        from ._team import fork_worker
-
-        worker = fork_worker(lambda: _write_moment_fields(moments, bundle, state))
-    if worker is None:
-        save_checkpoint(checkpoint, state, bundle.params, bundle.mm)
-        _write_moment_fields(moments, bundle, state)
-        return
-    with worker:
-        save_checkpoint(checkpoint, state, bundle.params, bundle.mm)
-    if worker.status != 0:
-        _write_moment_fields(moments, bundle, state)
-
-
 def cmd_run(args) -> int:
     """Step the config's initial field, write the last state to
     ``checkpoint.csv`` and its moment fields to ``moments.csv``, and print
     the conservation audit.
 
-    On a grid of at least WRITER_NODES nodes, a worker forked onto a second
-    CPU (``_team.fork_worker``) writes ``moments.csv`` while this process
-    writes the larger ``checkpoint.csv``; each process is pinned to its own
-    CPU, and the worker is reaped before the command returns.  Both files are
-    the same bytes as on one process.  If the worker fails, this process
-    writes the moment fields itself, which raises what a serial write raises.
-    If the checkpoint raises, an interrupt included, the worker is killed and
-    reaped and the CPU mask restored, so a failed command may leave a partial
-    ``moments.csv`` beside its partial checkpoint.  With one CPU, without
-    ``os.fork``, or when the fork fails, one process writes both files.
+    The two files may be written at the same time on two processes
+    (``_team.write_both`` says when and where); they are the same bytes as on
+    one process, no child process outlives the command, and this process's
+    CPU mask is restored.  A failed command may leave a partial
+    ``moments.csv`` beside its partial checkpoint.
     """
     cfg = load_config(args.config)
     bundle = build_components(cfg)
@@ -119,7 +86,13 @@ def cmd_run(args) -> int:
     del W0, initial                  # the files below are written from state alone
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_outputs(out, bundle, state)
+    from ._team import write_both
+
+    # the writers are looked up at call time, where bench/tracing.py wraps them
+    write_both(math.prod(state.grid_shape),
+               lambda: save_checkpoint(out / "checkpoint.csv", state, bundle.params,
+                                       bundle.mm),
+               lambda: _write_moment_fields(out / "moments.csv", bundle, state))
     mom = ", ".join(f"{x:.3e}" for x in audit["momentum_drift"])
     _say(args, f"ran {cfg.steps} steps on grid {state.grid_shape}")
     _say(args, f"conservation audit: mass drift {audit['mass_drift']:.3e} "
@@ -179,6 +152,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
 
 

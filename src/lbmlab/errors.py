@@ -5,7 +5,8 @@ reports it; the command line's exit codes are:
 
     0  success
     2  "config error" (ConfigError); "error" (any other LbmError, such as
-       GridTooCoarse or a malformed checkpoint, and unreadable files)
+       GridTooCoarse or a malformed checkpoint, unreadable files, and
+       MemoryError: "error: out of memory")
     3  "construction error" (ConstructionError), including a non-positive
        initial density
     4  "simulation diverged" (SimulationDiverged) during a run

@@ -82,10 +82,3 @@ def _along_first_axis(values_1d: np.ndarray, grid_shape) -> np.ndarray:
         np.broadcast_to(values_1d[expand], (*grid_shape, values_1d.shape[-1]))
     )
 
-
-def shear_wave_field(rho0: float, amplitude: float, mode: int) -> InitialField:
-    """Transverse wave u_y = amplitude * sin(2 pi mode x / L) at uniform density."""
-    return InitialField(
-        rho=SineComponent(offset=rho0),
-        velocity=(SineComponent(), SineComponent(amplitude=amplitude, mode=mode)),
-    )

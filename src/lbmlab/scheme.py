@@ -17,17 +17,9 @@ turn, and the chunk scratch of ``collide``, which sweeps the nodes in blocks
 of at most ``CHUNK_NODES``.  Every buffer the kernels allocate starts on a
 cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
 
-Collision is node-local and streaming a permutation per population, so a
-``run`` call of at least ``TEAM_NODES`` nodes and two steps may step on two
-processes: this one sweeps the blocks of the first half of the nodes and
-streams the first half of the populations, a forked worker the second
-halves, through the same ``_sweep`` and ``_stream_rows``, on buffers in one
-shared mapping.  A spin barrier on two shared counters separates the phases
-(correct under x86-64's total store order; elsewhere ``run`` stays serial),
-each process is pinned to its own CPU, and one CPU, no ``os.fork``, one
-step, fewer than ``TEAM_NODES`` nodes or fewer than ``TEAM_UPDATES``
-population updates means one process.  The results are bit-identical either
-way.
+A ``run`` call may step on two processes (``_team`` says when and where).
+Its results are bit-identical either way, it leaves no child process behind,
+and it restores this process's CPU mask.
 """
 
 from __future__ import annotations
@@ -64,38 +56,6 @@ CACHE_LINE = 64
 # blocks of 4,096, 7.0 ms in blocks of 16,384, 6.6 ms in blocks of 2,048
 # (interpreter overhead per block) and 8.3 ms in one block of 65,536.
 CHUNK_NODES = 8192
-
-# Fewest nodes ``run`` steps on two processes.  Per step of run(N - 1) on an
-# N x 8 D2Q9 grid on the Xeon above, fork and reap included, two processes
-# took 0.94-1.54 times one process's median time at 1,024 nodes, 0.79-0.82 at
-# 2,048 and 0.71-0.73 at 4,096, in three rounds of 15-21 interleaved calls
-# (one process: 122-193, 250-265 and 352-415 us per step).  Those calls were
-# short; over 2^19 node updates (4.7M population updates, past TEAM_UPDATES),
-# in rounds of 9 alternating calls with single-threaded BLAS, two processes
-# took 0.94, 1.09 and 1.11 times one process's time at 256 nodes, 0.88-0.99
-# at 512, 0.84-0.87 at 1,024 and 0.82-0.88 at 1,536.  So a floor is needed;
-# it could sit as low as 512 nodes, and stays at 2,048, where the short calls
-# above gained too.
-TEAM_NODES = 2048
-
-# Fewest population updates, steps times nodes times populations (J + 1), of
-# a ``run`` call on two processes: below it the fork and reap cost more than
-# the second CPU saves.  A step's work grows with J + 1, so the same node
-# updates pay on D2Q9 and not on D1Q3: at 2^18 node updates, two processes
-# took 1.54 times one process's time on D1Q3 16,384 nodes, and 1.01-1.22 on
-# D2Q9 128 x 128 and 256 x 256.  At the fewest steps past 2^22 population
-# updates, in 9-11 alternating calls per grid on the Xeon above with
-# single-threaded BLAS, they took:
-#
-#   D2Q9  256 x 8, 228 steps  0.84-0.86 (1.04 in one round of four)
-#         512 x 8, 114        0.79        128 x 128, 29   0.81
-#         181 x 181, 15       0.77-0.93   256 x 256, 8    0.86
-#   D1Q3  16,384 nodes, 86    0.74        65,536, 22      0.73
-#         262,144, 6          0.83
-#
-# One step never forks: on 700 x 700 D2Q9, 4.4M population updates, two
-# processes took 1.31 times one process's time for one step, 0.98 for two.
-TEAM_UPDATES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -266,9 +226,7 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     array that must not overlap the input; either is allocated, on a cache
     line, when not given.  The result's ``f`` is a (*grid, J+1) view of
     ``out`` (see ``SchemeState``).  ``team`` is ``run``'s private
-    ``_team.Team``: this process sweeps the blocks of the first half of the
-    nodes, its worker those of the second, and ``scratch`` must hold the
-    widest of either.
+    ``_team.Team``, with which the result is bit-identical.
     """
     _check_scales(mm, model, params)
     if params.s.shape[0] != mm.J - mm.d:
@@ -357,8 +315,7 @@ def stream(state: SchemeState, vs: VelocitySet, out=None, *, team=None) -> Schem
     The blocks are written to ``out``, a C-contiguous (J+1, nodes) array
     that must not overlap the input (allocated when not given), and the
     result's ``f`` is a (*grid, J+1) view of it.  ``team`` is ``run``'s
-    private ``_team.Team``, whose worker streams the second half of the
-    populations.
+    private ``_team.Team``, with which the result is bit-identical.
     """
     f = state.f
     if f.shape[-1] != vs.J + 1:
@@ -408,37 +365,23 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     written, and the result shares no memory with it; zero steps return
     ``state`` itself.
 
-    With two steps or more, at least ``TEAM_NODES`` nodes and at least
-    ``TEAM_UPDATES`` population updates (steps times nodes times J + 1), on
-    x86-64, with ``os.fork`` and at least two CPUs in
-    ``os.sched_getaffinity(0)``, the call steps on two processes (``_team``):
-    the two buffers are then one shared mapping, this process collides the
-    first half of the nodes, in blocks of ``_chunks`` of that half, and
-    streams the first half of the populations, a forked worker the second
-    halves, and a spin barrier separates the phases.  The block scratch then
-    holds the widest block of either half.  Each process is pinned to its own
-    CPU for the call.  The result is bit-identical to one process's.  On
-    every way out, the worker is reaped and this process's CPU mask
-    restored.
+    The call may step on two processes (``_team.team_for`` says when and
+    where); the result is bit-identical to one process's, and on every way
+    out no child process is left and this process's CPU mask is restored.
     """
     team = None
     try:
         if n_steps > 0:
-            nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-            # forking, pinning and reaping cost 3-6 ms, which the second CPU
-            # wins back within 2^22 population updates: see TEAM_UPDATES
-            if (n_steps > 1 and nodes >= TEAM_NODES
-                    and n_steps * nj * nodes >= TEAM_UPDATES):
-                from ._team import team_for
+            from ._team import team_for
 
-                team = team_for(state, vs, mm, model, params)
+            team = team_for(state, n_steps, vs, mm, model, params)
             if team is None:
+                nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
                 collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
                 streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
                 scratch = _collide_scratch(nj, _chunks(nodes))
             else:
-                collided, streamed = team.collided, team.streamed
-                scratch = _collide_scratch(nj, team.blocks[0] + team.blocks[1])
+                collided, streamed, scratch = team.collided, team.streamed, team.scratch
         for i in range(1, n_steps + 1):
             # looked up on the module at every call, where bench/tracing.py counts
             # them; the buffers go positionally and the team by keyword, so a

@@ -7,10 +7,10 @@ from lbmlab.errors import GridTooCoarse, NonPositiveDensity, ShapeError
 from lbmlab.fields import InitialField, SineComponent
 
 
-def shear_field(n=64, eps=1e-3, mode=1, analytic=True, ny=8):
+def shear_field(n=64, eps=1e-3, analytic=True, ny=8):
     fld = InitialField(
         rho=SineComponent(offset=1.0),
-        velocity=(SineComponent(), SineComponent(amplitude=eps, mode=mode)),
+        velocity=(SineComponent(), SineComponent(amplitude=eps)),
     )
     dx = 1.0 / n
     if analytic:

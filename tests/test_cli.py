@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbmlab import cli, errors, scheme, verify
+from lbmlab import _team, cli, errors, scheme, verify
 from lbmlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 from lbmlab.config import _KEYS, STUDY_NAMES
-from workers import assert_no_worker_left, counting_forks, one_cpu, two_cpus
+from workers import aarch64, assert_no_worker_left, counting_forks, one_cpu, two_cpus
 
 SMALL_VERIFY = """\
 [study]
@@ -302,8 +302,8 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-# Grids of cli.WRITER_NODES nodes whose three steps pay for no stepping fork
-# (scheme.TEAM_UPDATES), so that a run command forks once, for its writer
+# Grids of _team.WRITER_NODES nodes whose three steps pay for no stepping fork
+# (_team.TEAM_UPDATES), so that a run command forks once, for its writer
 WRITER_RUNS = {
     "d2q9": "[grid]\nnx = 128\n[scheme]\nsteps = 3\n",
     "d1q3": "[lattice]\nname = d1q3\n[grid]\nnx = 16384\n[scheme]\nsteps = 3\n",
@@ -349,9 +349,24 @@ def test_run_writes_the_same_bytes_on_one_process_and_two(tmp_path, monkeypatch,
         assert (rewritten / name).read_bytes() == expected
 
 
+def test_writer_forks_off_x86_64(tmp_path, monkeypatch):
+    # unlike the stepping team, the writer needs no barrier, so it forks on a
+    # machine whose store order run does not rely on
+    two_cpus()
+    config_text = WRITER_RUNS["d2q9"]
+    code, serial, forks = _run_on(tmp_path / "one", config_text, monkeypatch, 1)
+    assert (code, forks) == (EXIT_OK, 0)
+    with monkeypatch.context() as patch:
+        aarch64(patch)
+        code, forked, forks = _run_on(tmp_path / "two", config_text, monkeypatch, 2)
+    assert (code, forks) == (EXIT_OK, 1)
+    for name in ("checkpoint.csv", "moments.csv"):
+        assert (forked / name).read_bytes() == (serial / name).read_bytes()
+
+
 def test_only_run_commands_of_writer_nodes_fork(tmp_path, monkeypatch):
-    assert 127 * 127 < cli.WRITER_NODES <= 128 * 128 <= 16384
-    assert 3 * 9 * 16384 < scheme.TEAM_UPDATES
+    assert 127 * 127 < _team.WRITER_NODES <= 128 * 128 <= 16384
+    assert 3 * 9 * 16384 < _team.TEAM_UPDATES
     two_cpus()
     forks = counting_forks(monkeypatch)
     below = WRITER_RUNS["d2q9"].replace("nx = 128", "nx = 127")
@@ -418,6 +433,25 @@ def test_interrupt_while_waiting_for_the_writer_kills_it(tmp_path, monkeypatch):
             _cli(tmp_path, "run", WRITER_RUNS["d2q9"])
     assert len(statuses) == 2 and os.WTERMSIG(statuses[1]) == signal.SIGKILL
     assert_no_worker_left()
+
+
+@pytest.mark.parametrize("error, stderr", [
+    (MemoryError("Unable to allocate 7.45 GiB"),
+     "error: out of memory: Unable to allocate 7.45 GiB\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_allocation_failure_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                        error, stderr):
+    # a real allocation that large might succeed under overcommit, so the
+    # failure is injected where run allocates the initial state
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "initialize_equilibrium", failing)
+    code, out = _cli(tmp_path, "run", "[grid]\nnx = 16\n")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == stderr
+    assert not out.exists()
 
 
 def test_every_error_class_has_its_exit_code():

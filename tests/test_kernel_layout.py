@@ -24,7 +24,14 @@ import lbmlab.scheme
 from lbmlab.errors import LbmError, SimulationDiverged
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.scheme import relax_update
-from workers import assert_no_worker_left, counting_forks, one_cpu, two_cpus
+from workers import (
+    CPUS,
+    aarch64,
+    assert_no_worker_left,
+    counting_forks,
+    one_cpu,
+    two_cpus,
+)
 
 D2Q5_VECTORS = ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
 D2Q5_HIGHER_ROWS = ((0, 1, 1, 1, 1), (0, 1, -1, 1, -1))
@@ -103,7 +110,7 @@ CASES = [
     ("d2q9", 0.8, SIX_S, (97, 91), 75),
     ("d1q3", 1.7, (1.3,), (20001,), 70),
     ("d2q5", 1.7, (1.2, 1.7), (2731, 3), 70),
-    # one block each, but at least scheme.TEAM_NODES nodes
+    # one block each, but at least _team.TEAM_NODES nodes
     ("d2q9", 1.0, SIX_S, (512, 8), 70),
     ("d1q3", 1.0, (1.3,), (4096,), 70),
     ("d2q5", 1.0, (1.2, 1.7), (512, 8), 70),
@@ -120,11 +127,11 @@ POPULATIONS = {"d1q3": 3, "d2q5": 5, "d2q9": 9}
 def teamed_steps(grid, lattice="d2q9"):
     """The fewest steps of a ``run`` on ``grid`` that pay for a fork."""
     values = POPULATIONS[lattice] * math.prod(grid)
-    return max(2, -(-lbmlab.scheme.TEAM_UPDATES // values))
+    return max(2, -(-lbmlab._team.TEAM_UPDATES // values))
 
 
 # the cases whose grids run may step on two processes
-TEAMED = [c for c in CASES if math.prod(c[3]) >= lbmlab.scheme.TEAM_NODES]
+TEAMED = [c for c in CASES if math.prod(c[3]) >= lbmlab._team.TEAM_NODES]
 
 
 def case_ids(cases):
@@ -282,7 +289,7 @@ def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
 def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypatch):
     # the values must not depend on the call's length: every case steps on two
     # processes, whether or not its steps pay for the fork
-    monkeypatch.setattr(lbmlab.scheme, "TEAM_UPDATES", 0)
+    monkeypatch.setattr(lbmlab._team, "TEAM_UPDATES", 0)
     args, state = case_setup(lattice, lam, s, grid)
     expected = reference_run(lattice, lam, s, grid, steps)
     with monkeypatch.context() as patch:
@@ -301,18 +308,37 @@ def test_one_step_or_fewer_than_team_nodes_stays_on_one_process(monkeypatch):
     # each call passes every other condition of a fork.  128 x 8 is the N x 8
     # grid of verify just under TEAM_NODES, run for enough steps to pay; one
     # step of a state of TEAM_UPDATES values stays serial, and two steps fork
-    assert 128 * 8 < lbmlab.scheme.TEAM_NODES <= 256 * 8
+    assert 128 * 8 < lbmlab._team.TEAM_NODES <= 256 * 8
     two_cpus()
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (128, 8))
     lb.run(state, teamed_steps((128, 8)), *args)
-    grid = (-(-lbmlab.scheme.TEAM_UPDATES // 3),)
+    grid = (-(-lbmlab._team.TEAM_UPDATES // 3),)
     args, state = case_setup("d1q3", 1.0, (1.3,), grid)
     assert teamed_steps(grid, "d1q3") == 2
     lb.run(state, 1, *args)
     assert forks == []
     lb.run(state, 2, *args)
     assert forks == [1]
+    assert_no_worker_left()
+
+
+def test_run_off_x86_64_stays_on_one_process(monkeypatch):
+    # the spin barrier rests on x86-64 store order; a call that forks on
+    # x86-64 makes no fork elsewhere, and gives the same bits
+    two_cpus()
+    lattice, lam, s, grid, steps = next(c for c in CASES if c[3] == (97, 91))
+    assert steps * POPULATIONS[lattice] * math.prod(grid) >= lbmlab._team.TEAM_UPDATES
+    args, state = case_setup(lattice, lam, s, grid)
+    expected = reference_run(lattice, lam, s, grid, steps)
+    forks = counting_forks(monkeypatch)
+    with monkeypatch.context() as patch:
+        aarch64(patch)
+        assert np.array_equal(lb.run(state, steps, *args).f, expected)
+    assert forks == []
+    if os.uname().machine == "x86_64":
+        assert np.array_equal(lb.run(state, steps, *args).f, expected)
+        assert forks == [1]
     assert_no_worker_left()
 
 
@@ -391,6 +417,42 @@ def test_halves_differ_by_at_most_one_node(nodes):
     # no block is narrower than two nodes: see the one-column rule of _chunks
     widths = [stop - start for start, stop in blocks]
     assert 2 <= min(widths) and max(widths) <= lbmlab.scheme.CHUNK_NODES
+
+
+@pytest.mark.parametrize("here, places", [(1, (1, 2)), (6, (6, 7)), (7, (7, 0)),
+                                          (None, (0, 1)), (9, (0, 1))])
+def test_a_worker_takes_the_cpu_after_the_one_this_process_runs_on(
+        here, places, monkeypatch):
+    # eight CPUs in the mask; where the current CPU is unknown or outside the
+    # mask, this process takes the lowest
+    monkeypatch.setattr(lbmlab._team, "_current_cpu", lambda: here)
+    assert lbmlab._team.places(set(range(8))) == places
+
+
+def test_current_cpu_is_the_one_this_process_is_pinned_to():
+    try:
+        for cpu in sorted(CPUS):
+            os.sched_setaffinity(0, {cpu})
+            assert lbmlab._team._current_cpu() == cpu
+    finally:
+        os.sched_setaffinity(0, CPUS)
+
+
+def test_worker_pins_itself_after_this_process_and_restores_the_mask(monkeypatch):
+    # on the highest CPU of the mask, this process stays there and the
+    # worker wraps around to the lowest
+    two_cpus()
+    order = sorted(CPUS)
+    monkeypatch.setattr(lbmlab._team, "_current_cpu", lambda: order[-1])
+
+    def pinned():
+        if os.sched_getaffinity(0) != {order[0]}:
+            raise AssertionError("the worker is not on the lowest CPU")
+
+    with lbmlab._team.Worker(pinned, CPUS) as worker:
+        assert os.sched_getaffinity(0) == {order[-1]}
+    assert worker.status == 0
+    assert_no_worker_left()
 
 
 def test_256_squared_splits_into_four_blocks_a_side():

@@ -161,7 +161,11 @@ class TestViscometry:
         k = 2.0 * np.pi
         decay = shear_mode_decay(setup, params, k)
         steps = int(np.ceil(1.5 / decay))
-        field = lb.shear_wave_field(1.0, verify.SHEAR_WAVE_AMPLITUDE, 1)
+        field = lb.InitialField(
+            rho=lb.SineComponent(offset=1.0),
+            velocity=(lb.SineComponent(),
+                      lb.SineComponent(amplitude=verify.SHEAR_WAVE_AMPLITUDE)),
+        )
         state = lb.initialize_equilibrium(model, setup.vs, field.conserved((n, 8), dx))
         amps = []
         for _ in range(steps + 1):
@@ -253,8 +257,8 @@ class TestOrchestration:
 
     def test_only_run_calls_of_team_nodes_fork(self, monkeypatch):
         # verify-refine's ladder: run(N - 1) on N x 8 forks a worker from
-        # scheme.TEAM_NODES = 2,048 nodes on, whose 4.7M and 18.8M population
-        # updates pass scheme.TEAM_UPDATES; its two steps per resolution and every
+        # _team.TEAM_NODES = 2,048 nodes on, whose 4.7M and 18.8M population
+        # updates pass _team.TEAM_UPDATES; its two steps per resolution and every
         # viscometry step go one at a time, and never fork
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("this process may run on one CPU only, so run steps on one process")

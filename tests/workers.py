@@ -18,6 +18,12 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(CPUS)})
 
 
+def aarch64(monkeypatch):
+    """Make os.uname report an aarch64 machine."""
+    uname = os.uname()
+    monkeypatch.setattr(os, "uname", lambda: os.uname_result((*uname[:4], "aarch64")))
+
+
 def counting_forks(monkeypatch):
     """A list that gains one entry per os.fork call in this process."""
     forks = []
