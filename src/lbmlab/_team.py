@@ -12,10 +12,10 @@ and puts the worker on the next CPU of the mask; each is pinned there,
 because unpinned, a fresh process often ran both on one CPU and gained
 nothing.  ``Worker.reap`` restores this process's mask on every way out.
 
-Only the calling thread is pinned, so OpenBLAS's helper threads are not: on
-256x256 D2Q9 a teamed ``run(10)`` took 170 ms with OpenBLAS's default threads
-against 37-47 ms with one (CHANGES.md, FOUND).  The thresholds below were
-measured, and the benchmark runs, with one BLAS thread.
+Only the calling thread is pinned, so OpenBLAS's helper threads are not, and
+they stalled the worker's CPU; ``import lbmlab`` asks for one BLAS thread
+unless the user set a count (see ``lbmlab/__init__.py``).  The thresholds
+below were measured, and the benchmark runs, with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -82,11 +82,10 @@ WRITER_NODES = 16384
 # Spin reads of the other process's counter before each os.sched_yield.
 SPINS = 1000
 
-# Slots of ``Team``'s int64 control page: the phase this process posted, on
-# one cache line; the phase the worker finished and the last phase its blocks
-# failed in, on the next.  Posting STOP ends the worker.
-POSTED, DONE, FAILED = 0, CACHE_LINE // 8, CACHE_LINE // 8 + 1
-STOP = 1 << 62
+# Slots of ``Team``'s int64 control page: the last phase this process
+# passed, on one cache line; the last phase the worker passed and the phase
+# its blocks failed in, on the next.
+PARENT, WORKER, FAILED = 0, CACHE_LINE // 8, CACHE_LINE // 8 + 1
 
 
 def halves(nodes: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -110,7 +109,7 @@ def team_for(state, n_steps, vs, mm, model, params):
             or n_steps * state.f.shape[-1] * nodes < TEAM_UPDATES
             or os.uname().machine != "x86_64"):
         return None
-    return _forked(lambda cpus: Team(state, vs, mm, model, params, cpus))
+    return _forked(lambda cpus: Team(state, n_steps, vs, mm, model, params, cpus))
 
 
 def write_both(nodes: int, here, there) -> None:
@@ -239,26 +238,34 @@ class Worker:
 
 
 class Team:
-    """This process and one forked worker, stepping one ``run`` call.
+    """This process and one forked worker, stepping one ``run`` call of
+    ``n_steps`` steps.
 
     ``collided``, ``streamed`` and an int64 control page are one anonymous
     shared mapping, each starting on a page; all else the worker reads, the
     input included, is its copy of this process's memory at the fork.  Each
-    kernel call is a phase: ``go`` posts its number, both processes do their
-    half (``blocks``, from ``halves``, or ``rows``), and ``join`` waits until
-    the worker posts the number back.  The worker then waits for the next
-    post, so the two counters are a barrier.  It rests on x86-64's total
-    store order: the buffer stores made before a counter is posted are
-    visible to whoever reads that counter.  A waiter spins SPINS reads, then
-    yields between reads and checks the other side: the worker exits if its
-    parent changes, and this process raises ``LbmError`` if the worker has
-    died.  The worker is a ``Worker``.  If the worker's blocks raise, it posts
-    the phase as failed, and ``collide`` sweeps them again here to raise the
-    same error, so this process's block scratch ``scratch`` holds the widest
-    block of either half.
+    kernel call, collide or stream, is a phase: both processes do their half
+    (``blocks``, from ``halves``, or ``rows``), post the phase and wait for
+    the other's post (``_post``), one barrier.  The worker steps the call's
+    ``n_steps`` steps and ends after its last post.
+
+    One barrier per phase is enough: phase k + 1 writes the buffer that phase
+    k read, and neither process starts k + 1 before both have posted k.
+    This process's ``check_finite`` reads ``streamed`` after a stream phase,
+    while the worker may sweep the next step, which only reads it; the
+    worker's next stream, which writes it, waits for this process's post of
+    that collide phase, made after the check.  The barrier rests on x86-64's
+    total store order: the buffer stores made before a post are visible to
+    whoever reads that post.  A waiter spins SPINS reads, then yields
+    between reads and checks the other side: the worker exits if its parent
+    changes, and this process raises ``LbmError`` if the worker has exited
+    short of the phase.  The worker is a ``Worker``.  If the worker's blocks
+    raise, it posts the phase as failed and ends, writing nothing more, and
+    ``collide`` sweeps them again here to raise the same error, so this
+    process's block scratch ``scratch`` holds the widest block of either half.
     """
 
-    def __init__(self, state, vs, mm, model, params, cpus):
+    def __init__(self, state, n_steps, vs, mm, model, params, cpus):
         nj, grid = state.f.shape[-1], state.grid_shape
         nodes = math.prod(grid)
         span = -(-nj * nodes * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
@@ -273,41 +280,40 @@ class Team:
         self._parent = os.getpid()
         self._worker = Worker(
             lambda: self._serve(_populations_first(state.f).reshape(nj, nodes), vs,
-                                mm, model, params, state.steps, grid), cpus)
+                                mm, model, params, state.steps, grid, n_steps), cpus)
         self.scratch = _collide_scratch(nj, self.blocks[0] + self.blocks[1])
 
-    def go(self) -> None:
-        """Post the next phase: the source of its kernel is ready."""
-        self.phase += 1
-        self._control[POSTED] = self.phase
-
-    def join(self) -> bool:
-        """Wait until the worker has done the posted phase; True if its
-        blocks failed in it."""
-        self._wait_past(DONE, self.phase - 1, self._worker_alive)
+    def sync(self) -> bool:
+        """Pass the barrier that ends this phase; True if the worker's blocks
+        failed in it."""
+        self._post(PARENT, WORKER, self._worker_alive)
         return self._control[FAILED] == self.phase
 
     def close(self) -> None:
-        """Stop and reap the worker, restore this process's CPU mask, and free
-        the pages of ``collided``: ``run``'s result is a view of ``streamed``,
-        which keeps the whole mapping alive."""
-        self._control[POSTED] = STOP
-        self._worker.reap()
+        """Kill and reap the worker, which has done its steps or waits in a
+        call that failed, restore this process's CPU mask, and free the pages
+        of ``collided``: ``run``'s result is a view of ``streamed``, which
+        keeps the whole mapping alive."""
+        self._worker.reap(kill=True)
         self._shared.madvise(mmap.MADV_REMOVE, 0, self._span)
 
-    def _wait_past(self, slot: int, value: int, alive) -> int:
+    def _post(self, mine: int, theirs: int, alive) -> None:
+        """Post the next phase in slot ``mine``; wait until ``theirs`` has it."""
         control = self._control
+        self.phase += 1
+        control[mine] = self.phase
         spins = 0
-        while control[slot] <= value:
+        while control[theirs] < self.phase:
             spins += 1
             if spins > SPINS:
                 os.sched_yield()
                 alive()
-        return control[slot]
 
     def _worker_alive(self) -> None:
+        # the worker may post its last phase and exit between the read of its
+        # slot and the poll, so its slot is read again after the poll
         status = self._worker.poll()
-        if status is not None:
+        if status is not None and self._control[WORKER] < self.phase:
             raise LbmError(f"the stepping worker exited (wait status {status}) "
                            f"in phase {self.phase} of run")
 
@@ -315,30 +321,25 @@ class Team:
         if os.getppid() != self._parent:
             raise LbmError("the process that forked this stepping worker is gone")
 
-    def _serve(self, src, vs, mm, model, params, steps, grid) -> None:
+    def _serve(self, src, vs, mm, model, params, steps, grid, n_steps) -> None:
         """The worker: per step, sweep its blocks of ``src`` (the input, then
-        ``streamed``) and stream its rows, each after its post, until STOP."""
+        ``streamed``), post, stream its rows and post, ``n_steps`` times."""
         control, blocks, rows = self._control, self.blocks[1], self.rows[1]
         shape = (len(self.collided), *grid)
         scratch = _collide_scratch(len(self.collided), blocks)
-        while self._next():
+        for _ in range(n_steps):
             try:
                 _sweep(src, self.collided, scratch, blocks, mm, model, params, steps,
                        grid)
             except Exception:
-                control[FAILED] = self.phase
-            control[DONE] = self.phase
-            if not self._next():
-                return
+                control[FAILED] = self.phase + 1
+            self._post(WORKER, PARENT, self._parent_alive)
+            if control[FAILED] == self.phase:
+                return          # the parent sweeps them again from this source
             _stream_rows(vs, self.streamed.reshape(shape), self.collided.reshape(shape),
                          rows)
-            control[DONE] = self.phase
+            self._post(WORKER, PARENT, self._parent_alive)
             src, steps = self.streamed, steps + 1
-
-    def _next(self) -> bool:
-        """The worker: wait for the next post; False if it is STOP."""
-        self.phase = self._wait_past(POSTED, self.phase, self._parent_alive)
-        return self.phase != STOP
 
 
 def pin(cpu: int) -> None:

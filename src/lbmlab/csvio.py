@@ -51,8 +51,6 @@ BLOCK_VALUES = 4096
 def format_value(value) -> str:
     if isinstance(value, float):
         return FLOAT_FORMAT % value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)
 
 

@@ -250,9 +250,8 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         _sweep(src, out, scratch, _chunks(nodes), mm, model, params, state.steps, grid)
     else:
         own, theirs = team.blocks
-        team.go()
         _sweep(src, out, scratch, own, mm, model, params, state.steps, grid)
-        if team.join():
+        if team.sync():
             # the worker's blocks failed: sweep them here, from the same source,
             # to raise what a serial sweep raises
             _sweep(src, out, scratch, theirs, mm, model, params, state.steps, grid)
@@ -328,9 +327,8 @@ def stream(state: SchemeState, vs: VelocitySet, out=None, *, team=None) -> Schem
     if team is None:
         _stream_rows(vs, dest, src, range(vs.J + 1))
     else:
-        team.go()
         _stream_rows(vs, dest, src, team.rows[0])
-        team.join()
+        team.sync()
     return SchemeState(f=_populations_last(dest), steps=state.steps)
 
 
@@ -405,16 +403,6 @@ def check_finite(state: SchemeState) -> None:
                    "after {} steps", state.steps, state.grid_shape)
 
 
-def total_mass(state: SchemeState) -> float:
-    return float(state.f.sum())
-
-
-def total_momentum(state: SchemeState, mm: MomentMatrix) -> np.ndarray:
-    v = mm.velocities  # (J+1, d)
-    flat = state.f.reshape(-1, v.shape[0])
-    return flat.sum(axis=0) @ v
-
-
 def conservation_audit(initial: SchemeState, final: SchemeState,
                        mm: MomentMatrix) -> dict:
     """Relative drift of global mass and momentum between two states.
@@ -422,8 +410,10 @@ def conservation_audit(initial: SchemeState, final: SchemeState,
     Momentum drift is measured relative to max(|initial momentum|, mass * lam)
     per component so a zero-mean flow does not divide by zero.
     """
-    mass0, mass1 = total_mass(initial), total_mass(final)
-    mom0, mom1 = total_momentum(initial, mm), total_momentum(final, mm)
+    nj = mm.velocities.shape[0]
+    mass0, mass1 = (float(state.f.sum()) for state in (initial, final))
+    mom0, mom1 = (state.f.reshape(-1, nj).sum(axis=0) @ mm.velocities
+                  for state in (initial, final))
     mass_scale = abs(mass0)
     mom_scale = np.maximum(np.abs(mom0), mass_scale * mm.lam)
     return {

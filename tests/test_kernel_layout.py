@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,72 @@ def test_worker_that_dies_is_an_lbm_error(monkeypatch):
     with pytest.raises(LbmError, match="stepping worker exited"):
         lb.run(state, teamed_steps((97, 91)), *args)
     assert_no_worker_left()
+
+
+def test_worker_that_ends_while_this_process_waits_is_no_error(monkeypatch):
+    # the worker's last stream sleeps, so this process posts the last phase
+    # first and yields; during that yield the worker posts it too and exits,
+    # after this process last read the worker's slot and before it polls
+    two_cpus()
+    monkeypatch.setattr(lbmlab._team, "TEAM_UPDATES", 0)
+    monkeypatch.setattr(lbmlab._team, "SPINS", 0)
+    parent, calls = os.getpid(), {"worker": 0, "parent": 0}
+    rows, stream_rows, sched_yield = (lbmlab._team._stream_rows,
+                                      lbmlab.scheme._stream_rows, os.sched_yield)
+
+    def slow_last_stream(*args):
+        calls["worker"] += 1
+        if calls["worker"] == 2:
+            time.sleep(0.05)
+        return rows(*args)
+
+    def counted_stream(*args):
+        calls["parent"] += 1
+        return stream_rows(*args)
+
+    def slow_yield():
+        if os.getpid() == parent and calls["parent"] >= 2:
+            time.sleep(0.1)
+        else:
+            sched_yield()
+
+    monkeypatch.setattr(lbmlab._team, "_stream_rows", slow_last_stream)
+    monkeypatch.setattr(lbmlab.scheme, "_stream_rows", counted_stream)
+    monkeypatch.setattr(os, "sched_yield", slow_yield)
+    forks = counting_forks(monkeypatch)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (64, 32))
+    lb.run(state, 2, *args)
+    assert forks == [1]
+    assert_no_worker_left()
+
+
+# prints the thread count of numpy's OpenBLAS after ``import lbmlab``, read as
+# bench/child.py reads it, or nothing where the library is not found
+BLAS_THREADS = """
+import ctypes, glob, os
+import lbmlab
+import numpy as np
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            print(getattr(lib, symbol)())
+            raise SystemExit
+"""
+
+
+@pytest.mark.parametrize("count, expected", [(None, "1"), ("2", "2")])
+def test_import_asks_for_one_blas_thread_unless_one_is_set(count, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(lbmlab.__file__).parents[1])
+    if count is not None:
+        env["OPENBLAS_NUM_THREADS"] = count
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    if not out:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    assert out.strip() == expected
 
 
 def test_import_loads_neither_multiprocessing_nor_mmap():
