@@ -2,7 +2,8 @@
 
 Exit codes are documented in ``lbmlab.errors``: each error class carries its
 own code and stderr label.  All commands are deterministic given the same
-config file.
+config file.  ``analysis`` and ``verify`` are imported by the commands that
+use them, so ``run`` loads neither.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import pde_report
 from .config import ComponentBundle, build_components, load_config
 from .csvio import write_csv
 from .errors import ConfigError, LbmError
@@ -25,7 +25,6 @@ from .scheme import (
     run,
     save_checkpoint,
 )
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -38,6 +37,7 @@ def _say(args, message: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import pde_report
     cfg = load_config(args.config)
     bundle = build_components(cfg)
     report = pde_report(bundle.vs, bundle.mm, bundle.model, bundle.params)
@@ -102,6 +102,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
     cfg = load_config(args.config)
     outcomes = run_verification((args.study or cfg.study_name).lower(), cfg)
     out = Path(args.out)

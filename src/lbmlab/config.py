@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import build_equilibrium
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .fields import InitialField, SineComponent
 from .lattice import build_moment_matrix, build_velocity_set
 from .scheme import SchemeParams
@@ -165,8 +165,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r") as fh:
-        return parse_config(fh.read())
+    # "\r\n" and "\r" end lines, as in a text-mode read
+    text = read_utf8(path, ConfigError)
+    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _finite(value) -> bool:

@@ -1,12 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the UTF-8 file reader.
 
 Each class carries the exit code and stderr label with which ``lbmlab``
 reports it; the command line's exit codes are:
 
     0  success
-    2  "config error" (ConfigError); "error" (any other LbmError, such as
-       GridTooCoarse or a malformed checkpoint, unreadable files, and
-       MemoryError: "error: out of memory")
+    2  "config error" (ConfigError, also for a config that is not UTF-8);
+       "error" (any other LbmError, such as GridTooCoarse or a malformed or
+       non-UTF-8 checkpoint, unreadable files, and MemoryError: "error: out
+       of memory")
     3  "construction error" (ConstructionError), including a non-positive
        initial density
     4  "simulation diverged" (SimulationDiverged) during a run
@@ -81,3 +82,14 @@ class ConfigError(LbmError):
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
+
+
+def read_utf8(path, error=LbmError) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 whatever the locale;
+    bytes that are not UTF-8 raise ``error`` naming the file and the offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 at byte offset {exc.start} of {path}") from exc

@@ -40,6 +40,7 @@ from .errors import (
     LbmError,
     ShapeError,
     SimulationDiverged,
+    read_utf8,
 )
 from .lattice import MomentMatrix, VelocitySet
 
@@ -439,10 +440,10 @@ def save_checkpoint(path, state: SchemeState, params: SchemeParams,
 
 
 def load_checkpoint(path) -> tuple[SchemeState, dict]:
-    with open(path, "r", newline="") as fh:
-        meta_line = fh.readline()
-        header = fh.readline()
-        body = fh.read()
+    text = read_utf8(path)
+    # the first two lines, each ended where a text-mode read with newline="" ends it
+    head = re.match(r"([^\r\n]*(?:\r\n?|\n)?)([^\r\n]*(?:\r\n?|\n)?)", text)
+    meta_line, header = head.groups()
     if not meta_line.startswith("# lbmlab-checkpoint"):
         raise LbmError(f"{path}: not a checkpoint file")
     meta = dict(re.findall(r"(\w+)=(\S+)", meta_line))
@@ -461,7 +462,7 @@ def load_checkpoint(path) -> tuple[SchemeState, dict]:
     grid_shape, nj = info["grid_shape"], info["J"] + 1
     if len(header.strip().split(",")) != nj:
         raise LbmError(f"{path}: header does not match J={nj - 1}")
-    rows = [line for line in body.splitlines() if line]
+    rows = [line for line in text[head.end():].splitlines() if line]
     nodes = math.prod(grid_shape)
     if len(rows) != nodes:
         raise LbmError(

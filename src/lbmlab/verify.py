@@ -373,7 +373,7 @@ def measure_viscosity(components: ComponentBundle, N: int,
 
 
 # ---------------------------------------------------------------------------
-# Named-study orchestration (shared by the CLI and the experiment scripts)
+# Named-study orchestration: the studies that ``lbmlab verify`` runs
 
 # study name (config.STUDY_NAMES) -> the experiments it reports, in report order
 STUDY_EXPERIMENTS = dict(zip(STUDY_NAMES, (

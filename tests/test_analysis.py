@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-import lbmlab as lb
-from lbmlab.analysis import SmoothField, fd_gradient
+from lbmlab.analysis import (
+    SmoothField,
+    conservation_defect,
+    euler_flux_divergence,
+    fd_gradient,
+    ns_flux_correction,
+    pde_report,
+    technical_lemma_prediction,
+)
+from lbmlab.equilibrium import build_equilibrium, equilibrium_moments, momentum_flux
 from lbmlab.errors import GridTooCoarse, NonPositiveDensity, ShapeError
 from lbmlab.fields import InitialField, SineComponent
+from lbmlab.lattice import build_moment_matrix, build_velocity_set
+from lbmlab.scheme import SchemeParams
 
 
 def shear_field(n=64, eps=1e-3, analytic=True, ny=8):
@@ -33,19 +43,19 @@ class TestConservationDefect:
     def test_uniform_field_gives_zero(self, d2q9):
         vs, mm, model = d2q9
         W = np.broadcast_to(np.array([1.0, 0.01, -0.02]), (16, 8, 3)).copy()
-        theta = lb.conservation_defect(SmoothField(W, 0.1), model, vs, mm).theta
+        theta = conservation_defect(SmoothField(W, 0.1), model, vs, mm).theta
         assert np.abs(theta).max() == 0.0
 
     def test_conserved_rows_vanish(self, d2q9):
         vs, mm, model = d2q9
-        theta = lb.conservation_defect(mixed_field(), model, vs, mm).theta
+        theta = conservation_defect(mixed_field(), model, vs, mm).theta
         norm = np.abs(theta).max()
         assert np.abs(theta[..., :3]).max() <= 1e-12 * norm
 
     def test_conserved_rows_vanish_fd_path(self, d2q9):
         vs, mm, model = d2q9
-        theta = lb.conservation_defect(mixed_field(analytic=False),
-                                       model, vs, mm).theta
+        theta = conservation_defect(mixed_field(analytic=False),
+                                    model, vs, mm).theta
         norm = np.abs(theta).max()
         assert np.abs(theta[..., :3]).max() <= 1e-12 * norm
 
@@ -56,7 +66,7 @@ class TestConservationDefect:
         vs, mm, model = d2q9
         n, eps = 64, 1e-3
         fld = shear_field(n=n, eps=eps, analytic=True)
-        theta = lb.conservation_defect(fld, model, vs, mm).theta
+        theta = conservation_defect(fld, model, vs, mm).theta
         k = 2 * np.pi
         x = np.arange(n) / n
         cs2 = model.cs2
@@ -88,14 +98,14 @@ class TestConservationDefect:
                     acc += mm.M[kk, j] * v[j, 0] * dfeq
                 theta_oracle[ix, kk] = acc
         fld = shear_field(n=n, eps=eps, analytic=True)
-        theta = lb.conservation_defect(fld, model, vs, mm).theta
+        theta = conservation_defect(fld, model, vs, mm).theta
         assert np.abs(theta[:, 0, :] - theta_oracle).max() <= 1e-15
 
     def test_amplitude_linearity(self, d2q9):
         vs, mm, model = d2q9
         eps = 1e-4
-        t1 = lb.conservation_defect(shear_field(eps=eps), model, vs, mm).theta
-        t2 = lb.conservation_defect(shear_field(eps=2 * eps), model, vs, mm).theta
+        t1 = conservation_defect(shear_field(eps=eps), model, vs, mm).theta
+        t2 = conservation_defect(shear_field(eps=2 * eps), model, vs, mm).theta
         ratio = np.abs(t2).max() / np.abs(t1).max()
         assert abs(ratio - 2.0) <= 1e-3 * 2.0
 
@@ -103,9 +113,9 @@ class TestConservationDefect:
         vs, mm, model = d2q9
         errs = []
         for n in (32, 64):
-            exact = lb.conservation_defect(shear_field(n=n), model, vs, mm).theta
-            fd = lb.conservation_defect(shear_field(n=n, analytic=False),
-                                        model, vs, mm).theta
+            exact = conservation_defect(shear_field(n=n), model, vs, mm).theta
+            fd = conservation_defect(shear_field(n=n, analytic=False),
+                                     model, vs, mm).theta
             errs.append(np.abs(fd - exact).max())
         assert errs[0] / errs[1] >= 14.0
 
@@ -113,14 +123,14 @@ class TestConservationDefect:
         vs, mm, model = d2q9
         W = np.ones((4, 8, 3))
         with pytest.raises(GridTooCoarse):
-            lb.conservation_defect(SmoothField(W, 0.1), model, vs, mm)
+            conservation_defect(SmoothField(W, 0.1), model, vs, mm)
 
     def test_nonpositive_density(self, d2q9):
         vs, mm, model = d2q9
         W = np.ones((8, 8, 3))
         W[3, 3, 0] = -0.5
         with pytest.raises(NonPositiveDensity):
-            lb.conservation_defect(SmoothField(W, 0.1), model, vs, mm)
+            conservation_defect(SmoothField(W, 0.1), model, vs, mm)
 
     def test_field_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -131,7 +141,7 @@ class TestEulerFluxDivergence:
     def test_uniform_zero(self, d2q9):
         vs, mm, model = d2q9
         W = np.broadcast_to(np.array([1.0, 0.03, 0.01]), (16, 8, 3)).copy()
-        out = lb.euler_flux_divergence(SmoothField(W, 0.1), model, vs)
+        out = euler_flux_divergence(SmoothField(W, 0.1), model, vs)
         assert np.abs(out).max() == 0.0
 
     def test_density_wave_linearization(self, d2q9):
@@ -142,7 +152,7 @@ class TestEulerFluxDivergence:
         dx = 1.0 / n
         fld = InitialField(rho=SineComponent(1.0, eps, 1),
                            velocity=(SineComponent(), SineComponent()))
-        out = lb.euler_flux_divergence(
+        out = euler_flux_divergence(
             SmoothField(fld.conserved((n, 8), dx), dx), model, vs)
         k = 2 * np.pi
         x = np.arange(n) * dx
@@ -155,8 +165,8 @@ class TestEulerFluxDivergence:
     def test_matches_fd_of_flux_values(self, d2q9):
         vs, _, model = d2q9
         fld = mixed_field(analytic=False)
-        out = lb.euler_flux_divergence(fld, model, vs)
-        F = lb.momentum_flux(model, vs, fld.W)
+        out = euler_flux_divergence(fld, model, vs)
+        F = momentum_flux(model, vs, fld.W)
         q = fld.W[..., 1:]
         oracle = np.zeros_like(fld.W)
         for b in range(2):
@@ -171,19 +181,19 @@ class TestNsFluxCorrection:
     def test_s2_returns_bare_flux(self, d2q9):
         vs, mm, model = d2q9
         fld = mixed_field()
-        params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 2.0))
-        corr = lb.ns_flux_correction(lb.conservation_defect(fld, model, vs, mm),
-                                     model, vs, mm, params)
-        F = lb.momentum_flux(model, vs, fld.W)
+        params = SchemeParams(1 / 64, 1 / 64, np.full(6, 2.0))
+        corr = ns_flux_correction(conservation_defect(fld, model, vs, mm),
+                                  model, vs, mm, params)
+        F = momentum_flux(model, vs, fld.W)
         assert np.array_equal(corr, F)
 
     def test_uniform_returns_pressure(self, d2q9):
         vs, mm, model = d2q9
         rho = 1.4
         W = np.broadcast_to(np.array([rho, 0.0, 0.0]), (16, 8, 3)).copy()
-        params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        defect = lb.conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
-        corr = lb.ns_flux_correction(defect, model, vs, mm, params)
+        params = SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
+        defect = conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
+        corr = ns_flux_correction(defect, model, vs, mm, params)
         assert np.allclose(corr, model.cs2 * rho * np.eye(2), atol=1e-15)
 
     def test_shear_wave_off_diagonal_oracle(self, d2q9):
@@ -192,12 +202,12 @@ class TestNsFluxCorrection:
         vs, mm, model = d2q9
         s = 1.5
         n = 64
-        params = lb.SchemeParams(1.0 / n, 1.0 / n, np.full(6, s))
+        params = SchemeParams(1.0 / n, 1.0 / n, np.full(6, s))
         fld = shear_field(n=n)
-        defect = lb.conservation_defect(fld, model, vs, mm)
+        defect = conservation_defect(fld, model, vs, mm)
         theta = defect.theta
-        F = lb.momentum_flux(model, vs, fld.W)
-        corr = lb.ns_flux_correction(defect, model, vs, mm, params)
+        F = momentum_flux(model, vs, fld.W)
+        corr = ns_flux_correction(defect, model, vs, mm, params)
         expected = F[..., 0, 1] - params.dt * (1 / s - 0.5) * theta[..., 8]
         assert np.abs(corr[..., 0, 1] - expected).max() <= 1e-15
         assert np.abs(corr[..., 0, 1] - corr[..., 1, 0]).max() <= 1e-16
@@ -207,20 +217,20 @@ class TestTechnicalLemmaPrediction:
     def test_uniform_equals_equilibrium_moments(self, d2q9):
         vs, mm, model = d2q9
         W = np.broadcast_to(np.array([1.0, 0.0, 0.0]), (16, 8, 3)).copy()
-        params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        defect = lb.conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
-        pred = lb.technical_lemma_prediction(defect, model, vs, mm, params)
-        m_eq = lb.equilibrium_moments(model, vs, mm, W)
+        params = SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
+        defect = conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
+        pred = technical_lemma_prediction(defect, model, vs, mm, params)
+        m_eq = equilibrium_moments(model, vs, mm, W)
         assert np.array_equal(pred, m_eq)
 
     def test_shear_wave_shift(self, d2q9):
         vs, mm, model = d2q9
         s = 1.5
-        params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, s))
+        params = SchemeParams(1 / 64, 1 / 64, np.full(6, s))
         fld = shear_field()
-        defect = lb.conservation_defect(fld, model, vs, mm)
-        pred = lb.technical_lemma_prediction(defect, model, vs, mm, params)
-        m_eq = lb.equilibrium_moments(model, vs, mm, fld.W)
+        defect = conservation_defect(fld, model, vs, mm)
+        pred = technical_lemma_prediction(defect, model, vs, mm, params)
+        m_eq = equilibrium_moments(model, vs, mm, fld.W)
         theta = defect.theta
         diff = m_eq[..., 3:] - pred[..., 3:]
         assert np.allclose(diff, (params.dt / s) * theta[..., 3:], atol=1e-18)
@@ -229,36 +239,36 @@ class TestTechnicalLemmaPrediction:
 class TestPdeReport:
     def test_mu_values(self, d2q9):
         vs, mm, model = d2q9
-        params = lb.SchemeParams(1e-2, 1e-2, np.full(6, 1.0))
-        rep = lb.pde_report(vs, mm, model, params)
+        params = SchemeParams(1e-2, 1e-2, np.full(6, 1.0))
+        rep = pde_report(vs, mm, model, params)
         assert rep.ks == (3, 4, 5, 6, 7, 8)
         assert np.allclose(rep.mu, 5e-3)
-        params2 = lb.SchemeParams(1e-2, 1e-2, np.full(6, 2.0))
-        rep2 = lb.pde_report(vs, mm, model, params2)
+        params2 = SchemeParams(1e-2, 1e-2, np.full(6, 2.0))
+        rep2 = pde_report(vs, mm, model, params2)
         assert np.allclose(rep2.mu, 0.0)
 
     def test_shear_viscosity_prediction(self):
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         lam = 1.0
-        mm = lb.build_moment_matrix(vs, lam)
-        model = lb.build_equilibrium(vs, lam)
+        mm = build_moment_matrix(vs, lam)
+        model = build_equilibrium(vs, lam)
         dt = 1.0 / 128
-        params = lb.SchemeParams(dt, dt, np.full(6, 1.25))
-        rep = lb.pde_report(vs, mm, model, params)
+        params = SchemeParams(dt, dt, np.full(6, 1.25))
+        rep = pde_report(vs, mm, model, params)
         assert rep.shear_moment == "stress_xy"
         assert abs(rep.nu_shear - 7.8125e-4) <= 1e-18
         assert abs(rep.mu[-1] - 2.34375e-3) <= 1e-18
 
     def test_csv_columns(self, d2q9, d1q3):
         vs, mm, model = d2q9
-        params = lb.SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        csv = lb.pde_report(vs, mm, model, params).to_csv()
+        params = SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
+        csv = pde_report(vs, mm, model, params).to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == "k,s_k,mu_k,Lambda_11_k,Lambda_12_k,Lambda_22_k"
         assert len(lines) == 7
         vs1, mm1, model1 = d1q3
-        params1 = lb.SchemeParams(1 / 64, 1 / 64, np.array([1.5]))
-        csv1 = lb.pde_report(vs1, mm1, model1, params1).to_csv()
+        params1 = SchemeParams(1 / 64, 1 / 64, np.array([1.5]))
+        csv1 = pde_report(vs1, mm1, model1, params1).to_csv()
         assert csv1.splitlines()[0] == "k,s_k,mu_k,Lambda_11_k"
-        rep1 = lb.pde_report(vs1, mm1, model1, params1)
+        rep1 = pde_report(vs1, mm1, model1, params1)
         assert rep1.nu_shear is not None  # the single relaxed moment's rate

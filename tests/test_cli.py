@@ -62,7 +62,10 @@ STUDY_FILES = {
 
 def _cli(tmp_path, command, config_text, *extra):
     config = tmp_path / "run.ini"
-    config.write_text(config_text)
+    if isinstance(config_text, bytes):
+        config.write_bytes(config_text)
+    else:
+        config.write_text(config_text)
     out = tmp_path / "out"
     return main([command, "--config", str(config), "--out", str(out), "--quiet",
                  *extra]), out
@@ -129,6 +132,8 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
      "construction error: vectors must all have the same dimension\n"),
     ("[lattice]\nname = d1q3\nhigher_rows = 0,1,1; 1\n", 3,
      "construction error: higher_rows must have shape (1, 3), got row lengths [3, 1]\n"),
+    # a byte that is not UTF-8 ended in a raw UnicodeDecodeError with exit 1
+    (b"[grid]\nnx = 8\xff\n", 2, "config error: not UTF-8 at byte offset 13 of "),
 ])
 def test_run_exit_codes(tmp_path, capsys, config_text, code, stderr):
     got, out = _cli(tmp_path, "run", config_text)

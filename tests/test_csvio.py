@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import lbmlab as lb
 from lbmlab import csvio
 from lbmlab.cli import _write_moment_fields
 from lbmlab.config import build_components, parse_config
 from lbmlab.csvio import FLOAT_FORMAT, format_table, format_value, write_table
 from lbmlab.fields import InitialField, SineComponent
+from lbmlab.scheme import (
+    SchemeParams,
+    initialize_equilibrium,
+    moments_of,
+    run,
+    save_checkpoint,
+)
 
 from test_kernel_layout import CASES, components, sine_state
 
@@ -148,7 +154,7 @@ def reference_checkpoint(state, params, mm) -> str:
 
 def reference_moments(state, mm) -> str:
     grid, d = state.grid_shape, mm.d
-    m = lb.moments_of(state, mm)[..., :1 + d].reshape(-1, 1 + d)
+    m = moments_of(state, mm)[..., :1 + d].reshape(-1, 1 + d)
     index = np.indices(grid).reshape(len(grid), -1).T
     rows = [(*i, *v) for i, v in zip(index.tolist(), m.tolist())]
     header = ["i", "j"][:len(grid)] + ["rho", "qx", "qy"][:1 + d]
@@ -157,7 +163,7 @@ def reference_moments(state, mm) -> str:
 
 
 def assert_files_match_reference(tmp_path, state, params, mm):
-    lb.save_checkpoint(tmp_path / "checkpoint.csv", state, params, mm)
+    save_checkpoint(tmp_path / "checkpoint.csv", state, params, mm)
     _write_moment_fields(tmp_path / "moments.csv", types.SimpleNamespace(mm=mm), state)
     with open(tmp_path / "checkpoint.csv", newline="") as fh:
         assert fh.read() == reference_checkpoint(state, params, mm)
@@ -175,19 +181,19 @@ def test_run_files_match_the_reference_writer(tmp_path, lattice, lam, s, grid, s
     vs, mm, model = components(lattice, lam)
     dx = 1.0 / grid[0]
     s = np.broadcast_to(np.asarray(s), (vs.J - vs.d,)).copy()
-    params = lb.SchemeParams(dx=dx, dt=dx / lam, s=s)
-    state = lb.run(sine_state(vs, model, grid, dx), steps, vs, mm, model, params)
+    params = SchemeParams(dx=dx, dt=dx / lam, s=s)
+    state = run(sine_state(vs, model, grid, dx), steps, vs, mm, model, params)
     assert_files_match_reference(tmp_path, state, params, mm)
 
 
 def test_uniform_field_files_match_the_reference_writer(tmp_path, d2q9):
     vs, mm, model = d2q9
     field = InitialField(rho=SineComponent(1.0), velocity=(SineComponent(0.0),) * 2)
-    state = lb.initialize_equilibrium(model, vs, field.conserved((16, 8), 1 / 16))
-    params = lb.SchemeParams(dx=1 / 16, dt=1 / 16, s=np.full(6, 1.5))
-    assert (lb.moments_of(state, mm)[..., 1:3] == 0).all()   # a field of exact zeros
+    state = initialize_equilibrium(model, vs, field.conserved((16, 8), 1 / 16))
+    params = SchemeParams(dx=1 / 16, dt=1 / 16, s=np.full(6, 1.5))
+    assert (moments_of(state, mm)[..., 1:3] == 0).all()   # a field of exact zeros
     assert_files_match_reference(tmp_path, state, params, mm)
-    assert_files_match_reference(tmp_path, lb.run(state, 3, vs, mm, model, params),
+    assert_files_match_reference(tmp_path, run(state, 3, vs, mm, model, params),
                                  params, mm)
 
 
@@ -197,8 +203,8 @@ def test_a_run_256_checkpoint_needs_no_value_alone(monkeypatch, tmp_path):
     # FLOAT_FORMAT % v
     bundle = build_components(parse_config("[grid]\nnx = 256\n"))
     W0 = bundle.field.conserved(bundle.grid_shape, bundle.params.dx)
-    state = lb.run(lb.initialize_equilibrium(bundle.model, bundle.vs, W0), 8,
-                   bundle.vs, bundle.mm, bundle.model, bundle.params)
+    state = run(initialize_equilibrium(bundle.model, bundle.vs, W0), 8,
+                bundle.vs, bundle.mm, bundle.model, bundle.params)
     alone = []
 
     class Counting(str):

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import lbmlab as lb
+from lbmlab.equilibrium import (
+    build_equilibrium,
+    equilibrium_distribution,
+    equilibrium_jacobian,
+    equilibrium_moments,
+    momentum_flux,
+)
 from lbmlab.errors import InvalidEquilibrium, NonPositiveDensity
+from lbmlab.lattice import build_velocity_set, lambda_tensor
 
 D2Q9_WEIGHTS = np.array([4 / 9] + [1 / 9] * 4 + [1 / 36] * 4)
 
@@ -22,7 +29,7 @@ def random_states(d, n, seed, lam=1.0):
 
 def test_rest_state_gives_weights(d2q9):
     vs, _, model = d2q9
-    feq = lb.equilibrium_distribution(model, vs, np.array([1.0, 0.0, 0.0]))
+    feq = equilibrium_distribution(model, vs, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(feq, D2Q9_WEIGHTS, atol=1e-15)
 
 
@@ -30,7 +37,7 @@ def test_rest_state_gives_weights(d2q9):
 def test_moment_constraints_1000_states(fixture, request):
     vs, _, model = request.getfixturevalue(fixture)
     W = random_states(vs.d, 1000, seed=7)
-    feq = lb.equilibrium_distribution(model, vs, W)
+    feq = equilibrium_distribution(model, vs, W)
     rho = W[:, 0]
     mass_rel = np.abs(feq.sum(-1) - rho) / rho
     mom_rel = np.abs(feq @ model.velocities - W[:, 1:]) / rho[:, None]
@@ -41,30 +48,30 @@ def test_moment_constraints_1000_states(fixture, request):
 def test_nonpositive_density_guard(d2q9):
     vs, _, model = d2q9
     with pytest.raises(NonPositiveDensity):
-        lb.equilibrium_distribution(model, vs, np.array([-1.0, 0.0, 0.0]))
+        equilibrium_distribution(model, vs, np.array([-1.0, 0.0, 0.0]))
     with pytest.raises(NonPositiveDensity):
-        lb.equilibrium_distribution(model, vs, np.array([0.0, 0.0, 0.0]))
+        equilibrium_distribution(model, vs, np.array([0.0, 0.0, 0.0]))
 
 
 class TestEquilibriumMoments:
     def test_d1q3_rest(self, d1q3):
         vs, mm, model = d1q3
         rho = 1.7
-        m_eq = lb.equilibrium_moments(model, vs, mm, np.array([rho, 0.0]))
+        m_eq = equilibrium_moments(model, vs, mm, np.array([rho, 0.0]))
         # matrix-vector oracle: energy row is v^2, second moment is cs2*rho
-        oracle = mm.M @ lb.equilibrium_distribution(model, vs, np.array([rho, 0.0]))
+        oracle = mm.M @ equilibrium_distribution(model, vs, np.array([rho, 0.0]))
         assert np.allclose(m_eq, oracle, atol=1e-15)
         assert np.allclose(m_eq, [rho, 0.0, rho / 3.0], atol=1e-14)
 
     def test_first_entries_equal_state(self, d2q9):
         vs, mm, model = d2q9
         W = random_states(2, 50, seed=11)
-        m_eq = lb.equilibrium_moments(model, vs, mm, W)
+        m_eq = equilibrium_moments(model, vs, mm, W)
         assert np.abs(m_eq[:, :3] - W).max() <= 1e-12
 
     def test_zero_momentum(self, d2q9):
         vs, mm, model = d2q9
-        m_eq = lb.equilibrium_moments(model, vs, mm, np.array([2.0, 0.0, 0.0]))
+        m_eq = equilibrium_moments(model, vs, mm, np.array([2.0, 0.0, 0.0]))
         assert abs(m_eq[1]) <= 1e-14 and abs(m_eq[2]) <= 1e-14
 
 
@@ -72,15 +79,15 @@ class TestMomentumFlux:
     def test_rest_state_isotropic(self, d2q9):
         vs, _, model = d2q9
         rho = 1.3
-        F = lb.momentum_flux(model, vs, np.array([rho, 0.0, 0.0]))
+        F = momentum_flux(model, vs, np.array([rho, 0.0, 0.0]))
         assert np.allclose(F, model.cs2 * rho * np.eye(2), atol=1e-15)
 
     def test_closed_form_via_summation_oracle(self, d2q9):
         vs, _, model = d2q9
         W = random_states(2, 20, seed=13)
-        F = lb.momentum_flux(model, vs, W)
+        F = momentum_flux(model, vs, W)
         # direct 9-term summation, independent loop
-        feq = lb.equilibrium_distribution(model, vs, W)
+        feq = equilibrium_distribution(model, vs, W)
         v = model.velocities
         for n in range(W.shape[0]):
             for a in range(2):
@@ -97,16 +104,16 @@ class TestMomentumFlux:
     def test_symmetry(self, d2q9):
         vs, _, model = d2q9
         W = random_states(2, 100, seed=17)
-        F = lb.momentum_flux(model, vs, W)
+        F = momentum_flux(model, vs, W)
         assert np.abs(F[:, 0, 1] - F[:, 1, 0]).max() <= 1e-16
 
     def test_resummation_equivalence(self, d2q9):
         # F must equal the Lambda-weighted contraction of the moments of f_eq
         vs, mm, model = d2q9
         W = random_states(2, 30, seed=19)
-        F = lb.momentum_flux(model, vs, W)
-        m_eq = lb.equilibrium_moments(model, vs, mm, W)
-        lam_t = lb.lambda_tensor(mm, vs)
+        F = momentum_flux(model, vs, W)
+        m_eq = equilibrium_moments(model, vs, mm, W)
+        lam_t = lambda_tensor(mm, vs)
         recon = np.einsum("abk,nk->nab", lam_t, m_eq)
         assert np.abs(F - recon).max() <= 1e-13
 
@@ -120,14 +127,14 @@ class TestJacobian:
             up, dn = W.copy(), W.copy()
             up[i] += h
             dn[i] -= h
-            out[:, i] = (lb.equilibrium_distribution(model, vs, up)
-                         - lb.equilibrium_distribution(model, vs, dn)) / (2 * h)
+            out[:, i] = (equilibrium_distribution(model, vs, up)
+                         - equilibrium_distribution(model, vs, dn)) / (2 * h)
         return out
 
     def test_matches_finite_differences(self, d2q9):
         vs, _, model = d2q9
         W = np.array([1.2, 0.05, -0.03])
-        jac = lb.equilibrium_jacobian(model, vs, W)
+        jac = equilibrium_jacobian(model, vs, W)
         fd = self.fd_jacobian(model, vs, W)
         scale = np.maximum(np.abs(fd), 1e-3)
         assert (np.abs(jac - fd) / scale).max() <= 1e-6
@@ -135,61 +142,61 @@ class TestJacobian:
     def test_matches_finite_differences_d1q3(self, d1q3):
         vs, _, model = d1q3
         W = np.array([0.9, -0.02])
-        jac = lb.equilibrium_jacobian(model, vs, W)
+        jac = equilibrium_jacobian(model, vs, W)
         fd = self.fd_jacobian(model, vs, W)
         scale = np.maximum(np.abs(fd), 1e-3)
         assert (np.abs(jac - fd) / scale).max() <= 1e-6
 
     def test_density_column_at_rest(self, d2q9):
         vs, _, model = d2q9
-        jac = lb.equilibrium_jacobian(model, vs, np.array([1.0, 0.0, 0.0]))
+        jac = equilibrium_jacobian(model, vs, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(jac[:, 0], D2Q9_WEIGHTS, atol=1e-15)
 
     def test_conserved_rows_contract_to_identity(self, d2q9):
         vs, mm, model = d2q9
         W = random_states(2, 40, seed=23)
-        jac = lb.equilibrium_jacobian(model, vs, W)
+        jac = equilibrium_jacobian(model, vs, W)
         contracted = np.einsum("kj,nji->nki", mm.M[:3], jac)
         assert np.abs(contracted - np.eye(3)).max() <= 1e-12
 
     @given(st.floats(0.5, 2.0), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
     def test_jacobian_property(self, rho, ux, uy):
-        vs = lb.build_velocity_set("d2q9")
-        model = lb.build_equilibrium(vs, 1.0)
+        vs = build_velocity_set("d2q9")
+        model = build_equilibrium(vs, 1.0)
         W = np.array([rho, rho * ux, rho * uy])
-        jac = lb.equilibrium_jacobian(model, vs, W)
+        jac = equilibrium_jacobian(model, vs, W)
         assert abs(jac[:, 0].sum() - 1.0) <= 1e-12
         assert np.abs(model.velocities.T @ jac[:, 0]).max() <= 1e-12
 
 
 class TestCustomTables:
     def test_legal_anisotropic_table(self):
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         w = (0.625,) + (0.0625,) * 4 + (0.03125,) * 4
-        model = lb.build_equilibrium(vs, 1.0, weights=w, cs2=0.25)
+        model = build_equilibrium(vs, 1.0, weights=w, cs2=0.25)
         W = random_states(2, 200, seed=29)
-        feq = lb.equilibrium_distribution(model, vs, W)
+        feq = equilibrium_distribution(model, vs, W)
         assert np.abs(feq.sum(-1) - W[:, 0]).max() <= 1e-12
         assert np.abs(feq @ model.velocities - W[:, 1:]).max() <= 1e-12
 
     def test_inconsistent_table_rejected(self):
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         # standard weights but a wrong sound speed cannot carry the momentum
         with pytest.raises(InvalidEquilibrium):
-            lb.build_equilibrium(vs, 1.0, weights=tuple(D2Q9_WEIGHTS), cs2=0.2)
+            build_equilibrium(vs, 1.0, weights=tuple(D2Q9_WEIGHTS), cs2=0.2)
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_non_finite_equilibria_rejected(self):
         # 2 cs2**2 underflows to 0, so the probe-set residual is NaN
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         with pytest.raises(InvalidEquilibrium, match="probe set"):
-            lb.build_equilibrium(vs, 1.0, cs2=1e-300)
+            build_equilibrium(vs, 1.0, cs2=1e-300)
 
     def test_custom_lattice_needs_weights(self):
-        vs = lb.build_velocity_set([(0, 0), (1, 0), (0, 1), (-1, -1)])
+        vs = build_velocity_set([(0, 0), (1, 0), (0, 1), (-1, -1)])
         with pytest.raises(InvalidEquilibrium):
-            lb.build_equilibrium(vs, 1.0)
+            build_equilibrium(vs, 1.0)
 
 
 def test_building_components_does_not_import_numpy_random():

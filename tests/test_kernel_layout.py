@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lbmlab as lb
 import lbmlab._team
+import lbmlab.equilibrium
+import lbmlab.lattice
 import lbmlab.scheme
 from lbmlab.errors import LbmError, SimulationDiverged
 from lbmlab.fields import InitialField, SineComponent
@@ -70,14 +71,14 @@ def reference_stream(f, vs):
 
 def components(lattice, lam):
     if lattice == "d2q5":
-        vs = lb.build_velocity_set(D2Q5_VECTORS)
-        mm = lb.build_moment_matrix(vs, lam, higher_rows=D2Q5_HIGHER_ROWS)
-        model = lb.build_equilibrium(vs, lam, cs2=lam * lam / 3.0,
-                                     weights=D2Q5_WEIGHTS)
+        vs = lbmlab.lattice.build_velocity_set(D2Q5_VECTORS)
+        mm = lbmlab.lattice.build_moment_matrix(vs, lam, higher_rows=D2Q5_HIGHER_ROWS)
+        model = lbmlab.equilibrium.build_equilibrium(vs, lam, cs2=lam * lam / 3.0,
+                                                     weights=D2Q5_WEIGHTS)
     else:
-        vs = lb.build_velocity_set(lattice)
-        mm = lb.build_moment_matrix(vs, lam)
-        model = lb.build_equilibrium(vs, lam)
+        vs = lbmlab.lattice.build_velocity_set(lattice)
+        mm = lbmlab.lattice.build_moment_matrix(vs, lam)
+        model = lbmlab.equilibrium.build_equilibrium(vs, lam)
     return vs, mm, model
 
 
@@ -86,7 +87,7 @@ def sine_state(vs, model, grid, dx):
         rho=SineComponent(1.0, 0.05, 1),
         velocity=tuple(SineComponent(0.02, 0.03, a + 1) for a in range(vs.d)),
     )
-    return lb.initialize_equilibrium(model, vs, field.conserved(grid, dx))
+    return lbmlab.scheme.initialize_equilibrium(model, vs, field.conserved(grid, dx))
 
 
 def population_major_copy(f):
@@ -144,7 +145,7 @@ def case_setup(lattice, lam, s, grid):
     vs, mm, model = components(lattice, lam)
     dx = 1.0 / grid[0]
     s = np.broadcast_to(np.asarray(s), (vs.J - vs.d,)).copy()
-    params = lb.SchemeParams(dx=dx, dt=dx / lam, s=s)
+    params = lbmlab.scheme.SchemeParams(dx=dx, dt=dx / lam, s=s)
     return (vs, mm, model, params), sine_state(vs, model, grid, dx)
 
 
@@ -161,7 +162,7 @@ def reference_run(lattice, lam, s, grid, steps):
 @pytest.mark.parametrize("lattice, lam, s, grid, steps", CASES, ids=case_ids(CASES))
 def test_run_matches_node_major_reference_bitwise(lattice, lam, s, grid, steps):
     args, state = case_setup(lattice, lam, s, grid)
-    out = lb.run(state, steps, *args)
+    out = lbmlab.scheme.run(state, steps, *args)
     assert np.array_equal(out.f, reference_run(lattice, lam, s, grid, steps))
 
 
@@ -172,9 +173,9 @@ def test_steps_fed_population_major_results_match_reference_bitwise(
     # every step is fed population-major storage, starting with a copy of the
     # initial state, then the result of the step before
     args, state = case_setup(lattice, lam, s, grid)
-    out = lb.SchemeState(f=population_major_copy(state.f))
+    out = lbmlab.scheme.SchemeState(f=population_major_copy(state.f))
     for _ in range(steps):
-        out = lb.step(out, *args)
+        out = lbmlab.scheme.step(out, *args)
     assert np.array_equal(out.f, reference_run(lattice, lam, s, grid, steps))
     assert out.steps == steps
 
@@ -188,11 +189,11 @@ def test_kernel_storage_starts_on_a_cache_line():
         args, state = case_setup(lattice, 1.0, (1.3,), grid)
         vs, mm, model, params = args
         nj, nodes = vs.J + 1, math.prod(grid)
-        assert lb.run(state, 2, *args).f.ctypes.data % 64 == 0
+        assert lbmlab.scheme.run(state, 2, *args).f.ctypes.data % 64 == 0
         scratch = lbmlab.scheme._collide_scratch(nj, lbmlab.scheme._chunks(nodes))
         assert scratch.ctypes.data % 64 == 0
-        assert lb.collide(state, mm, model, params).f.ctypes.data % 64 == 0
-        assert lb.stream(state, vs).f.ctypes.data % 64 == 0
+        assert lbmlab.scheme.collide(state, mm, model, params).f.ctypes.data % 64 == 0
+        assert lbmlab.scheme.stream(state, vs).f.ctypes.data % 64 == 0
 
 
 # a multi-block case and an N x 8 case
@@ -219,8 +220,8 @@ def test_kernels_bitwise_on_storage_off_a_cache_line(lattice, lam, s, grid, step
     blocks = lbmlab.scheme._chunks(nodes)
     scratch = off_line(lbmlab.scheme._collide_scratch(nj, blocks).size)
     for _ in range(3):
-        state = lb.stream(lb.collide(state, mm, model, params, collided, scratch),
-                          vs, streamed)
+        state = lbmlab.scheme.stream(
+            lbmlab.scheme.collide(state, mm, model, params, collided, scratch), vs, streamed)
         state.steps += 1
     assert np.array_equal(state.f, reference_run(lattice, lam, s, grid, 3))
 
@@ -230,16 +231,16 @@ def test_kernels_match_reference_in_either_layout(lattice):
     vs, mm, model = components(lattice, 1.3)
     grid = (24, 8) if vs.d == 2 else (24,)
     s = np.linspace(1.1, 1.9, vs.J - vs.d)
-    params = lb.SchemeParams(dx=1.0 / 24, dt=1.0 / 24 / 1.3, s=s)
+    params = lbmlab.scheme.SchemeParams(dx=1.0 / 24, dt=1.0 / 24 / 1.3, s=s)
     rng = np.random.default_rng(3)
     noise = 1.0 + 0.1 * rng.random(grid + (vs.J + 1,))
     f = sine_state(vs, model, grid, 1.0 / 24).f * noise
     expected_collide = reference_collide(f, mm, model, s)
     expected_stream = reference_stream(f, vs)
     for stored in (f, population_major_copy(f)):
-        state = lb.SchemeState(f=stored, steps=3)
-        collided = lb.collide(state, mm, model, params)
-        streamed = lb.stream(state, vs)
+        state = lbmlab.scheme.SchemeState(f=stored, steps=3)
+        collided = lbmlab.scheme.collide(state, mm, model, params)
+        streamed = lbmlab.scheme.stream(state, vs)
         assert np.array_equal(collided.f, expected_collide)
         assert np.array_equal(streamed.f, expected_stream)
         assert collided.f.shape == streamed.f.shape == f.shape
@@ -255,7 +256,7 @@ def test_equilibrium_distribution_matches_reference_bitwise(lattice, lam, shape)
     rho = rng.uniform(0.5, 2.0, shape)
     u = rng.uniform(-0.1 * lam, 0.1 * lam, shape + (vs.d,))
     W = np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
-    feq = lb.equilibrium_distribution(model, vs, W)
+    feq = lbmlab.equilibrium.equilibrium_distribution(model, vs, W)
     assert feq.shape == shape + (vs.J + 1,)
     assert feq.flags.c_contiguous
     assert np.array_equal(feq, reference_populations(model, W))
@@ -278,11 +279,11 @@ def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
     monkeypatch.setattr(lbmlab.scheme, "collide", counting)
     n = 70
     for grid in [(16, 8), (97, 91)] if vs.d == 2 else [(16,), (20001,)]:
-        params = lb.SchemeParams(dx=1 / grid[0], dt=1 / grid[0],
-                                 s=np.full(vs.J - vs.d, 1.4))
+        params = lbmlab.scheme.SchemeParams(dx=1 / grid[0], dt=1 / grid[0],
+                                            s=np.full(vs.J - vs.d, 1.4))
         state = sine_state(vs, model, grid, 1 / grid[0])
         seen.clear()
-        lb.run(state, n, vs, mm, model, params)
+        lbmlab.scheme.run(state, n, vs, mm, model, params)
         assert seen == [(vs.J + 1, int(np.prod(grid)))] * n
 
 
@@ -296,11 +297,11 @@ def test_two_processes_match_one_bitwise(lattice, lam, s, grid, steps, monkeypat
     with monkeypatch.context() as patch:
         one_cpu(patch)
         forks = counting_forks(patch)
-        assert np.array_equal(lb.run(state, steps, *args).f, expected)
+        assert np.array_equal(lbmlab.scheme.run(state, steps, *args).f, expected)
         assert forks == []
     two_cpus()
     forks = counting_forks(monkeypatch)
-    assert np.array_equal(lb.run(state, steps, *args).f, expected)
+    assert np.array_equal(lbmlab.scheme.run(state, steps, *args).f, expected)
     assert forks == [1]
     assert_no_worker_left()
 
@@ -313,13 +314,13 @@ def test_one_step_or_fewer_than_team_nodes_stays_on_one_process(monkeypatch):
     two_cpus()
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (128, 8))
-    lb.run(state, teamed_steps((128, 8)), *args)
+    lbmlab.scheme.run(state, teamed_steps((128, 8)), *args)
     grid = (-(-lbmlab._team.TEAM_UPDATES // 3),)
     args, state = case_setup("d1q3", 1.0, (1.3,), grid)
     assert teamed_steps(grid, "d1q3") == 2
-    lb.run(state, 1, *args)
+    lbmlab.scheme.run(state, 1, *args)
     assert forks == []
-    lb.run(state, 2, *args)
+    lbmlab.scheme.run(state, 2, *args)
     assert forks == [1]
     assert_no_worker_left()
 
@@ -335,10 +336,10 @@ def test_run_off_x86_64_stays_on_one_process(monkeypatch):
     forks = counting_forks(monkeypatch)
     with monkeypatch.context() as patch:
         aarch64(patch)
-        assert np.array_equal(lb.run(state, steps, *args).f, expected)
+        assert np.array_equal(lbmlab.scheme.run(state, steps, *args).f, expected)
     assert forks == []
     if os.uname().machine == "x86_64":
-        assert np.array_equal(lb.run(state, steps, *args).f, expected)
+        assert np.array_equal(lbmlab.scheme.run(state, steps, *args).f, expected)
         assert forks == [1]
     assert_no_worker_left()
 
@@ -353,11 +354,11 @@ def test_run_too_short_to_pay_for_a_fork_stays_on_one_process(monkeypatch):
             ("d1q3", (97 * 91,), teamed_steps((97 * 91,), "d1q3") - 1)]
     for lattice, grid, steps in runs:
         args, state = case_setup(lattice, 1.0, (1.3,), grid)
-        lb.run(state, steps, *args)
+        lbmlab.scheme.run(state, steps, *args)
     assert forks == []
     for lattice, grid, steps in runs[1:]:
         args, state = case_setup(lattice, 1.0, (1.3,), grid)
-        lb.run(state, steps + 1, *args)
+        lbmlab.scheme.run(state, steps + 1, *args)
     assert forks == [1, 1]
     assert_no_worker_left()
 
@@ -371,7 +372,7 @@ def failing_run(state, args, steps, monkeypatch, serial):
         forks = counting_forks(patch)
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(SimulationDiverged) as failure:
-            lb.run(state, steps, *args)
+            lbmlab.scheme.run(state, steps, *args)
     assert_no_worker_left()
     return str(failure.value), len(forks)
 
@@ -397,7 +398,7 @@ def test_non_positive_density_in_the_workers_blocks_names_the_serial_node(
         W = np.zeros(grid + (3,))
         W[..., 0] = 1.0
         W[i, j] = (100.0, 100.0, 0.0)
-        state = lb.initialize_equilibrium(model, vs, W)
+        state = lbmlab.scheme.initialize_equilibrium(model, vs, W)
         state.steps = start_step
         args, steps = (vs, mm, model, params), teamed_steps(grid)
         serial, _ = failing_run(state, args, steps, monkeypatch, serial=True)
@@ -480,7 +481,7 @@ def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
     two_cpus()
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
-    lb.run(state, teamed_steps((97, 91)), *args)
+    lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
     assert_no_worker_left()
 
     def interrupted(state):
@@ -488,7 +489,7 @@ def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
 
     monkeypatch.setattr(lbmlab.scheme, "check_finite", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        lb.run(state, lbmlab.scheme.CHECK_INTERVAL + 1, *args)
+        lbmlab.scheme.run(state, lbmlab.scheme.CHECK_INTERVAL + 1, *args)
     assert forks == [1, 1]
     assert_no_worker_left()
 
@@ -505,7 +506,7 @@ def test_worker_that_dies_is_an_lbm_error(monkeypatch):
     monkeypatch.setattr(lbmlab._team, "_sweep", dying)
     args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
     with pytest.raises(LbmError, match="stepping worker exited"):
-        lb.run(state, teamed_steps((97, 91)), *args)
+        lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
     assert_no_worker_left()
 
 
@@ -541,7 +542,7 @@ def test_worker_that_ends_while_this_process_waits_is_no_error(monkeypatch):
     monkeypatch.setattr(os, "sched_yield", slow_yield)
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (64, 32))
-    lb.run(state, 2, *args)
+    lbmlab.scheme.run(state, 2, *args)
     assert forks == [1]
     assert_no_worker_left()
 
@@ -575,12 +576,34 @@ def test_import_asks_for_one_blas_thread_unless_one_is_set(count, expected):
     assert out.strip() == expected
 
 
-def test_import_loads_neither_multiprocessing_nor_mmap():
-    # multiprocessing costs about 10 ms of import; run maps memory itself, and
-    # only run and the run command import lbmlab._team, where they may fork
-    code = ("import sys, lbmlab, lbmlab.cli; print(sorted("
-            "{'multiprocessing', 'mmap', 'lbmlab._team'} & set(sys.modules)))")
+MODULES = {f"lbmlab.{path.stem}" for path in Path(lbmlab.__file__).parent.glob("*.py")
+           if path.stem != "__init__"}
+
+
+def _command(name):
+    return ("from lbmlab.cli import main\n"
+            f"assert main(['{name}', '--config', sys.argv[1], '--out', sys.argv[2], "
+            "'--quiet']) == 0")
+
+
+# what a fresh process holds after each statement: the package loads none of
+# its modules, and each command only those it runs.  multiprocessing costs
+# about 10 ms of import; run maps memory itself, and only run and the run
+# command import lbmlab._team, where they may fork
+@pytest.mark.parametrize("statement, absent, present", [
+    pytest.param("", MODULES, set(), id="package"),
+    pytest.param("import lbmlab.cli", {"multiprocessing", "mmap", "lbmlab._team"}, set(),
+                 id="cli"),
+    pytest.param(_command("run"), {"lbmlab.analysis", "lbmlab.verify"}, set(), id="run"),
+    pytest.param(_command("analyze"), {"lbmlab.verify"}, {"lbmlab.analysis"},
+                 id="analyze"),
+])
+def test_a_fresh_process_loads_only_what_it_runs(tmp_path, statement, absent, present):
+    config = tmp_path / "run.ini"
+    config.write_text("[grid]\nnx = 8\n[scheme]\nsteps = 2\n")
+    code = f"import sys, lbmlab\n{statement}\nprint('\\n'.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(lbmlab.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert sorted(absent & loaded) == [] and sorted(present - loaded) == []

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import lbmlab as lb
 from lbmlab.errors import (
     ConstructionError,
     InvalidVelocitySet,
@@ -9,7 +8,12 @@ from lbmlab.errors import (
     ShapeError,
     SingularMomentMatrix,
 )
-from lbmlab.lattice import _lu_inverse
+from lbmlab.lattice import (
+    _lu_inverse,
+    build_moment_matrix,
+    build_velocity_set,
+    lambda_tensor,
+)
 
 D2Q9_EXPECTED = [
     (0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),
@@ -18,46 +22,46 @@ D2Q9_EXPECTED = [
 
 
 def test_d2q9_vector_order():
-    vs = lb.build_velocity_set("D2Q9")
+    vs = build_velocity_set("D2Q9")
     assert [tuple(e) for e in vs.e] == D2Q9_EXPECTED
     assert vs.d == 2 and vs.J == 8
 
 
 def test_d1q3_vectors():
-    vs = lb.build_velocity_set("D1Q3")
+    vs = build_velocity_set("D1Q3")
     assert [tuple(e) for e in vs.e] == [(0,), (1,), (-1,)]
     assert vs.d == 1 and vs.J == 2
 
 
 def test_duplicate_vector_rejected():
     with pytest.raises(InvalidVelocitySet):
-        lb.build_velocity_set([(0, 0), (0, 0), (1, 0)])
+        build_velocity_set([(0, 0), (0, 0), (1, 0)])
 
 
 def test_non_integer_vector_rejected():
     with pytest.raises(InvalidVelocitySet):
-        lb.build_velocity_set([(0.5, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        build_velocity_set([(0.5, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
 
 def test_rank_deficient_rejected():
     # all first moments live on the x axis: momentum_y row is null
     with pytest.raises(RankDeficient):
-        lb.build_velocity_set([(0, 0), (1, 0), (-1, 0)])
+        build_velocity_set([(0, 0), (1, 0), (-1, 0)])
 
 
 def test_ragged_vectors_rejected():
     with pytest.raises(InvalidVelocitySet, match="same dimension"):
-        lb.build_velocity_set([(0,), (1, 2), (-1,)])
+        build_velocity_set([(0,), (1, 2), (-1,)])
 
 
 def test_3d_rejected():
     with pytest.raises(InvalidVelocitySet):
-        lb.build_velocity_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        build_velocity_set([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_unknown_name_rejected():
     with pytest.raises(InvalidVelocitySet):
-        lb.build_velocity_set("d3q19")
+        build_velocity_set("d3q19")
 
 
 class TestMomentMatrix:
@@ -67,9 +71,9 @@ class TestMomentMatrix:
         assert np.array_equal(mm.M, expected)
 
     def test_pinned_rows_bitwise(self):
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         lam = 0.37
-        mm = lb.build_moment_matrix(vs, lam)
+        mm = build_moment_matrix(vs, lam)
         assert np.array_equal(mm.M[0], np.ones(9))
         assert np.array_equal(mm.M[1:3], (lam * vs.e.astype(float)).T)
 
@@ -85,38 +89,38 @@ class TestMomentMatrix:
         assert np.array_equal(mm.velocities, vs.e.astype(float))
 
     def test_duplicated_row_singular(self):
-        vs = lb.build_velocity_set("d1q3")
+        vs = build_velocity_set("d1q3")
         with pytest.raises(SingularMomentMatrix):
-            lb.build_moment_matrix(vs, 1.0, higher_rows=[[0.0, 1.0, -1.0]])
+            build_moment_matrix(vs, 1.0, higher_rows=[[0.0, 1.0, -1.0]])
 
     def test_higher_rows_shape_checked(self):
-        vs = lb.build_velocity_set("d1q3")
+        vs = build_velocity_set("d1q3")
         with pytest.raises(ShapeError):
-            lb.build_moment_matrix(vs, 1.0, higher_rows=[[1.0, 2.0]])
+            build_moment_matrix(vs, 1.0, higher_rows=[[1.0, 2.0]])
 
     def test_ragged_higher_rows_rejected(self):
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         rows = [[1.0] * 9] * 5 + [[1.0]]
         with pytest.raises(ShapeError):
-            lb.build_moment_matrix(vs, 1.0, higher_rows=rows)
+            build_moment_matrix(vs, 1.0, higher_rows=rows)
 
     def test_custom_higher_rows_used(self):
-        vs = lb.build_velocity_set("d1q3")
-        mm = lb.build_moment_matrix(vs, 1.0, higher_rows=[[1.0, 0.0, 0.0]])
+        vs = build_velocity_set("d1q3")
+        mm = build_moment_matrix(vs, 1.0, higher_rows=[[1.0, 0.0, 0.0]])
         assert np.array_equal(mm.M[2], [1.0, 0.0, 0.0])
         assert mm.names == ("density", "momentum_x", "m2")
         assert mm.shear_index is None
 
     def test_nonpositive_lambda_rejected(self):
-        vs = lb.build_velocity_set("d1q3")
+        vs = build_velocity_set("d1q3")
         for lam in (0.0, float("nan")):
             with pytest.raises(ConstructionError, match="velocity scale must be positive"):
-                lb.build_moment_matrix(vs, lam)
+                build_moment_matrix(vs, lam)
 
     def test_lambda_scaling(self):
-        vs = lb.build_velocity_set("d2q9")
+        vs = build_velocity_set("d2q9")
         lam = 2.0
-        mm = lb.build_moment_matrix(vs, lam)
+        mm = build_moment_matrix(vs, lam)
         # energy row is 3|v|^2 - 4 lam^2
         vsq = (lam * vs.e.astype(float) ** 2).sum(axis=1) * lam
         assert np.allclose(mm.M[3], 3 * (lam**2) * (vs.e**2).sum(1) - 4 * lam**2)
@@ -146,9 +150,9 @@ class TestLambdaTensor:
     @pytest.mark.parametrize("name,lam", [("d2q9", 1.0), ("d2q9", 0.5),
                                           ("d1q3", 1.0), ("d1q3", 2.0)])
     def test_symmetry_and_reconstruction(self, name, lam):
-        vs = lb.build_velocity_set(name)
-        mm = lb.build_moment_matrix(vs, lam)
-        lt = lb.lambda_tensor(mm, vs)
+        vs = build_velocity_set(name)
+        mm = build_moment_matrix(vs, lam)
+        lt = lambda_tensor(mm, vs)
         v = mm.velocities
         assert np.array_equal(lt, lt.transpose(1, 0, 2))
         rec = np.einsum("abk,kj->abj", lt, mm.M)
@@ -158,13 +162,13 @@ class TestLambdaTensor:
 
     def test_d1q3_golden(self, d1q3):
         vs, mm, _ = d1q3
-        lt = lb.lambda_tensor(mm, vs)
+        lt = lambda_tensor(mm, vs)
         # row 2 of M is exactly v^2, so Lambda_11 picks the k=2 unit coordinate
         assert np.allclose(lt[0, 0], [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_d2q9_golden_table(self, d2q9):
         vs, mm, _ = d2q9
-        lt = lb.lambda_tensor(mm, vs)
+        lt = lambda_tensor(mm, vs)
         golden_xx = [2 / 3, 0, 0, 1 / 6, 0, 0, 0, 1 / 2, 0]
         golden_xy = [0, 0, 0, 0, 0, 0, 0, 0, 1]
         golden_yy = [2 / 3, 0, 0, 1 / 6, 0, 0, 0, -1 / 2, 0]

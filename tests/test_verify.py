@@ -4,13 +4,18 @@ import os
 import numpy as np
 import pytest
 
-import lbmlab as lb
 from lbmlab import verify
 from lbmlab.config import RunConfig, build_components
+from lbmlab.equilibrium import equilibrium_distribution, equilibrium_moments
 from lbmlab.errors import ConfigError
-from lbmlab.scheme import SchemeParams
+from lbmlab.fields import InitialField, SineComponent
+from lbmlab.scheme import SchemeParams, initialize_equilibrium, step
 from lbmlab.verify import (
     fit_loglog,
+    measure_viscosity,
+    refinement_studies,
+    resolution_residuals,
+    run_verification,
     running_slopes,
     shear_mode_decay,
     study_prop3,
@@ -34,62 +39,62 @@ def d2q9_components():
 
 @pytest.fixture(scope="module")
 def default_studies(d2q9_components):
-    return lb.refinement_studies(d2q9_components, LADDER, 32)
+    return refinement_studies(d2q9_components, LADDER, 32)
 
 
 class TestResiduals:
     def test_uniform_field_residual_is_zero(self):
         uniform = components(rho_amplitude=0.0, ux_amplitude=0.0, uy_amplitude=0.0)
-        assert lb.resolution_residuals(uniform, 32, 32)["prop3"] <= 1e-13
+        assert resolution_residuals(uniform, 32, 32)["prop3"] <= 1e-13
 
     def test_single_step_full_relaxation_brute_force(self):
         # with s = 1 the collision lands exactly on equilibrium, so after one
         # full step the disequilibrium is the streaming contribution alone;
         # replay that by hand on an 8-node 1-D grid
         setup = components(lattice_name="d1q3", s=(1.0,), ux_amplitude=1e-3)
-        measured = lb.resolution_residuals(setup, 8, 1)["prop3"]
+        measured = resolution_residuals(setup, 8, 1)["prop3"]
 
         n = 8
         dx = 1.0 / n
         W0 = setup.field.conserved((n,), dx)
-        feq = lb.equilibrium_distribution(setup.model, setup.vs, W0)
+        feq = equilibrium_distribution(setup.model, setup.vs, W0)
         f1 = np.empty_like(feq)
         for i in range(n):
             for j, e in enumerate((0, 1, -1)):
                 f1[i, j] = feq[(i - e) % n, j]
         m1 = f1 @ setup.mm.M.T
-        m_eq1 = lb.equilibrium_moments(setup.model, setup.vs, setup.mm,
-                                       m1[:, :2])
+        m_eq1 = equilibrium_moments(setup.model, setup.vs, setup.mm,
+                                    m1[:, :2])
         oracle = np.abs(m1[:, 2] - m_eq1[:, 2]).max()
         # collide at s = 1 computes m - 1.0*(m - m_eq), which differs from
         # exact equilibrium by one rounding, hence the 1e-12 relative slack
         assert measured == pytest.approx(oracle, rel=1e-12)
 
     def test_prop5_beats_prop3(self, d2q9_components):
-        res = lb.resolution_residuals(d2q9_components, 64, 64)
+        res = resolution_residuals(d2q9_components, 64, 64)
         assert res["prop5"] < 0.05 * res["prop3"]
 
     def test_conservation_residuals_s2_collapse(self):
         # with s = 2 the flux correction vanishes, so the bare and corrected
         # momentum residuals coincide
-        res = lb.resolution_residuals(components(s=(2.0,)), 32, 32)
+        res = resolution_residuals(components(s=(2.0,)), 32, 32)
         assert res["prop4"] == res["prop6"]
 
     def test_mass_drift_audited(self, d2q9_components):
-        res = lb.resolution_residuals(d2q9_components, 32, 32)
+        res = resolution_residuals(d2q9_components, 32, 32)
         assert res["mass_drift"] <= 1e-12
 
 
 class TestRefinementStudy:
     def test_requires_four_doubling_resolutions(self, d2q9_components):
         with pytest.raises(ConfigError):
-            lb.refinement_studies(d2q9_components, (32, 64), 32)
+            refinement_studies(d2q9_components, (32, 64), 32)
         with pytest.raises(ConfigError):
-            lb.refinement_studies(d2q9_components, (32, 64, 96, 128), 32)
+            refinement_studies(d2q9_components, (32, 64, 96, 128), 32)
 
     def test_requires_twenty_coarse_steps(self, d2q9_components):
         with pytest.raises(ConfigError):
-            lb.refinement_studies(d2q9_components, LADDER, 3)
+            refinement_studies(d2q9_components, LADDER, 3)
 
     def test_deterministic_and_monotone(self, d2q9_components, default_studies):
         a = default_studies["prop3"]
@@ -119,8 +124,8 @@ class TestViscometry:
     def test_two_point_scaling(self, d2q9_components):
         # doubling N at fixed s halves dt hence the predicted viscosity;
         # the measured value tracks the prediction at both resolutions
-        m64 = lb.measure_viscosity(d2q9_components, 64, 1.2)
-        m128 = lb.measure_viscosity(d2q9_components, 128, 1.2)
+        m64 = measure_viscosity(d2q9_components, 64, 1.2)
+        m128 = measure_viscosity(d2q9_components, 128, 1.2)
         assert m64.nu_predicted == pytest.approx(2 * m128.nu_predicted)
         assert abs(m64.nu_measured / m64.nu_predicted - 1.0) <= 0.02
         assert abs(m128.nu_measured / m128.nu_predicted - 1.0) <= 0.02
@@ -128,7 +133,7 @@ class TestViscometry:
 
     def test_stokes_decay_against_analytic_oracle(self, d2q9_components):
         # e-folding: after t = 1/(nu k^2) the amplitude is down by e
-        m = lb.measure_viscosity(d2q9_components, 64, 1.2)
+        m = measure_viscosity(d2q9_components, 64, 1.2)
         assert m.fit_r2 >= 0.999
         assert abs(m.nu_measured / m.nu_predicted - 1.0) <= 0.02
 
@@ -136,16 +141,16 @@ class TestViscometry:
         # the shear wave needs a transverse velocity; a 1-D lattice must not
         # fall back to some other lattice
         with pytest.raises(ConfigError):
-            lb.measure_viscosity(components(lattice_name="d1q3"), 32, 1.5)
+            measure_viscosity(components(lattice_name="d1q3"), 32, 1.5)
 
     @pytest.mark.parametrize("s", [1.2, 1.5, 1.8])
     def test_measurement_matches_exact_decay(self, d2q9_components, s):
-        m = lb.measure_viscosity(d2q9_components, 32, s)
+        m = measure_viscosity(d2q9_components, 32, s)
         assert abs(m.nu_measured / m.nu_exact - 1.0) <= 1e-9
 
     def test_measurement_at_s2_matches_exact_decay(self, d2q9_components):
         # the exact decay vanishes; the eigenmode start needs no longer run
-        m = lb.measure_viscosity(d2q9_components, 32, 2.0)
+        m = measure_viscosity(d2q9_components, 32, 2.0)
         assert m.steps == verify.VISCOMETER_STEPS and m.nu_predicted == 0.0
         cs2_dt = d2q9_components.model.cs2 * m.dt
         assert abs(m.nu_measured - m.nu_exact) <= 1e-5 * cs2_dt
@@ -161,17 +166,17 @@ class TestViscometry:
         k = 2.0 * np.pi
         decay = shear_mode_decay(setup, params, k)
         steps = int(np.ceil(1.5 / decay))
-        field = lb.InitialField(
-            rho=lb.SineComponent(offset=1.0),
-            velocity=(lb.SineComponent(),
-                      lb.SineComponent(amplitude=verify.SHEAR_WAVE_AMPLITUDE)),
+        field = InitialField(
+            rho=SineComponent(offset=1.0),
+            velocity=(SineComponent(),
+                      SineComponent(amplitude=verify.SHEAR_WAVE_AMPLITUDE)),
         )
-        state = lb.initialize_equilibrium(model, setup.vs, field.conserved((n, 8), dx))
+        state = initialize_equilibrium(model, setup.vs, field.conserved((n, 8), dx))
         amps = []
         for _ in range(steps + 1):
             u_y = (state.f @ model.velocities[:, 1]) / state.f.sum(axis=-1)
             amps.append(2.0 * abs(np.fft.rfft(u_y.mean(axis=1))[1]) / n)
-            state = lb.step(state, setup.vs, setup.mm, model, params)
+            state = step(state, setup.vs, setup.mm, model, params)
         t = params.dt * np.arange(32, steps + 1)
         nu = -np.polyfit(t, np.log(amps[32:]), 1)[0] / k**2
         nu_exact = decay / (k * k * params.dt)
@@ -205,7 +210,7 @@ class TestViscometry:
 class TestOrchestration:
     def test_unknown_study_rejected(self):
         with pytest.raises(ConfigError):
-            lb.run_verification("prop7", RunConfig())
+            run_verification("prop7", RunConfig())
 
     def test_ladder_validated_before_any_simulation(self, monkeypatch):
         def no_viscometry(*args):
@@ -213,7 +218,7 @@ class TestOrchestration:
 
         monkeypatch.setattr(verify, "measure_viscosity", no_viscometry)
         with pytest.raises(ConfigError, match="at least 4 resolutions"):
-            lb.run_verification("all", RunConfig(resolutions=(16, 32, 64)))
+            run_verification("all", RunConfig(resolutions=(16, 32, 64)))
 
     def test_measurement_off_the_exact_decay_fails(self, monkeypatch):
         measure = verify.measure_viscosity
@@ -227,11 +232,11 @@ class TestOrchestration:
 
         cfg = RunConfig(viscosity_s=(1.5,), viscosity_n=32)
         monkeypatch.setattr(verify, "measure_viscosity", off_by(1e-4))
-        (outcome,) = lb.run_verification("viscosity", cfg)
+        (outcome,) = run_verification("viscosity", cfg)
         assert not outcome.passed and "measured nu" in outcome.note
         assert outcome.summary_value == pytest.approx(1e-4, rel=1e-3)
         monkeypatch.setattr(verify, "measure_viscosity", off_by(0.0))
-        (outcome,) = lb.run_verification("viscosity", cfg)
+        (outcome,) = run_verification("viscosity", cfg)
         assert outcome.passed and outcome.summary_value <= 1e-11
 
     def test_undamped_shear_mode_reads_no_decay(self):
@@ -241,14 +246,14 @@ class TestOrchestration:
         cfg = RunConfig(vectors=((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)),
                         higher_rows=((0, 1, 1, 1, 1), (0, 1, -1, 1, -1)),
                         weights=(1 / 3,) + (1 / 6,) * 4, lam=1.7, viscosity_n=32)
-        (outcome,) = lb.run_verification("viscosity", cfg)
+        (outcome,) = run_verification("viscosity", cfg)
         assert max(column(outcome, "measured_error")) < verify.VISCOSITY_ATOL
         assert not outcome.passed and "measured nu" not in outcome.note
         assert "exact nu off the prediction" in outcome.note
 
     def test_all_emits_six_lines(self):
         cfg = RunConfig(viscosity_s=(1.5,), viscosity_n=32)
-        outcomes = lb.run_verification("all", cfg)
+        outcomes = run_verification("all", cfg)
         names = [o.experiment for o in outcomes]
         assert names == ["prop3", "prop4", "prop5", "prop6", "mass", "viscosity"]
         assert len(names) == 6
@@ -279,6 +284,6 @@ class TestOrchestration:
         monkeypatch.setattr(verify, "run", recording_run)
         cfg = RunConfig(resolutions=(64, 128, 256, 512), coarse_steps=64,
                         viscosity_s=(1.5,), viscosity_n=32)
-        lb.run_verification("all", cfg)
+        run_verification("all", cfg)
         assert calls == [(512, 63, 0), (1024, 127, 0), (2048, 255, 1), (4096, 511, 1)]
         assert len(forks) == 2
