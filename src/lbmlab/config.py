@@ -275,6 +275,13 @@ def build_components(cfg: RunConfig) -> ComponentBundle:
     two_cs4 = 2.0 * cs2 * cs2
     if not (math.isfinite(two_cs4) and two_cs4 > 0.0):
         raise ConfigError(f"key '{key}': 2 cs2**2 = {two_cs4!r} is not finite and > 0")
+    # the equilibrium's Jacobian divides by 2 cs2**2 rho**2 and 2 cs2 rho**2,
+    # which must not underflow at the least density of the initial field
+    rho_min = cfg.rho0 - abs(cfg.rho_amplitude)
+    tiny = np.finfo(float).tiny
+    if not (two_cs4 * rho_min * rho_min >= tiny and 2.0 * cs2 * rho_min * rho_min >= tiny):
+        raise ConfigError(f"key 'rho0': the least density rho0 - |rho_amplitude| = "
+                          f"{rho_min!r} makes 2 cs2**2 rho**2 or 2 cs2 rho**2 underflow")
     mm = build_moment_matrix(vs, cfg.lam, higher_rows=cfg.higher_rows)
     model = build_equilibrium(vs, cfg.lam, cs2=cfg.cs2, weights=cfg.weights)
     n_relaxed = vs.J - vs.d

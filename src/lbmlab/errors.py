@@ -4,7 +4,9 @@ Each class carries the exit code and stderr label with which ``lbmlab``
 reports it; the command line's exit codes are:
 
     0  success
-    2  "config error" (ConfigError, also for a config that is not UTF-8);
+    2  "config error" (ConfigError, also for a config that is not UTF-8,
+       and for an initial density so small that the equilibrium's Jacobian
+       would divide by an underflowed 2 cs2**2 rho**2 or 2 cs2 rho**2);
        "error" (any other LbmError, such as GridTooCoarse or a malformed or
        non-UTF-8 checkpoint, unreadable files, and MemoryError: "error: out
        of memory")

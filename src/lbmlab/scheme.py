@@ -11,11 +11,14 @@ population, never by interpolation, so transport is exact: the CFL number is
 Both kernels compute on population-major storage, one row of nodes per
 population (Wittmann et al., Comput. Math. Appl. 65 (2013)), so ``run``
 steps without copying between layouts and returns the state that the last
-``stream`` wrote; see ``SchemeState``.  ``run`` allocates that storage once
-per call: two (J+1, nodes) buffers that ``collide`` and ``stream`` write in
-turn, and the chunk scratch of ``collide``, which sweeps the nodes in blocks
-of at most ``CHUNK_NODES``.  Every buffer the kernels allocate starts on a
-cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
+``stream`` wrote; see ``SchemeState``.  ``initialize_equilibrium`` builds the
+initial state in the same storage, one block of ``_chunks`` at a time, so
+the first ``collide`` reads it as it reads every later state.  ``run``
+allocates that storage once per call: two (J+1, nodes) buffers that
+``collide`` and ``stream`` write in turn, and the chunk scratch of
+``collide``, which sweeps the nodes in blocks of at most ``CHUNK_NODES``.
+Every buffer the kernels allocate starts on a cache line
+(``_aligned_empty``).  ``step`` is ``run`` for one step.
 
 A ``run`` call may step on two processes (``_team`` says when and where).
 Its results are bit-identical either way, it leaves no child process behind,
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import format_value, write_table
-from .equilibrium import EquilibriumModel, _populations, equilibrium_distribution
+from .equilibrium import EquilibriumModel, _check_density, _check_set, _populations
 from .errors import (
     ComponentMismatch,
     InvalidRelaxation,
@@ -94,10 +97,10 @@ class SchemeState:
 
     ``f`` has shape (*grid_shape, J+1) in every state; its memory order is
     not part of the contract, and every kernel accepts either order.
-    ``collide``, ``stream``, ``step`` and ``run`` return a view of
-    population-major storage of shape (J+1, nodes), so a run of them makes no
-    copy between layouts.  Time is tracked as an integer count so long runs
-    accumulate no floating-point drift in t.
+    ``initialize_equilibrium``, ``collide``, ``stream``, ``step`` and ``run``
+    return a view of population-major storage of shape (J+1, nodes), so a run
+    of them makes no copy between layouts.  Time is tracked as an integer
+    count so long runs accumulate no floating-point drift in t.
     """
 
     f: np.ndarray
@@ -109,8 +112,27 @@ class SchemeState:
 
 
 def initialize_equilibrium(model: EquilibriumModel, vs: VelocitySet, W) -> SchemeState:
-    """State with f = G(W(x)) at every node and the step counter at zero."""
-    return SchemeState(f=equilibrium_distribution(model, vs, W), steps=0)
+    """State with f = G(W(x)) at every node and the step counter at zero.
+
+    W has shape (*grid, d+1) and is never written.  G is evaluated by the
+    kernel of ``equilibrium_distribution``, with the same values to the last
+    bit, one block of ``_chunks`` at a time: each block goes straight into
+    its columns of population-major (J+1, nodes) storage through one block
+    scratch, both from ``_aligned_empty``.  ``f`` is a (*grid, J+1) view of
+    that storage, the layout that ``collide`` and ``stream`` return.
+    """
+    _check_set(model, vs)
+    W = np.asarray(W, dtype=float)
+    _check_density(W)
+    grid = W.shape[:-1]
+    nj, nodes = vs.J + 1, math.prod(grid)
+    conserved = np.moveaxis(W, -1, 0).reshape(W.shape[-1], nodes)
+    storage = _aligned_empty(nj * nodes).reshape(nj, nodes)
+    blocks = _chunks(nodes)
+    scratch = _aligned_empty((nj + 2) * max(stop - start for start, stop in blocks))
+    for start, stop in blocks:
+        _populations(model, conserved[:, start:stop], storage[:, start:stop], scratch)
+    return SchemeState(f=_populations_last(storage.reshape(nj, *grid)), steps=0)
 
 
 def moments_of(state, mm: MomentMatrix) -> np.ndarray:
@@ -410,11 +432,17 @@ def conservation_audit(initial: SchemeState, final: SchemeState,
 
     Momentum drift is measured relative to max(|initial momentum|, mass * lam)
     per component so a zero-mean flow does not divide by zero.
+
+    Each state is reduced to one total per population, a sum along its row
+    of (J+1, nodes) storage; mass is the sum of those totals and momentum
+    their product with the velocities.  The order of those sums follows the
+    storage, so the last digits of a drift depend on the states' layout.
     """
     nj = mm.velocities.shape[0]
-    mass0, mass1 = (float(state.f.sum()) for state in (initial, final))
-    mom0, mom1 = (state.f.reshape(-1, nj).sum(axis=0) @ mm.velocities
-                  for state in (initial, final))
+    totals0, totals1 = (_populations_first(state.f).reshape(nj, -1).sum(axis=1)
+                        for state in (initial, final))
+    mass0, mass1 = float(totals0.sum()), float(totals1.sum())
+    mom0, mom1 = totals0 @ mm.velocities, totals1 @ mm.velocities
     mass_scale = abs(mass0)
     mom_scale = np.maximum(np.abs(mom0), mass_scale * mm.lam)
     return {

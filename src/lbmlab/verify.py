@@ -151,14 +151,20 @@ def resolution_residuals(components: ComponentBundle, N: int, steps: int) -> dic
 
 
 def fit_linear(x, y) -> tuple[float, float]:
-    """Least-squares slope and R^2 of y against x."""
+    """Least-squares slope and R^2 of y against x; R^2 is nan when the spread
+    of y is not finite, and 1 when y is constant."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    if not math.isfinite(ss_tot):
+        r2 = math.nan
+    elif ss_tot > 0:
+        r2 = 1.0 - ss_res / ss_tot
+    else:
+        r2 = 1.0
     return float(slope), r2
 
 
@@ -169,11 +175,12 @@ def fit_loglog(x, y) -> tuple[float, float]:
 
 
 def running_slopes(residuals, dts) -> tuple[float, ...]:
-    """Slope between neighbouring grids; nan first and across a zero residual."""
+    """Slope between neighbouring grids; nan first and across a residual that
+    is zero or not finite."""
     r, dt = residuals, dts
     return (math.nan,) + tuple(
         math.log(r[i] / r[i - 1]) / math.log(dt[i] / dt[i - 1])
-        if min(r[i - 1], r[i]) > 0.0 else math.nan
+        if 0.0 < r[i - 1] < math.inf and 0.0 < r[i] < math.inf else math.nan
         for i in range(1, len(r)))
 
 
@@ -185,8 +192,9 @@ class StudyOutcome:
     """One study's CSV rows, summary value and R^2, and its verdict.
 
     A refinement study's summary value is the fitted log-log slope, nan when
-    the regression was rejected (residuals hit zero or R^2 fell below
-    MIN_R_SQUARED); ``note`` says why.  Viscometry has no R^2 (nan).
+    the regression was rejected (residuals were not finite or hit zero, or
+    R^2 fell below MIN_R_SQUARED); ``note`` says why.  Viscometry has no R^2
+    (nan).
     """
 
     experiment: str
@@ -210,6 +218,8 @@ def _assemble(experiment: str, components: ComponentBundle, ns,
     dts = tuple(dx / components.mm.lam for dx in dxs)
     rows = tuple(zip(ns, dxs, dts, residuals, running_slopes(residuals, dts)))
     outcome = partial(StudyOutcome, experiment, REFINEMENT_HEADER, rows)
+    if not all(map(math.isfinite, residuals)):
+        return outcome(math.nan, math.nan, False, "residuals not finite; nothing to fit")
     if min(residuals) <= 0.0:
         return outcome(math.nan, math.nan, False, "residuals vanished; nothing to fit")
     slope, r2 = fit_loglog(dts, residuals)

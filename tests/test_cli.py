@@ -103,6 +103,16 @@ def test_verify_writes_exactly_its_csvs(tmp_path, verify_all, study):
         assert (out / name).read_bytes() == (verify_all[1] / name).read_bytes()
 
 
+def test_a_density_that_underflows_the_jacobian_is_config_error(tmp_path, capsys):
+    # verify once reported prop5 and prop6 slopes of nan with R^2 = 1, after
+    # numpy warned of NaN from the equilibrium's Jacobian
+    code, out = _cli(tmp_path, "verify", "[initial]\nrho0 = 1e-300\nrho_amplitude = 0\n",
+                     "--study", "all")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: key 'rho0': the least density ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("study", ["viscosity", "all"])
 def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
     code, _ = _cli(tmp_path, "verify", "[lattice]\nname = d1q3\n" + SMALL_VERIFY,
@@ -132,6 +142,8 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
      "construction error: vectors must all have the same dimension\n"),
     ("[lattice]\nname = d1q3\nhigher_rows = 0,1,1; 1\n", 3,
      "construction error: higher_rows must have shape (1, 3), got row lengths [3, 1]\n"),
+    # 2 cs2**2 rho**2 underflows to 0, so the equilibrium's Jacobian would be NaN
+    ("[initial]\nrho0 = 1e-300\nrho_amplitude = 0\n", 2, "config error: key 'rho0': "),
     # a byte that is not UTF-8 ended in a raw UnicodeDecodeError with exit 1
     (b"[grid]\nnx = 8\xff\n", 2, "config error: not UTF-8 at byte offset 13 of "),
 ])

@@ -82,12 +82,16 @@ def components(lattice, lam):
     return vs, mm, model
 
 
-def sine_state(vs, model, grid, dx):
+def sine_conserved(vs, grid, dx):
     field = InitialField(
         rho=SineComponent(1.0, 0.05, 1),
         velocity=tuple(SineComponent(0.02, 0.03, a + 1) for a in range(vs.d)),
     )
-    return lbmlab.scheme.initialize_equilibrium(model, vs, field.conserved(grid, dx))
+    return field.conserved(grid, dx)
+
+
+def sine_state(vs, model, grid, dx):
+    return lbmlab.scheme.initialize_equilibrium(model, vs, sine_conserved(vs, grid, dx))
 
 
 def population_major_copy(f):
@@ -189,6 +193,10 @@ def test_kernel_storage_starts_on_a_cache_line():
         args, state = case_setup(lattice, 1.0, (1.3,), grid)
         vs, mm, model, params = args
         nj, nodes = vs.J + 1, math.prod(grid)
+        # the initial state is stored as the kernels store theirs
+        rows = lbmlab.scheme._populations_first(state.f).reshape(nj, nodes)
+        assert np.shares_memory(rows, state.f)
+        assert rows.flags.c_contiguous and rows.ctypes.data % 64 == 0
         assert lbmlab.scheme.run(state, 2, *args).f.ctypes.data % 64 == 0
         scratch = lbmlab.scheme._collide_scratch(nj, lbmlab.scheme._chunks(nodes))
         assert scratch.ctypes.data % 64 == 0
@@ -260,6 +268,31 @@ def test_equilibrium_distribution_matches_reference_bitwise(lattice, lam, shape)
     assert feq.shape == shape + (vs.J + 1,)
     assert feq.flags.c_contiguous
     assert np.array_equal(feq, reference_populations(model, W))
+
+
+# (lattice, grid, blocks): two blocks, eight, and three of unequal width
+INITIAL_CASES = [("d2q9", (1025, 8), 2), ("d2q9", (256, 256), 8), ("d1q3", (16385,), 3)]
+
+
+@pytest.mark.parametrize("lattice, grid, blocks", INITIAL_CASES,
+                         ids=[f"{c[0]}-{'x'.join(map(str, c[1]))}" for c in INITIAL_CASES])
+def test_initial_state_is_equilibrium_distribution_in_the_kernels_storage(
+        lattice, grid, blocks):
+    vs, mm, model = components(lattice, 1.0)
+    nj, nodes = vs.J + 1, math.prod(grid)
+    assert len(lbmlab.scheme._chunks(nodes)) == blocks
+    W = sine_conserved(vs, grid, 1.0 / grid[0])
+    W.flags.writeable = False           # a write to W would raise
+    state = lbmlab.scheme.initialize_equilibrium(model, vs, W)
+    assert state.f.shape == grid + (nj,) and state.steps == 0
+    assert np.array_equal(state.f, lbmlab.equilibrium.equilibrium_distribution(model, vs, W))
+    # stored as the kernels store theirs; test_kernel_storage_starts_on_a_cache_line
+    # checks the alignment
+    assert np.shares_memory(
+        lbmlab.scheme._populations_first(state.f).reshape(nj, nodes), state.f)
+    params = lbmlab.scheme.SchemeParams(dx=1.0 / grid[0], dt=1.0 / grid[0],
+                                        s=np.full(vs.J - vs.d, 1.5))
+    assert lbmlab.scheme.run(state, 0, vs, mm, model, params) is state
 
 
 @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])

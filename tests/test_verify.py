@@ -11,6 +11,7 @@ from lbmlab.errors import ConfigError
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.scheme import SchemeParams, initialize_equilibrium, step
 from lbmlab.verify import (
+    fit_linear,
     fit_loglog,
     measure_viscosity,
     refinement_studies,
@@ -113,11 +114,33 @@ class TestRefinementStudy:
         assert rs[1] == pytest.approx(2.0)
         assert np.isnan(rs[0]) and np.isnan(rs[2]) and np.isnan(rs[3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_running_slope_across_a_residual_not_finite_is_nan(self, bad):
+        rs = running_slopes((4.0, 1.0, bad, 1e-3), (1.0, 0.5, 0.25, 0.125))
+        assert rs[1] == pytest.approx(2.0)
+        assert np.isnan(rs[2]) and np.isnan(rs[3])
+
     def test_fit_loglog_exact_power(self):
         x = np.array([1.0, 0.5, 0.25, 0.125])
         slope, r2 = fit_loglog(x, 3.0 * x**2)
         assert slope == pytest.approx(2.0, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_fit_linear_r2_is_nan_when_the_spread_is_not_finite(self):
+        # a nan spread once read as R^2 = 1, the value of a constant y
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.isnan(fit_linear(x, [1.0, np.nan, 3.0, 4.0])[1])
+        assert fit_linear(x, [2.0, 2.0, 2.0, 2.0])[1] == 1.0
+        assert fit_linear(x, 3.0 * x)[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_residuals_not_finite_fail_with_nothing_to_fit(self, d2q9_components, bad):
+        outcome = verify._assemble("prop5", d2q9_components, LADDER,
+                                   [1e-2, bad, 2.5e-3, 6.25e-4])
+        assert not outcome.passed
+        assert np.isnan(outcome.summary_value) and np.isnan(outcome.r2)
+        assert outcome.note == "residuals not finite; nothing to fit"
+        assert not np.isfinite(column(outcome, "residual")[1])
 
 
 class TestViscometry:
