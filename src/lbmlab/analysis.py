@@ -18,16 +18,18 @@ contracts to the identity on those rows).  Computing the two terms through
 different code paths would leave an O(dx^4) mismatch instead of machine
 noise.
 
-Spatial derivatives default to 4th-order centered differences on the
-periodic grid; fields built from closed-form profiles carry exact
-derivative callbacks that bypass the stencils.
+Every function takes plain arrays.  The caller picks the spatial
+derivatives dW that enter theta: ``fd_gradients``, 4th-order centered
+differences on the periodic grid, or exact derivatives such as
+``InitialField.gradients`` of a closed-form profile, which bypass the
+stencils.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,11 +40,9 @@ from .equilibrium import (
     equilibrium_moments,
     momentum_flux,
 )
-from .errors import GridTooCoarse, NonPositiveDensity, ShapeError
+from .errors import MIN_NODES_PER_AXIS, GridTooCoarse, NonPositiveDensity, ShapeError
 from .lattice import MomentMatrix, VelocitySet, lambda_tensor
 from .scheme import SchemeParams
-
-MIN_NODES_PER_AXIS = 8
 
 
 def fd_gradient(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
@@ -64,123 +64,94 @@ def divergence(T: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SmoothField:
-    """Conserved variables W(x) on a periodic grid with spacing dx.
+def fd_gradients(W: np.ndarray, dx: float) -> np.ndarray:
+    """``fd_gradient`` of W along every grid axis, shape (d, *grid, d+1)."""
+    return np.stack([fd_gradient(W, ax, dx) for ax in range(W.shape[-1] - 1)], axis=0)
 
-    ``grad_fn``, when given, returns the exact spatial derivatives with shape
-    (d, *grid, d+1) and replaces the finite-difference stencils.
-    """
 
-    W: np.ndarray
-    dx: float
-    grad_fn: Optional[Callable[[], np.ndarray]] = None
-
-    def __post_init__(self):
-        d = self.W.shape[-1] - 1
-        if self.W.ndim - 1 != d:
-            raise ShapeError(
-                f"field with {self.W.shape[-1]} components needs {d} grid axes, "
-                f"got {self.W.ndim - 1}"
-            )
-
-    @property
-    def d(self) -> int:
-        return self.W.shape[-1] - 1
-
-    def gradients(self) -> np.ndarray:
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(), dtype=float)
-        return np.stack(
-            [fd_gradient(self.W, ax, self.dx) for ax in range(self.d)], axis=0
+def _require_usable(W: np.ndarray) -> None:
+    d = W.shape[-1] - 1
+    if W.ndim - 1 != d:
+        raise ShapeError(
+            f"field with {W.shape[-1]} components needs {d} grid axes, "
+            f"got {W.ndim - 1}"
         )
-
-
-@dataclass(frozen=True)
-class DefectField:
-    """Per-node defect vectors theta, shape (*grid, J+1), of ``field``.
-
-    The conserved rows vanish identically (to rounding) because the time
-    derivative was eliminated with the same flux contraction.
-    """
-
-    theta: np.ndarray
-    field: SmoothField
-
-
-def _require_usable(field: SmoothField) -> None:
-    grid = field.W.shape[:-1]
+    grid = W.shape[:-1]
     if any(n < MIN_NODES_PER_AXIS for n in grid):
         raise GridTooCoarse(
             f"grid {grid} has an axis below {MIN_NODES_PER_AXIS} nodes"
         )
-    if np.any(field.W[..., 0] <= 0.0):
+    if np.any(W[..., 0] <= 0.0):
         raise NonPositiveDensity("field contains non-positive density")
 
 
-def conservation_defect(field: SmoothField, model: EquilibriumModel,
-                        vs: VelocitySet, mm: MomentMatrix) -> DefectField:
-    """Defect theta of every moment, from a single spatial snapshot.
+def conservation_defect(W: np.ndarray, dW: np.ndarray, model: EquilibriumModel,
+                        vs: VelocitySet, mm: MomentMatrix) -> np.ndarray:
+    """Defect theta of every moment, shape (*grid, J+1), from a single snapshot.
 
-    The streaming term is S_k = sum_b sum_j M_kj v_j^b (dG_j/dW_i) d_b W_i;
-    the eliminated time derivative is dt W = -S restricted to the conserved
-    rows, and theta = (M dG/dW) dt W + S.
+    W holds the conserved variables on the periodic grid and dW their spatial
+    derivatives, shape (d, *grid, d+1).  The streaming term is
+    S_k = sum_b sum_j M_kj v_j^b (dG_j/dW_i) d_b W_i; the eliminated time
+    derivative is dt W = -S restricted to the conserved rows, and
+    theta = (M dG/dW) dt W + S.  The conserved rows of theta vanish
+    identically (to rounding) because dt W reuses the same flux contraction.
     """
-    _require_usable(field)
-    jac = equilibrium_jacobian(model, vs, field.W)   # (*grid, J+1, d+1)
-    dW = field.gradients()                           # (d, *grid, d+1)
+    _require_usable(W)
+    if dW.shape != (W.ndim - 1, *W.shape):
+        raise ShapeError(f"derivatives of shape {dW.shape} do not fit a field "
+                         f"of shape {W.shape}")
+    jac = equilibrium_jacobian(model, vs, W)         # (*grid, J+1, d+1)
     v = model.velocities
     nc = mm.d + 1
-    flux = np.zeros(field.W.shape[:-1] + (mm.J + 1,))
+    flux = np.zeros(W.shape[:-1] + (mm.J + 1,))
     for b in range(mm.d):
         flux += np.einsum("kj,...ji,...i->...k", mm.M * v[:, b], jac, dW[b])
     dtW = -flux[..., :nc]
-    theta = np.einsum("kj,...ji,...i->...k", mm.M, jac, dtW) + flux
-    return DefectField(theta=theta, field=field)
+    return np.einsum("kj,...ji,...i->...k", mm.M, jac, dtW) + flux
 
 
-def euler_flux_divergence(field: SmoothField, model: EquilibriumModel,
+def euler_flux_divergence(W: np.ndarray, dx: float, model: EquilibriumModel,
                           vs: VelocitySet) -> np.ndarray:
     """Inviscid balance-law divergences (div q, div F^a.), shape (*grid, d+1).
 
     Formed by centered differences of the momentum-flux values over the grid.
     """
-    _require_usable(field)
-    q = field.W[..., 1:]
-    F = momentum_flux(model, vs, field.W)
-    return divergence(np.concatenate([q[..., None, :], F], axis=-2), field.dx)
+    _require_usable(W)
+    q = W[..., 1:]
+    F = momentum_flux(model, vs, W)
+    return divergence(np.concatenate([q[..., None, :], F], axis=-2), dx)
 
 
-def ns_flux_correction(defect: DefectField, model: EquilibriumModel,
+def ns_flux_correction(theta: np.ndarray, W: np.ndarray, model: EquilibriumModel,
                        vs: VelocitySet, mm: MomentMatrix,
                        params: SchemeParams) -> np.ndarray:
     """Momentum flux with the second-order correction, shape (*grid, d, d).
 
     Returns F[a,b] - dt sum_k (1/s_k - 1/2) Lambda[a,b,k] theta_k over the
-    relaxed moments of ``defect.field``; with s_k = 2 everywhere the
-    correction vanishes and the bare flux is returned.
+    relaxed moments, where theta is ``conservation_defect`` of W; with s_k = 2
+    everywhere the correction vanishes and the bare flux is returned.
     """
     lam_t = lambda_tensor(mm, vs)
     nc = mm.d + 1
     coeff = params.dt * (1.0 / params.s - 0.5)
-    F = momentum_flux(model, vs, defect.field.W)
+    F = momentum_flux(model, vs, W)
     correction = np.einsum("k,abk,...k->...ab", coeff, lam_t[:, :, nc:],
-                           defect.theta[..., nc:])
+                           theta[..., nc:])
     return F - correction
 
 
-def technical_lemma_prediction(defect: DefectField, model: EquilibriumModel,
-                               vs: VelocitySet, mm: MomentMatrix,
-                               params: SchemeParams) -> np.ndarray:
+def technical_lemma_prediction(theta: np.ndarray, W: np.ndarray,
+                               model: EquilibriumModel, vs: VelocitySet,
+                               mm: MomentMatrix, params: SchemeParams) -> np.ndarray:
     """First-order prediction of the relaxed moments, m_eq - (dt/s) theta.
 
-    Shape (*grid, J+1), evaluated on ``defect.field``; the conserved entries
-    carry m_eq itself (= W).  Used to check that simulated moments follow
-    this prediction to second order in dt.
+    Shape (*grid, J+1), where theta is ``conservation_defect`` of W; the
+    conserved entries carry m_eq itself (= W).  Used to check that simulated
+    moments follow this prediction to second order in dt.
     """
-    pred = equilibrium_moments(model, vs, mm, defect.field.W)
+    pred = equilibrium_moments(model, vs, mm, W)
     nc = mm.d + 1
-    pred[..., nc:] -= (params.dt / params.s) * defect.theta[..., nc:]
+    pred[..., nc:] -= (params.dt / params.s) * theta[..., nc:]
     return pred
 
 

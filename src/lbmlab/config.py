@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import build_equilibrium
-from .errors import ConfigError, read_utf8
+from .errors import MIN_NODES_PER_AXIS, ConfigError, read_utf8
 from .fields import InitialField, SineComponent
 from .lattice import build_moment_matrix, build_velocity_set
 from .scheme import SchemeParams
@@ -189,20 +189,23 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"key 'name': unknown study {cfg.study_name!r}; "
                           f"expected one of {STUDY_NAMES}")
     validate_ladder(cfg.resolutions, cfg.coarse_steps)
-    if cfg.viscosity_n < 1:
-        raise ConfigError(f"key 'viscosity_n': must be >= 1, got {cfg.viscosity_n}")
+    if cfg.viscosity_n < MIN_NODES_PER_AXIS:
+        raise ConfigError(f"key 'viscosity_n': need at least "
+                          f"{MIN_NODES_PER_AXIS} nodes, got {cfg.viscosity_n}")
     if not all(0.0 < s <= 2.0 for s in cfg.viscosity_s):
         raise ConfigError(f"key 'viscosity_s': relaxation ratios {list(cfg.viscosity_s)} "
                           f"violate the stability bound 0 < s <= 2")
 
 
 def validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:
-    """The ladder as ints: at least 4 doubling grids of >= 1 node, >= MIN_COARSE_STEPS steps."""
+    """The ladder as ints: at least 4 doubling grids of >= MIN_NODES_PER_AXIS nodes,
+    >= MIN_COARSE_STEPS steps."""
     ns = tuple(int(n) for n in resolutions)
     if len(ns) < 4:
         raise ConfigError(f"key 'resolutions': need at least 4 resolutions, got {len(ns)}")
-    if ns[0] < 1:
-        raise ConfigError(f"key 'resolutions': coarsest grid must be >= 1, got {ns[0]}")
+    if ns[0] < MIN_NODES_PER_AXIS:
+        raise ConfigError(f"key 'resolutions': coarsest grid must be >= "
+                          f"{MIN_NODES_PER_AXIS}, got {ns[0]}")
     for a, b in zip(ns, ns[1:]):
         if b != 2 * a:
             raise ConfigError(f"key 'resolutions': resolutions must double, got {a} -> {b}")

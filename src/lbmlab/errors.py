@@ -6,7 +6,9 @@ reports it; the command line's exit codes are:
     0  success
     2  "config error" (ConfigError, also for a config that is not UTF-8,
        and for an initial density so small that the equilibrium's Jacobian
-       would divide by an underflowed 2 cs2**2 rho**2 or 2 cs2 rho**2);
+       would divide by an underflowed 2 cs2**2 rho**2 or 2 cs2 rho**2, and
+       for a [study] resolutions ladder or viscosity_n below
+       MIN_NODES_PER_AXIS nodes, whichever command reads the config);
        "error" (any other LbmError, such as GridTooCoarse or a malformed or
        non-UTF-8 checkpoint, unreadable files, and MemoryError: "error: out
        of memory")
@@ -15,6 +17,11 @@ reports it; the command line's exit codes are:
     4  "simulation diverged" (SimulationDiverged) during a run
     5  a study of ``lbmlab verify`` failed its check (no exception)
 """
+
+
+# The fewest nodes along an axis on which the 4th-order centered differences
+# of the snapshot analysis are meaningful; also the floor of every [study] grid.
+MIN_NODES_PER_AXIS = 8
 
 
 class LbmError(Exception):
@@ -64,7 +71,8 @@ class InvalidRelaxation(ConstructionError):
 
 
 class GridTooCoarse(LbmError):
-    """Fewer than 8 nodes along some axis; centered differences would be meaningless."""
+    """Fewer than MIN_NODES_PER_AXIS nodes along some axis; centered differences
+    would be meaningless."""
 
 
 class SimulationDiverged(LbmError):

@@ -50,7 +50,11 @@ class InitialField:
         return rho, u, drho, du
 
     def conserved(self, grid_shape, dx: float) -> np.ndarray:
-        """W = (rho, rho u^1, ..., rho u^d) on the grid, shape (*grid, d+1)."""
+        """W = (rho, rho u^1, ..., rho u^d) on the grid, shape (*grid, d+1).
+
+        A read-only broadcast view of the profile along the first axis, made
+        without a copy; copy it before writing to it.
+        """
         rho, u, _, _ = self._axis_profiles(grid_shape[0], dx)
         w1d = np.stack([rho] + [rho * ui for ui in u], axis=-1)
         return _along_first_axis(w1d, grid_shape)
@@ -64,21 +68,8 @@ class InitialField:
         out[0] = _along_first_axis(g1d, grid_shape)
         return out
 
-    def smooth_field(self, grid_shape, dx: float):
-        """SmoothField over this profile with the analytic-derivative fast path."""
-        from .analysis import SmoothField
-
-        grid_shape = tuple(grid_shape)
-        return SmoothField(
-            W=self.conserved(grid_shape, dx),
-            dx=dx,
-            grad_fn=lambda: self.gradients(grid_shape, dx),
-        )
-
 
 def _along_first_axis(values_1d: np.ndarray, grid_shape) -> np.ndarray:
     expand = (slice(None),) + (None,) * (len(grid_shape) - 1)
-    return np.ascontiguousarray(
-        np.broadcast_to(values_1d[expand], (*grid_shape, values_1d.shape[-1]))
-    )
+    return np.broadcast_to(values_1d[expand], (*grid_shape, values_1d.shape[-1]))
 

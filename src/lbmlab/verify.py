@@ -52,7 +52,6 @@ import numpy as np
 
 from . import analysis
 from .analysis import (
-    SmoothField,
     divergence,
     euler_flux_divergence,
     ns_flux_correction,
@@ -132,13 +131,12 @@ def resolution_residuals(components: ComponentBundle, N: int, steps: int) -> dic
     W_next = moments_of(state, mm)[..., :nc]
 
     m_eq = equilibrium_moments(model, vs, mm, W)
-    fld = SmoothField(W=W, dx=dx)
     # looked up on the module, where bench/tracing.py counts its calls
-    defect = analysis.conservation_defect(fld, model, vs, mm)
-    pred = technical_lemma_prediction(defect, model, vs, mm, params)
+    theta = analysis.conservation_defect(W, analysis.fd_gradients(W, dx), model, vs, mm)
+    pred = technical_lemma_prediction(theta, W, model, vs, mm, params)
     dtW = (W_next - W_prev) / (2.0 * params.dt)
-    efd = euler_flux_divergence(fld, model, vs)
-    corrected = ns_flux_correction(defect, model, vs, mm, params)
+    efd = euler_flux_divergence(W, dx, model, vs)
+    corrected = ns_flux_correction(theta, W, model, vs, mm, params)
     div_corr = divergence(corrected, dx)
     return {
         "prop3": float(np.abs(m[..., nc:] - m_eq[..., nc:]).max()),
@@ -340,17 +338,14 @@ def measure_viscosity(components: ComponentBundle, N: int,
     momentum_y wave SHEAR_WAVE_AMPLITUDE sin(k x).  Returns nu = -slope/k^2
     of ln(amplitude) against time, fitted from step 0, next to the exact
     -ln|lambda| / (k^2 dt) and the predicted cs2 dt (1/s_shear - 1/2).  A
-    lattice that is not 2-D, a grid of fewer than MIN_NODES_PER_AXIS nodes
-    and a k^2 dt that is not finite and > 0 are ConfigErrors, raised before
-    any step; ``build_components`` rejects a predicted nu that is not finite
-    for every configured s.
+    lattice that is not 2-D and a k^2 dt that is not finite and > 0 are
+    ConfigErrors, raised before any step; a RunConfig rejects a viscosity_n
+    below MIN_NODES_PER_AXIS, and ``build_components`` a predicted nu that is
+    not finite for every configured s.
     """
     vs, mm, model = components.vs, components.mm, components.model
     if vs.d != 2:
         raise ConfigError(f"shear-wave viscometry needs a 2-D lattice, got d={vs.d}")
-    if N < analysis.MIN_NODES_PER_AXIS:
-        raise ConfigError(f"key 'viscosity_n': need at least "
-                          f"{analysis.MIN_NODES_PER_AXIS} nodes, got {N}")
     dx = 1.0 / N
     k = 2.0 * np.pi
     dt = dx / mm.lam

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from lbmlab.analysis import (
-    SmoothField,
     conservation_defect,
     euler_flux_divergence,
     fd_gradient,
+    fd_gradients,
     ns_flux_correction,
     pde_report,
     technical_lemma_prediction,
@@ -17,15 +17,22 @@ from lbmlab.lattice import build_moment_matrix, build_velocity_set
 from lbmlab.scheme import SchemeParams
 
 
+def _sampled(fld, n, ny, analytic):
+    """(W, dW, dx) of a profile on an n x ny grid: W is the read-only view
+    ``conserved`` returns, dW its exact ``gradients`` or ``fd_gradients``."""
+    dx = 1.0 / n
+    W = fld.conserved((n, ny), dx)
+    assert not W.flags.writeable
+    dW = fld.gradients((n, ny), dx) if analytic else fd_gradients(W, dx)
+    return W, dW, dx
+
+
 def shear_field(n=64, eps=1e-3, analytic=True, ny=8):
     fld = InitialField(
         rho=SineComponent(offset=1.0),
         velocity=(SineComponent(), SineComponent(amplitude=eps)),
     )
-    dx = 1.0 / n
-    if analytic:
-        return fld.smooth_field((n, ny), dx)
-    return SmoothField(W=fld.conserved((n, ny), dx), dx=dx)
+    return _sampled(fld, n, ny, analytic)
 
 
 def mixed_field(n=64, eps=1e-3, ny=8, analytic=True):
@@ -33,29 +40,33 @@ def mixed_field(n=64, eps=1e-3, ny=8, analytic=True):
         rho=SineComponent(1.0, eps, 1),
         velocity=(SineComponent(0.0, 0.6 * eps, 1), SineComponent(0.0, eps, 1)),
     )
-    dx = 1.0 / n
-    if analytic:
-        return fld.smooth_field((n, ny), dx)
-    return SmoothField(W=fld.conserved((n, ny), dx), dx=dx)
+    return _sampled(fld, n, ny, analytic)
+
+
+def uniform(values, grid):
+    """(W, dW) of a uniform state: every derivative is zero."""
+    W = np.broadcast_to(np.array(values), grid + (len(values),)).copy()
+    return W, fd_gradients(W, 0.1)
 
 
 class TestConservationDefect:
     def test_uniform_field_gives_zero(self, d2q9):
         vs, mm, model = d2q9
-        W = np.broadcast_to(np.array([1.0, 0.01, -0.02]), (16, 8, 3)).copy()
-        theta = conservation_defect(SmoothField(W, 0.1), model, vs, mm).theta
+        W, dW = uniform([1.0, 0.01, -0.02], (16, 8))
+        theta = conservation_defect(W, dW, model, vs, mm)
         assert np.abs(theta).max() == 0.0
 
     def test_conserved_rows_vanish(self, d2q9):
         vs, mm, model = d2q9
-        theta = conservation_defect(mixed_field(), model, vs, mm).theta
+        W, dW, _ = mixed_field()
+        theta = conservation_defect(W, dW, model, vs, mm)
         norm = np.abs(theta).max()
         assert np.abs(theta[..., :3]).max() <= 1e-12 * norm
 
     def test_conserved_rows_vanish_fd_path(self, d2q9):
         vs, mm, model = d2q9
-        theta = conservation_defect(mixed_field(analytic=False),
-                                    model, vs, mm).theta
+        W, dW, _ = mixed_field(analytic=False)
+        theta = conservation_defect(W, dW, model, vs, mm)
         norm = np.abs(theta).max()
         assert np.abs(theta[..., :3]).max() <= 1e-12 * norm
 
@@ -65,8 +76,8 @@ class TestConservationDefect:
         # O(eps^2) tail in the x heat-flux row and nothing anywhere else
         vs, mm, model = d2q9
         n, eps = 64, 1e-3
-        fld = shear_field(n=n, eps=eps, analytic=True)
-        theta = conservation_defect(fld, model, vs, mm).theta
+        W, dW, _ = shear_field(n=n, eps=eps, analytic=True)
+        theta = conservation_defect(W, dW, model, vs, mm)
         k = 2 * np.pi
         x = np.arange(n) / n
         cs2 = model.cs2
@@ -97,15 +108,15 @@ class TestConservationDefect:
                                    - qy * dqy / cs2)
                     acc += mm.M[kk, j] * v[j, 0] * dfeq
                 theta_oracle[ix, kk] = acc
-        fld = shear_field(n=n, eps=eps, analytic=True)
-        theta = conservation_defect(fld, model, vs, mm).theta
+        W, dW, _ = shear_field(n=n, eps=eps, analytic=True)
+        theta = conservation_defect(W, dW, model, vs, mm)
         assert np.abs(theta[:, 0, :] - theta_oracle).max() <= 1e-15
 
     def test_amplitude_linearity(self, d2q9):
         vs, mm, model = d2q9
         eps = 1e-4
-        t1 = conservation_defect(shear_field(eps=eps), model, vs, mm).theta
-        t2 = conservation_defect(shear_field(eps=2 * eps), model, vs, mm).theta
+        t1 = conservation_defect(*shear_field(eps=eps)[:2], model, vs, mm)
+        t2 = conservation_defect(*shear_field(eps=2 * eps)[:2], model, vs, mm)
         ratio = np.abs(t2).max() / np.abs(t1).max()
         assert abs(ratio - 2.0) <= 1e-3 * 2.0
 
@@ -113,9 +124,9 @@ class TestConservationDefect:
         vs, mm, model = d2q9
         errs = []
         for n in (32, 64):
-            exact = conservation_defect(shear_field(n=n), model, vs, mm).theta
-            fd = conservation_defect(shear_field(n=n, analytic=False),
-                                     model, vs, mm).theta
+            exact = conservation_defect(*shear_field(n=n)[:2], model, vs, mm)
+            fd = conservation_defect(*shear_field(n=n, analytic=False)[:2],
+                                     model, vs, mm)
             errs.append(np.abs(fd - exact).max())
         assert errs[0] / errs[1] >= 14.0
 
@@ -123,25 +134,37 @@ class TestConservationDefect:
         vs, mm, model = d2q9
         W = np.ones((4, 8, 3))
         with pytest.raises(GridTooCoarse):
-            conservation_defect(SmoothField(W, 0.1), model, vs, mm)
+            conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
 
     def test_nonpositive_density(self, d2q9):
         vs, mm, model = d2q9
         W = np.ones((8, 8, 3))
         W[3, 3, 0] = -0.5
         with pytest.raises(NonPositiveDensity):
-            conservation_defect(SmoothField(W, 0.1), model, vs, mm)
+            conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
 
-    def test_field_shape_validation(self):
-        with pytest.raises(ShapeError):
-            SmoothField(np.ones((8, 3)), 0.1)  # 2 components need 1 axis
+    def test_field_shape_validation(self, d2q9):
+        vs, mm, model = d2q9
+        W = np.ones((8, 3))  # 3 components need 2 axes
+        message = "field with 3 components needs 2 grid axes, got 1"
+        with pytest.raises(ShapeError, match=message):
+            conservation_defect(W, np.zeros((2, 8, 3)), model, vs, mm)
+        with pytest.raises(ShapeError, match=message):
+            euler_flux_divergence(W, 0.1, model, vs)
+
+    def test_derivatives_must_fit_the_field(self, d2q9):
+        vs, mm, model = d2q9
+        W, dW, _ = shear_field(n=16)
+        for wrong in (dW[:1], dW[:, :, :1], dW[..., :2]):
+            with pytest.raises(ShapeError, match="do not fit a field of shape"):
+                conservation_defect(W, wrong, model, vs, mm)
 
 
 class TestEulerFluxDivergence:
     def test_uniform_zero(self, d2q9):
         vs, mm, model = d2q9
-        W = np.broadcast_to(np.array([1.0, 0.03, 0.01]), (16, 8, 3)).copy()
-        out = euler_flux_divergence(SmoothField(W, 0.1), model, vs)
+        W, _ = uniform([1.0, 0.03, 0.01], (16, 8))
+        out = euler_flux_divergence(W, 0.1, model, vs)
         assert np.abs(out).max() == 0.0
 
     def test_density_wave_linearization(self, d2q9):
@@ -152,8 +175,7 @@ class TestEulerFluxDivergence:
         dx = 1.0 / n
         fld = InitialField(rho=SineComponent(1.0, eps, 1),
                            velocity=(SineComponent(), SineComponent()))
-        out = euler_flux_divergence(
-            SmoothField(fld.conserved((n, 8), dx), dx), model, vs)
+        out = euler_flux_divergence(fld.conserved((n, 8), dx), dx, model, vs)
         k = 2 * np.pi
         x = np.arange(n) * dx
         expected = model.cs2 * eps * k * np.cos(k * x)
@@ -164,15 +186,15 @@ class TestEulerFluxDivergence:
 
     def test_matches_fd_of_flux_values(self, d2q9):
         vs, _, model = d2q9
-        fld = mixed_field(analytic=False)
-        out = euler_flux_divergence(fld, model, vs)
-        F = momentum_flux(model, vs, fld.W)
-        q = fld.W[..., 1:]
-        oracle = np.zeros_like(fld.W)
+        W, _, dx = mixed_field(analytic=False)
+        out = euler_flux_divergence(W, dx, model, vs)
+        F = momentum_flux(model, vs, W)
+        q = W[..., 1:]
+        oracle = np.zeros_like(W)
         for b in range(2):
-            oracle[..., 0] += fd_gradient(q[..., b], b, fld.dx)
+            oracle[..., 0] += fd_gradient(q[..., b], b, dx)
             for a in range(2):
-                oracle[..., 1 + a] += fd_gradient(F[..., a, b], b, fld.dx)
+                oracle[..., 1 + a] += fd_gradient(F[..., a, b], b, dx)
         # the b terms are added in the same order, so the sums agree bit for bit
         assert np.array_equal(out, oracle)
 
@@ -180,20 +202,20 @@ class TestEulerFluxDivergence:
 class TestNsFluxCorrection:
     def test_s2_returns_bare_flux(self, d2q9):
         vs, mm, model = d2q9
-        fld = mixed_field()
+        W, dW, _ = mixed_field()
         params = SchemeParams(1 / 64, 1 / 64, np.full(6, 2.0))
-        corr = ns_flux_correction(conservation_defect(fld, model, vs, mm),
-                                  model, vs, mm, params)
-        F = momentum_flux(model, vs, fld.W)
+        corr = ns_flux_correction(conservation_defect(W, dW, model, vs, mm),
+                                  W, model, vs, mm, params)
+        F = momentum_flux(model, vs, W)
         assert np.array_equal(corr, F)
 
     def test_uniform_returns_pressure(self, d2q9):
         vs, mm, model = d2q9
         rho = 1.4
-        W = np.broadcast_to(np.array([rho, 0.0, 0.0]), (16, 8, 3)).copy()
+        W, dW = uniform([rho, 0.0, 0.0], (16, 8))
         params = SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        defect = conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
-        corr = ns_flux_correction(defect, model, vs, mm, params)
+        theta = conservation_defect(W, dW, model, vs, mm)
+        corr = ns_flux_correction(theta, W, model, vs, mm, params)
         assert np.allclose(corr, model.cs2 * rho * np.eye(2), atol=1e-15)
 
     def test_shear_wave_off_diagonal_oracle(self, d2q9):
@@ -203,11 +225,10 @@ class TestNsFluxCorrection:
         s = 1.5
         n = 64
         params = SchemeParams(1.0 / n, 1.0 / n, np.full(6, s))
-        fld = shear_field(n=n)
-        defect = conservation_defect(fld, model, vs, mm)
-        theta = defect.theta
-        F = momentum_flux(model, vs, fld.W)
-        corr = ns_flux_correction(defect, model, vs, mm, params)
+        W, dW, _ = shear_field(n=n)
+        theta = conservation_defect(W, dW, model, vs, mm)
+        F = momentum_flux(model, vs, W)
+        corr = ns_flux_correction(theta, W, model, vs, mm, params)
         expected = F[..., 0, 1] - params.dt * (1 / s - 0.5) * theta[..., 8]
         assert np.abs(corr[..., 0, 1] - expected).max() <= 1e-15
         assert np.abs(corr[..., 0, 1] - corr[..., 1, 0]).max() <= 1e-16
@@ -216,10 +237,10 @@ class TestNsFluxCorrection:
 class TestTechnicalLemmaPrediction:
     def test_uniform_equals_equilibrium_moments(self, d2q9):
         vs, mm, model = d2q9
-        W = np.broadcast_to(np.array([1.0, 0.0, 0.0]), (16, 8, 3)).copy()
+        W, dW = uniform([1.0, 0.0, 0.0], (16, 8))
         params = SchemeParams(1 / 64, 1 / 64, np.full(6, 1.5))
-        defect = conservation_defect(SmoothField(W, 1 / 64), model, vs, mm)
-        pred = technical_lemma_prediction(defect, model, vs, mm, params)
+        theta = conservation_defect(W, dW, model, vs, mm)
+        pred = technical_lemma_prediction(theta, W, model, vs, mm, params)
         m_eq = equilibrium_moments(model, vs, mm, W)
         assert np.array_equal(pred, m_eq)
 
@@ -227,11 +248,10 @@ class TestTechnicalLemmaPrediction:
         vs, mm, model = d2q9
         s = 1.5
         params = SchemeParams(1 / 64, 1 / 64, np.full(6, s))
-        fld = shear_field()
-        defect = conservation_defect(fld, model, vs, mm)
-        pred = technical_lemma_prediction(defect, model, vs, mm, params)
-        m_eq = equilibrium_moments(model, vs, mm, fld.W)
-        theta = defect.theta
+        W, dW, _ = shear_field()
+        theta = conservation_defect(W, dW, model, vs, mm)
+        pred = technical_lemma_prediction(theta, W, model, vs, mm, params)
+        m_eq = equilibrium_moments(model, vs, mm, W)
         diff = m_eq[..., 3:] - pred[..., 3:]
         assert np.allclose(diff, (params.dt / s) * theta[..., 3:], atol=1e-18)
 

@@ -254,6 +254,28 @@ def test_viscometry_too_short_to_fit_is_config_error(tmp_path, capsys, monkeypat
     assert not steps
 
 
+@pytest.mark.parametrize("config_text, message", [
+    # verify ran the viscometry and a whole rung before it failed, naming no key
+    pytest.param("[study]\nresolutions = 4,8,16,32\n",
+                 "key 'resolutions': coarsest grid must be >= 8, got 4", id="resolutions"),
+    # run and analyze accepted it
+    pytest.param("[study]\nviscosity_n = 4\n",
+                 "key 'viscosity_n': need at least 8 nodes, got 4", id="viscosity_n"),
+])
+@pytest.mark.parametrize("command, extra", [
+    ("run", ()), ("analyze", ()), ("verify", ("--study", "all"))])
+def test_study_grid_below_eight_nodes_fails_every_command(tmp_path, capsys, monkeypatch,
+                                                          config_text, message,
+                                                          command, extra):
+    steps = []
+    step = verify.step
+    monkeypatch.setattr(verify, "step", lambda *args: steps.append(1) or step(*args))
+    code, out = _cli(tmp_path, command, config_text, *extra)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not steps and not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("run", ()), ("analyze", ()), ("verify", ("--study", "prop3"))])
 def test_infinite_predicted_viscosity_fails_every_command(tmp_path, capsys, command,

@@ -42,11 +42,11 @@ KEY_VALUES = {
     ("initial", "uy_amplitude"): floats,
     ("study", "name"): st.sampled_from([*STUDY_NAMES, *map(str.upper, STUDY_NAMES)]),
     ("study", "resolutions"): st.builds(lambda n, k: [n * 2**i for i in range(k)],
-                                        st.integers(1, 10**4), st.integers(4, 6)),
+                                        st.integers(8, 10**4), st.integers(4, 6)),
     ("study", "coarse_steps"): st.integers(20, 10**6),
     ("study", "viscosity_s"): st.lists(st.floats(0.0, 2.0, exclude_min=True),
                                        min_size=1, max_size=4),
-    ("study", "viscosity_n"): st.integers(1, 10**6),
+    ("study", "viscosity_n"): st.integers(8, 10**6),
 }
 
 
@@ -138,13 +138,21 @@ def test_unknown_section_or_key_is_rejected(text, message, line):
     ("resolutions", "16,32,48,64"),
     ("resolutions", "0,0,0,0"),
     ("resolutions", "-8,-16,-32,-64"),
+    # the snapshot analysis needs 8 nodes along every axis of every grid
+    ("resolutions", "4,8,16,32"),
     ("coarse_steps", "19"),
     ("viscosity_n", "0"),
     ("viscosity_n", "-32"),
+    ("viscosity_n", "7"),
 ])
 def test_out_of_range_study_value_names_its_key(key, value):
     with pytest.raises(ConfigError, match=f"^key '{key}': "):
         parse_config(f"[study]\n{key} = {value}\n")
+
+
+def test_study_grids_of_eight_nodes_are_accepted():
+    cfg = parse_config("[study]\nresolutions = 8,16,32,64\nviscosity_n = 8\n")
+    assert cfg.resolutions == (8, 16, 32, 64) and cfg.viscosity_n == 8
 
 
 def test_config_is_validated_however_it_is_made():

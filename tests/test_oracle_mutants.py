@@ -46,8 +46,8 @@ def blind_spot(*args, id):
 MUTANTS = [
     pytest.param("analysis.py", COEFF, "coeff = params.dt * (1.0 / params.s)",
                  "prop6", id="mu-without-minus-half"),
-    pytest.param("analysis.py", "(params.dt / params.s) * defect.theta",
-                 "(params.dt * params.s) * defect.theta", "prop5",
+    pytest.param("analysis.py", "(params.dt / params.s) * theta",
+                 "(params.dt * params.s) * theta", "prop5",
                  id="lemma-dt-times-s"),
     pytest.param("scheme.py", PLAN, SWAP_X, "viscosity",
                  id="diagonal-x-reversed"),
