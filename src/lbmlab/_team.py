@@ -281,7 +281,7 @@ class Team:
         self._worker = Worker(
             lambda: self._serve(_populations_first(state.f).reshape(nj, nodes), vs,
                                 mm, model, params, state.steps, grid, n_steps), cpus)
-        self.scratch = _collide_scratch(nj, self.blocks[0] + self.blocks[1])
+        self.scratch = _collide_scratch(model, self.blocks[0] + self.blocks[1])
 
     def sync(self) -> bool:
         """Pass the barrier that ends this phase; True if the worker's blocks
@@ -326,7 +326,7 @@ class Team:
         ``streamed``), post, stream its rows and post, ``n_steps`` times."""
         control, blocks, rows = self._control, self.blocks[1], self.rows[1]
         shape = (len(self.collided), *grid)
-        scratch = _collide_scratch(len(self.collided), blocks)
+        scratch = _collide_scratch(model, blocks)
         for _ in range(n_steps):
             try:
                 _sweep(src, self.collided, scratch, blocks, mm, model, params, steps,

@@ -33,12 +33,20 @@ _BUILTIN_WEIGHTS = {
 
 @dataclass(frozen=True)
 class EquilibriumModel:
-    """Weights, squared sound speed and velocities defining the map W -> f_eq."""
+    """Weights, squared sound speed and velocities defining the map W -> f_eq.
+
+    ``pairs`` is the velocities' +-e layout, derived once by
+    ``build_equilibrium``: when row 0 is at rest and rows 1..J are G blocks
+    of n rows, each followed by its opposites in the same order (D2Q9: 1-2
+    then 3-4, 5-6 then 7-8; D1Q3: 1 then 2), it holds each block's "+"
+    velocities as a read-only (G, n, d) array; for any other set it is None.
+    """
 
     weights: np.ndarray    # (J+1,)
     cs2: float
     lam: float
     velocities: np.ndarray  # (J+1, d) = lam * e
+    pairs: np.ndarray | None  # (G, n, d), G * n = J / 2
 
     @property
     def d(self) -> int:
@@ -75,9 +83,26 @@ def build_equilibrium(vs: VelocitySet, lam: float, cs2=None,
     v = lam * vs.e.astype(float)
     v.flags.writeable = False
     model = EquilibriumModel(weights=w, cs2=float(cs2), lam=float(lam),
-                             velocities=v)
+                             velocities=v, pairs=_pair_layout(v))
     _validate_on_probe_set(model)
     return model
+
+
+def _pair_layout(v: np.ndarray) -> np.ndarray | None:
+    """The "+" velocities of ``v`` as (G, n, d) blocks, for the smallest n
+    for which row 0 is zero and rows 1..J are G blocks of n rows, each
+    followed by its n opposites; None when no n gives that layout."""
+    J, d = v.shape[0] - 1, v.shape[1]
+    if np.any(v[0]):
+        return None
+    for n in range(1, J // 2 + 1):
+        if J % (2 * n) == 0:
+            blocks = v[1:].reshape(J // (2 * n), 2, n, d)
+            if np.array_equal(blocks[:, 1], -blocks[:, 0]):
+                plus = blocks[:, 0].copy()
+                plus.flags.writeable = False
+                return plus
+    return None
 
 
 def _validate_on_probe_set(model: EquilibriumModel) -> None:
@@ -103,6 +128,12 @@ def _check_density(W: np.ndarray) -> None:
         raise NonPositiveDensity("equilibrium evaluation requires rho > 0 everywhere")
 
 
+def _scratch_rows(model: EquilibriumModel) -> int:
+    """Rows of ``nodes`` values that ``_populations`` needs as scratch:
+    J/2 + 2 for a paired velocity set (6 on D2Q9), J + 3 otherwise."""
+    return (model.J + 1 if model.pairs is None else model.J // 2) + 2
+
+
 def _populations(model: EquilibriumModel, W: np.ndarray, out=None,
                  scratch=None) -> np.ndarray:
     """Populations G(W), population-major: W is (d+1, nodes), G is (J+1, nodes).
@@ -110,30 +141,56 @@ def _populations(model: EquilibriumModel, W: np.ndarray, out=None,
     The in-place ufuncs keep the association order of the formula in the
     module docstring, w * (((rho + vq/cs2) + vq^2/(2 cs2^2 rho)) - |q|^2/(2 cs2 rho)),
     so G is the same to the last bit whichever layout the caller stores.
+
+    On a paired set (``EquilibriumModel.pairs``) the two divisions run on the
+    J/2 "+" rows only.  An opposite row has v' = -v, so vq' = -vq exactly,
+    and IEEE round-to-nearest is symmetric in sign: vq'/cs2 = -(vq/cs2) and
+    vq'^2/(2 cs2^2 rho) = vq^2/(2 cs2^2 rho).  Since rho + (-t) is the same
+    double as rho - t, writing -(vq/cs2) into each opposite row and adding
+    rho and the shared square term to both rows gives every bit of the
+    row-by-row formula.  The rest row has vq = 0, so its first three terms
+    are rho itself.
+
     G is written to ``out``, a (J+1, nodes) array, and the temporaries live in
-    ``scratch``, a flat float array of at least (J+3) * nodes values; either
-    is allocated when not given.
+    ``scratch``, a flat float array of at least ``_scratch_rows(model)`` *
+    nodes values (vq on J/2 or J+1 rows, |q|^2 and one more row); either is
+    allocated when not given.
     """
     nj, nodes = model.velocities.shape[0], W.shape[1]
+    rows = _scratch_rows(model) - 2     # of vq
     if out is None:
         out = np.empty((nj, nodes))
     if scratch is None:
-        scratch = np.empty((nj + 2) * nodes)
-    vq = scratch[:nj * nodes].reshape(nj, nodes)
-    qq = scratch[nj * nodes:(nj + 1) * nodes]
-    tmp = scratch[(nj + 1) * nodes:(nj + 2) * nodes]
+        scratch = np.empty((rows + 2) * nodes)
+    vq = scratch[:rows * nodes].reshape(rows, nodes)
+    qq = scratch[rows * nodes:(rows + 1) * nodes]
+    tmp = scratch[(rows + 1) * nodes:(rows + 2) * nodes]
     rho = W[0]
     q = W[1:]
     cs2 = model.cs2
-    np.matmul(model.velocities, q, out=vq)
+    pairs = model.pairs
+    if pairs is None:
+        np.matmul(model.velocities, q, out=vq)
+        np.divide(vq, cs2, out=out)
+        out += rho
+        targets, square = out, vq
+    else:
+        g, n, d = pairs.shape
+        # rows 1..J as (G, 2, n, nodes): [:, 0] the "+" rows, [:, 1] their opposites
+        targets = out[1:].reshape(g, 2, n, nodes)
+        plus = targets[:, 0]
+        np.matmul(pairs.reshape(rows, d), q, out=vq)
+        np.divide(vq.reshape(g, n, nodes), cs2, out=plus)
+        np.negative(plus, out=targets[:, 1])
+        out[0] = rho
+        out[1:] += rho
+        square = vq.reshape(g, 1, n, nodes)
+    vq *= vq
+    vq /= np.multiply(2.0 * cs2 * cs2, rho, out=tmp)
+    targets += square
     np.multiply(q[0], q[0], out=qq)
     for qa in q[1:]:
         qq += np.multiply(qa, qa, out=tmp)
-    np.divide(vq, cs2, out=out)
-    out += rho
-    vq *= vq
-    vq /= np.multiply(2.0 * cs2 * cs2, rho, out=tmp)
-    out += vq
     qq /= np.multiply(2.0 * cs2, rho, out=tmp)
     out -= qq
     out *= model.weights[:, None]

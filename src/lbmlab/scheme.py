@@ -36,7 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import format_value, write_table
-from .equilibrium import EquilibriumModel, _check_density, _check_set, _populations
+from .equilibrium import (
+    EquilibriumModel,
+    _check_density,
+    _check_set,
+    _populations,
+    _scratch_rows,
+)
 from .errors import (
     ComponentMismatch,
     InvalidRelaxation,
@@ -53,7 +59,7 @@ CHECK_INTERVAL = 64
 CACHE_LINE = 64
 
 # Most nodes ``collide`` works on at a time.  Its scratch for a D2Q9 block of
-# 8,192 nodes is 29 rows of 64 KiB, 1.9 MB, so a block's moments, equilibrium
+# 8,192 nodes is 27 rows of 64 KiB, 1.8 MB, so a block's moments, equilibrium
 # and M f_eq stay in a 2 MiB L2 from the first matmul to the back-transform.
 # On a 2-vCPU Xeon with 2 MiB of L2 per core and every buffer on a cache line,
 # a 256x256 D2Q9 step took a median 5.1 ms in blocks of 8,192 nodes, 6.1 ms in
@@ -129,7 +135,8 @@ def initialize_equilibrium(model: EquilibriumModel, vs: VelocitySet, W) -> Schem
     conserved = np.moveaxis(W, -1, 0).reshape(W.shape[-1], nodes)
     storage = _aligned_empty(nj * nodes).reshape(nj, nodes)
     blocks = _chunks(nodes)
-    scratch = _aligned_empty((nj + 2) * max(stop - start for start, stop in blocks))
+    width = max(stop - start for start, stop in blocks)
+    scratch = _aligned_empty(_scratch_rows(model) * width)
     for start, stop in blocks:
         _populations(model, conserved[:, start:stop], storage[:, start:stop], scratch)
     return SchemeState(f=_populations_last(storage.reshape(nj, *grid)), steps=0)
@@ -224,17 +231,19 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start:start + size]
 
 
-def _collide_scratch(nj: int, blocks) -> np.ndarray:
+def _collide_scratch(model: EquilibriumModel, blocks) -> np.ndarray:
     """Flat scratch for ``collide`` sweeping the (start, stop) ``blocks`` of
-    nj populations, sized for the widest.
+    the J+1 = nj populations of ``model``, sized for the widest.
 
-    For a block of w nodes it holds, each viewed as a contiguous (nj, w)
-    array, the moments m, the equilibrium f_eq and M f_eq; two more rows of
-    w follow, so that the M f_eq rows and these serve ``_populations`` as
-    its scratch before M f_eq is formed.
+    For a block of w nodes it holds 2 nj + max(nj, r) rows of w, where r is
+    ``_scratch_rows(model)``: the moments m and the equilibrium f_eq, each a
+    contiguous (nj, w) array, then rows that serve ``_populations`` as its
+    scratch and, once f_eq is formed, hold M f_eq.  That is 27 rows on D2Q9
+    (r = 6) and 9 on D1Q3 (r = 3).
     """
+    nj = model.J + 1
     width = max(stop - start for start, stop in blocks)
-    return _aligned_empty((3 * nj + 2) * width)
+    return _aligned_empty((2 * nj + max(nj, _scratch_rows(model))) * width)
 
 
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
@@ -268,7 +277,7 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     if out is None:
         out = _aligned_empty(nj * nodes).reshape(nj, nodes)
     if scratch is None:
-        scratch = _collide_scratch(nj, _chunks(nodes))
+        scratch = _collide_scratch(model, _chunks(nodes))
     if team is None:
         _sweep(src, out, scratch, _chunks(nodes), mm, model, params, state.steps, grid)
     else:
@@ -400,7 +409,7 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
                 nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
                 collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
                 streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
-                scratch = _collide_scratch(nj, _chunks(nodes))
+                scratch = _collide_scratch(model, _chunks(nodes))
             else:
                 collided, streamed, scratch = team.collided, team.streamed, team.scratch
         for i in range(1, n_steps + 1):

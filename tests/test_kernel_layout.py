@@ -198,7 +198,7 @@ def test_kernel_storage_starts_on_a_cache_line():
         assert np.shares_memory(rows, state.f)
         assert rows.flags.c_contiguous and rows.ctypes.data % 64 == 0
         assert lbmlab.scheme.run(state, 2, *args).f.ctypes.data % 64 == 0
-        scratch = lbmlab.scheme._collide_scratch(nj, lbmlab.scheme._chunks(nodes))
+        scratch = lbmlab.scheme._collide_scratch(model, lbmlab.scheme._chunks(nodes))
         assert scratch.ctypes.data % 64 == 0
         assert lbmlab.scheme.collide(state, mm, model, params).f.ctypes.data % 64 == 0
         assert lbmlab.scheme.stream(state, vs).f.ctypes.data % 64 == 0
@@ -226,7 +226,7 @@ def test_kernels_bitwise_on_storage_off_a_cache_line(lattice, lam, s, grid, step
     collided = off_line(nj * nodes).reshape(nj, nodes)
     streamed = off_line(nj * nodes).reshape(nj, nodes)
     blocks = lbmlab.scheme._chunks(nodes)
-    scratch = off_line(lbmlab.scheme._collide_scratch(nj, blocks).size)
+    scratch = off_line(lbmlab.scheme._collide_scratch(model, blocks).size)
     for _ in range(3):
         state = lbmlab.scheme.stream(
             lbmlab.scheme.collide(state, mm, model, params, collided, scratch), vs, streamed)
@@ -268,6 +268,159 @@ def test_equilibrium_distribution_matches_reference_bitwise(lattice, lam, shape)
     assert feq.shape == shape + (vs.J + 1,)
     assert feq.flags.c_contiguous
     assert np.array_equal(feq, reference_populations(model, W))
+
+
+def per_row_populations(model, W, out=None, scratch=None):
+    """The equilibrium kernel before it paired opposite velocities: both
+    divisions on every row.  It ignores ``scratch``, so that it can stand in
+    for ``_populations`` inside ``collide``."""
+    nj, nodes = model.velocities.shape[0], W.shape[1]
+    if out is None:
+        out = np.empty((nj, nodes))
+    vq = np.empty((nj, nodes))
+    qq = np.empty(nodes)
+    tmp = np.empty(nodes)
+    rho = W[0]
+    q = W[1:]
+    cs2 = model.cs2
+    np.matmul(model.velocities, q, out=vq)
+    np.multiply(q[0], q[0], out=qq)
+    for qa in q[1:]:
+        qq += np.multiply(qa, qa, out=tmp)
+    np.divide(vq, cs2, out=out)
+    out += rho
+    vq *= vq
+    vq /= np.multiply(2.0 * cs2 * cs2, rho, out=tmp)
+    out += vq
+    qq /= np.multiply(2.0 * cs2, rho, out=tmp)
+    out -= qq
+    out *= model.weights[:, None]
+    return out
+
+
+# no row is the opposite of the row after it
+ASYMMETRIC_VECTORS = ((0, 0), (1, 0), (0, 1), (-1, -1))
+
+
+def kernel_model(lattice, lam):
+    if lattice == "asymmetric":
+        # no weights give this set the moments of an equilibrium, so it is
+        # built without build_equilibrium's check; the kernel does not need them
+        v = lam * np.array(ASYMMETRIC_VECTORS, dtype=float)
+        return lbmlab.equilibrium.EquilibriumModel(
+            weights=np.array([0.4, 0.2, 0.2, 0.2]), cs2=lam * lam / 3.0, lam=lam,
+            velocities=v, pairs=lbmlab.equilibrium._pair_layout(v))
+    return components(lattice, lam)[2]
+
+
+KERNEL_SETS = ["d2q9", "d1q3", "d2q5", "asymmetric"]
+
+
+@pytest.mark.parametrize("lattice, shape, rows", [
+    ("d2q9", (2, 2, 2), 6), ("d1q3", (1, 1, 1), 3), ("d2q5", (1, 2, 2), 4),
+    ("asymmetric", None, 6)])
+def test_pair_layout_and_scratch_rows(lattice, shape, rows):
+    model = kernel_model(lattice, 1.3)
+    assert lbmlab.equilibrium._scratch_rows(model) == rows
+    if shape is None:
+        assert model.pairs is None
+        return
+    assert model.pairs.shape == shape and not model.pairs.flags.writeable
+    blocks = model.velocities[1:].reshape(shape[0], 2, *shape[1:])
+    assert not model.velocities[0].any()
+    assert np.array_equal(blocks[:, 0], model.pairs)
+    assert np.array_equal(blocks[:, 1], -model.pairs)
+    # collide's scratch: moments, equilibrium, then max(J+1, rows) rows
+    nj = model.J + 1
+    size = lbmlab.scheme._collide_scratch(model, ((0, 10), (10, 17))).size
+    assert size == (2 * nj + max(nj, rows)) * 10
+
+
+def signed_conserved(model, nodes, seed):
+    """(d+1, nodes) random W with q of both signs; the first node's q is -0.0
+    and the last node's first component is -0.0."""
+    rng = np.random.default_rng(seed)
+    W = np.empty((model.d + 1, nodes))
+    W[0] = rng.uniform(0.5, 2.0, nodes)
+    W[1:] = rng.uniform(-0.3, 0.3, (model.d, nodes)) * model.lam * W[0]
+    W[1:, 0] = -0.0
+    W[1, -1] = -0.0
+    return W
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 256, 8193])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 1.7])
+@pytest.mark.parametrize("lattice", KERNEL_SETS)
+def test_populations_match_the_per_row_kernel_bitwise(lattice, lam, nodes):
+    model = kernel_model(lattice, lam)
+    W = signed_conserved(model, nodes, nodes)
+    expected = per_row_populations(model, W).view(np.int64)
+    # W as collide passes it, and as initialize_equilibrium does: a view of
+    # node-major storage, written into columns of wider storage
+    node_major = np.moveaxis(np.ascontiguousarray(W.T), -1, 0)
+    storage = np.full((model.J + 1, nodes + 5), np.nan)
+    got = lbmlab.equilibrium._populations(model, W)
+    assert np.array_equal(got.view(np.int64), expected)
+    lbmlab.equilibrium._populations(model, node_major, storage[:, 2:-3])
+    assert np.array_equal(storage[:, 2:-3].view(np.int64), expected)
+    assert np.isnan(storage[:, :2]).all() and np.isnan(storage[:, -3:]).all()
+
+
+@pytest.mark.parametrize("lattice", KERNEL_SETS)
+def test_non_finite_momentum_is_non_finite_where_the_per_row_kernel_says(lattice):
+    model = kernel_model(lattice, 1.0)
+    W = signed_conserved(model, 16, 5)
+    for node, value in enumerate([np.inf, -np.inf, np.nan, 1e200, -1e200]):
+        W[1, 2 * node] = value              # first component
+        W[-1, 2 * node + 1] = value         # last component
+    with np.errstate(all="ignore"):
+        expected = per_row_populations(model, W)
+        got = lbmlab.equilibrium._populations(model, W)
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+    # the rest row is rho - |q|^2/(2 cs2 rho), -inf where the per-row kernel's
+    # 0 * inf is nan; every other non-finite entry is the same kind
+    kinds = np.isnan(got) == np.isnan(expected)
+    assert kinds[1:].all()
+    assert np.isneginf(got[0][~kinds[0]]).all()
+
+
+def diverging_field():
+    # the density first turns non-positive after a few steps, as in a
+    # 16 x 16 `lbmlab run` with ux_offset = 0.6 and s = 1.99
+    return InitialField(rho=SineComponent(1.0, 0.3, 1),
+                        velocity=(SineComponent(0.6, 0.3, 1), SineComponent(0.0, 0.0, 2)))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("none", "non-positive density at node (27, 0) entering step 25"),
+    ("overflow", "non-finite populations at node (2, 0) after 3 steps"),
+    ("inf", "non-finite populations at node (2, 0) after 3 steps"),
+])
+def test_a_diverging_run_names_the_step_and_node_of_the_per_row_kernel(
+        fault, message, monkeypatch):
+    vs, mm, model = components("d2q9", 1.0)
+    grid = (64, 8)
+    dx = 1.0 / grid[0]
+    params = lbmlab.scheme.SchemeParams(dx=dx, dt=dx, s=np.full(6, 1.99))
+    W = diverging_field().conserved(grid, dx)
+    f = lbmlab.scheme.initialize_equilibrium(model, vs, W).f.copy()
+    if fault == "overflow":
+        f[5, 3] *= 1e200
+    elif fault == "inf":
+        f[5, 3, 1] = np.inf
+    steps = 400 if fault == "none" else 3
+
+    def failure():
+        state = lbmlab.scheme.SchemeState(f=f.copy())
+        with np.errstate(all="ignore"), pytest.raises(SimulationDiverged) as info:
+            lbmlab.scheme.run(state, steps, vs, mm, model, params)
+        return str(info.value)
+
+    assert failure() == message
+    monkeypatch.setattr(lbmlab.scheme, "_populations", per_row_populations)
+    assert failure() == message
 
 
 # (lattice, grid, blocks): two blocks, eight, and three of unequal width

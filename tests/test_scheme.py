@@ -1,12 +1,12 @@
-import mmap
 import os
 import re
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lbmlab._team  # run imports it to step on two processes; not its memory
 from lbmlab.equilibrium import equilibrium_moments
 from lbmlab.errors import (
     ComponentMismatch,
@@ -31,6 +31,66 @@ from lbmlab.scheme import (
     step,
     stream,
 )
+
+
+# Each peak-memory test measures in a fresh interpreter, so that the traced
+# peak counts the allocations of first calls whatever the suite ran before.
+# The snippets print the number of shared mappings and the peak over the
+# state's bytes.
+SMALL_STATE = """
+import numpy as np
+from lbmlab.equilibrium import build_equilibrium
+from lbmlab.lattice import build_moment_matrix, build_velocity_set
+from lbmlab.scheme import SchemeParams, initialize_equilibrium, run
+vs = build_velocity_set("d2q9")
+mm = build_moment_matrix(vs, 1.0)
+model = build_equilibrium(vs, 1.0)
+rng = np.random.default_rng(5)
+rho = 1.0 + 0.05 * rng.standard_normal(GRID)
+u = 0.05 * rng.standard_normal((*GRID, 2))
+W = np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
+"""
+
+RUN_PEAK = "GRID = {grid}" + SMALL_STATE + """
+import mmap
+import tracemalloc
+import lbmlab._team  # run imports it to step on two processes; not its memory
+state = initialize_equilibrium(model, vs, W)
+params = SchemeParams(1.0, 1.0, np.full(6, 1.5))
+mapped = []
+real_mmap = mmap.mmap
+
+def recording_mmap(*args, **kwargs):
+    shared = real_mmap(*args, **kwargs)
+    mapped.append(len(shared))
+    return shared
+
+mmap.mmap = recording_mmap
+# the fewest steps whose run pays for a fork
+steps = -(-lbmlab._team.TEAM_UPDATES // state.f.size)
+tracemalloc.start()
+run(state, steps, vs, mm, model, params)
+peak = tracemalloc.get_traced_memory()[1]
+print(len(mapped), (peak + sum(mapped)) / state.f.nbytes)
+"""
+
+INITIAL_PEAK = "GRID = (256, 256)" + SMALL_STATE + """
+import tracemalloc
+tracemalloc.start()
+state = initialize_equilibrium(model, vs, W)
+peak = tracemalloc.get_traced_memory()[1]
+print(0, peak / state.f.nbytes)
+"""
+
+
+def fresh_process_reading(code):
+    """(mappings, ratio) that ``code`` prints in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mapped, ratio = proc.stdout.split()
+    return int(mapped), float(ratio)
 
 
 def small_state(d2q9, grid=(16, 16), seed=5):
@@ -275,7 +335,7 @@ class TestStepAndRun:
 
     @pytest.mark.parametrize("grid, bound", [((256, 256), 3.0), ((512, 8), 3.9)],
                              ids=["256x256", "512x8"])
-    def test_run_peak_memory_is_bounded(self, d2q9, monkeypatch, grid, bound):
+    def test_run_peak_memory_is_bounded(self, grid, bound):
         # two population buffers and collide's block scratch, allocated once;
         # the result is a view of the streaming buffer.  tracemalloc does not
         # see mmap memory, so the shared mapping that holds the two buffers
@@ -284,48 +344,18 @@ class TestStepAndRun:
         # a scratch half as wide as one process's
         if grid == (512, 8) and len(os.sched_getaffinity(0)) < 2:
             pytest.skip("this process may run on one CPU only, so run steps on one process")
-        vs, mm, model = d2q9
-        state, _ = small_state(d2q9, grid=grid)
-        params = SchemeParams(1.0, 1.0, np.full(6, 1.5))
-        mapped = []
-
-        def recording_mmap(*args, **kwargs):
-            shared = real_mmap(*args, **kwargs)
-            mapped.append(len(shared))
-            return shared
-
-        real_mmap = mmap.mmap
-        monkeypatch.setattr(mmap, "mmap", recording_mmap)
-        # the fewest steps whose run pays for a fork
-        steps = -(-lbmlab._team.TEAM_UPDATES // state.f.size)
-        tracemalloc.start()
-        try:
-            run(state, steps, vs, mm, model, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 256 x 256: 2.54 measured on one process, 2.54 on two; 4.22 with fresh
-        # arrays per step.  512 x 8: 3.89 measured on two processes, against 5.49
+        mapped, ratio = fresh_process_reading(RUN_PEAK.format(grid=grid))
+        # 256 x 256: 2.52 measured on one process, 2.52 on two; 4.22 with fresh
+        # arrays per step.  512 x 8: 3.82 measured on two processes, against 5.30
         # on one, whose scratch is as wide as the grid
         assert mapped or grid == (256, 256)
-        assert peak + sum(mapped) <= bound * state.f.nbytes
+        assert ratio <= bound
 
-    def test_initial_state_peak_memory_is_bounded(self, d2q9):
-        # the state's storage and the scratch of one block of _chunks: 1.15
+    def test_initial_state_peak_memory_is_bounded(self):
+        # the state's storage and the scratch of one block of _chunks: 1.08
         # measured, against 2.22 when G was evaluated over the whole grid at
         # once and then copied into population-major storage
-        vs, _, model = d2q9
-        rng = np.random.default_rng(5)
-        rho = 1.0 + 0.05 * rng.standard_normal((256, 256))
-        u = 0.05 * rng.standard_normal((256, 256, 2))
-        W = np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
-        tracemalloc.start()
-        try:
-            state = initialize_equilibrium(model, vs, W)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * state.f.nbytes
+        assert fresh_process_reading(INITIAL_PEAK)[1] <= 1.25
 
     @pytest.mark.parametrize("lattice", ["d2q9", "d1q3"])
     def test_audit_drifts_are_bounded_in_either_layout(self, lattice, request):
