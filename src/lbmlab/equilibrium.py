@@ -15,7 +15,7 @@ up front rather than polluting a simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +35,8 @@ _BUILTIN_WEIGHTS = {
 class EquilibriumModel:
     """Weights, squared sound speed and velocities defining the map W -> f_eq.
 
-    ``pairs`` is the velocities' +-e layout, derived once by
-    ``build_equilibrium``: when row 0 is at rest and rows 1..J are G blocks
+    ``pairs`` is the velocities' +-e layout, derived from ``velocities`` when
+    the model is made and never passed in: when row 0 is at rest and rows 1..J are G blocks
     of n rows, each followed by its opposites in the same order (D2Q9: 1-2
     then 3-4, 5-6 then 7-8; D1Q3: 1 then 2), it holds each block's "+"
     velocities as a read-only (G, n, d) array; for any other set it is None.
@@ -46,7 +46,10 @@ class EquilibriumModel:
     cs2: float
     lam: float
     velocities: np.ndarray  # (J+1, d) = lam * e
-    pairs: np.ndarray | None  # (G, n, d), G * n = J / 2
+    pairs: np.ndarray | None = field(init=False)  # (G, n, d), G * n = J / 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", _pair_layout(self.velocities))
 
     @property
     def d(self) -> int:
@@ -83,7 +86,7 @@ def build_equilibrium(vs: VelocitySet, lam: float, cs2=None,
     v = lam * vs.e.astype(float)
     v.flags.writeable = False
     model = EquilibriumModel(weights=w, cs2=float(cs2), lam=float(lam),
-                             velocities=v, pairs=_pair_layout(v))
+                             velocities=v)
     _validate_on_probe_set(model)
     return model
 

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +11,8 @@ from lbmlab.equilibrium import (
 )
 from lbmlab.errors import InvalidEquilibrium, NonPositiveDensity
 from lbmlab.lattice import build_velocity_set, lambda_tensor
+
+from fresh import fresh_python
 
 D2Q9_WEIGHTS = np.array([4 / 9] + [1 / 9] * 4 + [1 / 36] * 4)
 
@@ -202,13 +199,8 @@ class TestCustomTables:
 def test_building_components_does_not_import_numpy_random():
     # the probe set is a fixed formula; importing numpy.random costs every
     # process time and peak memory (about 11 ms and 2 MB on a 2-vCPU VM)
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
             "from lbmlab.config import RunConfig, build_components\n"
             "build_components(RunConfig())\n"
             "print('numpy.random' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert fresh_python(code) == "False\n"

@@ -7,12 +7,11 @@ input is stored in.  The agreement rests on BLAS forming the dot products of
 ``M @ f`` exactly as those of ``f @ M.T``, so this file also pins that.
 """
 
+import dataclasses
 import functools
 import math
 import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import lbmlab.scheme
 from lbmlab.errors import LbmError, SimulationDiverged
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.scheme import relax_update
+from fresh import fresh_python
 from workers import (
     CPUS,
     aarch64,
@@ -309,7 +309,7 @@ def kernel_model(lattice, lam):
         v = lam * np.array(ASYMMETRIC_VECTORS, dtype=float)
         return lbmlab.equilibrium.EquilibriumModel(
             weights=np.array([0.4, 0.2, 0.2, 0.2]), cs2=lam * lam / 3.0, lam=lam,
-            velocities=v, pairs=lbmlab.equilibrium._pair_layout(v))
+            velocities=v)
     return components(lattice, lam)[2]
 
 
@@ -334,6 +334,22 @@ def test_pair_layout_and_scratch_rows(lattice, shape, rows):
     nj = model.J + 1
     size = lbmlab.scheme._collide_scratch(model, ((0, 10), (10, 17))).size
     assert size == (2 * nj + max(nj, rows)) * 10
+
+
+def test_pairs_follow_the_velocities():
+    # the layout is derived from the velocities, never passed in, so a model
+    # whose velocities change cannot keep a stale one
+    model = kernel_model("d2q9", 1.0)
+    with pytest.raises(TypeError):
+        lbmlab.equilibrium.EquilibriumModel(
+            weights=model.weights, cs2=model.cs2, lam=model.lam,
+            velocities=model.velocities, pairs=None)
+    # rows 1-4 as +x, -x, +y, -y: no block of rows is followed by its opposites
+    swapped = dataclasses.replace(model, velocities=model.velocities[[0, 1, 3, 2, 4, 5, 6, 7, 8]])
+    assert swapped.pairs is None
+    W = signed_conserved(swapped, 64, 1)
+    assert np.array_equal(lbmlab.equilibrium._populations(swapped, W).view(np.int64),
+                          per_row_populations(swapped, W).view(np.int64))
 
 
 def signed_conserved(model, nodes, seed):
@@ -752,11 +768,9 @@ for path in glob.glob(os.path.join(libs, "*openblas*")):
 @pytest.mark.parametrize("count, expected", [(None, "1"), ("2", "2")])
 def test_import_asks_for_one_blas_thread_unless_one_is_set(count, expected):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(lbmlab.__file__).parents[1])
     if count is not None:
         env["OPENBLAS_NUM_THREADS"] = count
-    out = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = fresh_python(BLAS_THREADS, env=env)
     if not out:
         pytest.skip("numpy's OpenBLAS library was not found")
     assert out.strip() == expected
@@ -788,8 +802,5 @@ def test_a_fresh_process_loads_only_what_it_runs(tmp_path, statement, absent, pr
     config = tmp_path / "run.ini"
     config.write_text("[grid]\nnx = 8\n[scheme]\nsteps = 2\n")
     code = f"import sys, lbmlab\n{statement}\nprint('\\n'.join(sys.modules))"
-    env = {**os.environ, "PYTHONPATH": str(Path(lbmlab.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
+    loaded = set(fresh_python(code, str(config), str(tmp_path / "out")).split())
     assert sorted(absent & loaded) == [] and sorted(present - loaded) == []

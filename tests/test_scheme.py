@@ -1,8 +1,5 @@
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,28 +29,28 @@ from lbmlab.scheme import (
     stream,
 )
 
+from fresh import fresh_python
+
 
 # Each peak-memory test measures in a fresh interpreter, so that the traced
 # peak counts the allocations of first calls whatever the suite ran before.
 # The snippets print the number of shared mappings and the peak over the
 # state's bytes.
 SMALL_STATE = """
-import numpy as np
 from lbmlab.equilibrium import build_equilibrium
 from lbmlab.lattice import build_moment_matrix, build_velocity_set
 from lbmlab.scheme import SchemeParams, initialize_equilibrium, run
+from test_scheme import small_conserved
 vs = build_velocity_set("d2q9")
 mm = build_moment_matrix(vs, 1.0)
 model = build_equilibrium(vs, 1.0)
-rng = np.random.default_rng(5)
-rho = 1.0 + 0.05 * rng.standard_normal(GRID)
-u = 0.05 * rng.standard_normal((*GRID, 2))
-W = np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
+W = small_conserved(GRID)
 """
 
 RUN_PEAK = "GRID = {grid}" + SMALL_STATE + """
 import mmap
 import tracemalloc
+import numpy as np
 import lbmlab._team  # run imports it to step on two processes; not its memory
 state = initialize_equilibrium(model, vs, W)
 params = SchemeParams(1.0, 1.0, np.full(6, 1.5))
@@ -85,20 +82,21 @@ print(0, peak / state.f.nbytes)
 
 def fresh_process_reading(code):
     """(mappings, ratio) that ``code`` prints in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    mapped, ratio = proc.stdout.split()
+    mapped, ratio = fresh_python(code).split()
     return int(mapped), float(ratio)
+
+
+def small_conserved(grid=(16, 16), seed=5):
+    """Random W of shape (*grid, 3) near rest, rho about 1."""
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + 0.05 * rng.standard_normal(grid)
+    u = 0.05 * rng.standard_normal((*grid, 2))
+    return np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
 
 
 def small_state(d2q9, grid=(16, 16), seed=5):
     vs, mm, model = d2q9
-    rng = np.random.default_rng(seed)
-    rho = 1.0 + 0.05 * rng.standard_normal(grid)
-    u = 0.05 * rng.standard_normal((*grid, 2))
-    W = np.concatenate([rho[..., None], rho[..., None] * u], axis=-1)
+    W = small_conserved(grid, seed)
     return initialize_equilibrium(model, vs, W), W
 
 
