@@ -16,7 +16,9 @@ very same contracted flux array that enters theta, because the conserved
 rows of theta then cancel to rounding (the Jacobian of the equilibrium
 contracts to the identity on those rows).  Computing the two terms through
 different code paths would leave an O(dx^4) mismatch instead of machine
-noise.
+noise.  ``conservation_defect`` forms theta one block of nodes at a time,
+and the constraint holds per block: each block's dt W is taken from that
+block's own flux array.
 
 Every function takes plain arrays.  The caller picks the spatial
 derivatives dW that enter theta: ``fd_gradients``, 4th-order centered
@@ -36,13 +38,25 @@ import numpy as np
 from .csvio import write_rows
 from .equilibrium import (
     EquilibriumModel,
-    equilibrium_jacobian,
+    _check_set,
+    _jacobian,
     equilibrium_moments,
     momentum_flux,
 )
 from .errors import MIN_NODES_PER_AXIS, GridTooCoarse, NonPositiveDensity, ShapeError
 from .lattice import MomentMatrix, VelocitySet, lambda_tensor
-from .scheme import SchemeParams
+from .scheme import SchemeParams, _chunks
+
+# Most nodes ``conservation_defect`` works on at a time.  On D2Q9 a block's
+# Jacobian, flux and their temporaries take about 0.8 MiB at 1,024 nodes, so
+# the call's traced peak on a 256x256 grid is 1.18x theta's 4.5 MiB (7.1x over
+# the whole grid at once; 1.10x in blocks of 512, 1.36x of 2,048, 2.43x of
+# 8,192).  On a 2-vCPU Xeon, median of 8 interleaved rounds against the whole
+# grid at once, in two sessions, blocks of 1,024 took 0.87-0.90x at 128x128,
+# 0.66-0.94x at 256x256 and 0.78-0.84x at 512x512; blocks of 2,048 to 8,192
+# were up to 5% faster at the two larger sizes and up to 13% slower at
+# 128x128, blocks of 256 the slowest.
+DEFECT_NODES = 1024
 
 
 def fd_gradient(values: np.ndarray, axis: int, dx: float) -> np.ndarray:
@@ -95,19 +109,39 @@ def conservation_defect(W: np.ndarray, dW: np.ndarray, model: EquilibriumModel,
     derivative is dt W = -S restricted to the conserved rows, and
     theta = (M dG/dW) dt W + S.  The conserved rows of theta vanish
     identically (to rounding) because dt W reuses the same flux contraction.
+
+    W, dW and the velocity set are checked once; theta's rows are then
+    written one block of at most ``DEFECT_NODES`` nodes at a time, so the
+    memory beyond theta is one block's worth (the Jacobian, the flux and
+    their temporaries), plus a flat copy of W or dW where it cannot be
+    flattened in place, as a broadcast view cannot.  einsum sums each
+    node's terms in the same order whatever the block, so theta is the same
+    to the last bit as one contraction over the whole grid.  The blocks are
+    those of ``scheme._chunks``, never one node wide: the Jacobian's matmul
+    would round a single node's row differently.
     """
     _require_usable(W)
     if dW.shape != (W.ndim - 1, *W.shape):
         raise ShapeError(f"derivatives of shape {dW.shape} do not fit a field "
                          f"of shape {W.shape}")
-    jac = equilibrium_jacobian(model, vs, W)         # (*grid, J+1, d+1)
+    _check_set(model, vs)
+    nodes = W.size // W.shape[-1]
+    W_flat = np.asarray(W, dtype=float).reshape(nodes, -1)
+    dW_flat = dW.reshape(len(dW), nodes, -1)
     v = model.velocities
     nc = mm.d + 1
-    flux = np.zeros(W.shape[:-1] + (mm.J + 1,))
-    for b in range(mm.d):
-        flux += np.einsum("kj,...ji,...i->...k", mm.M * v[:, b], jac, dW[b])
-    dtW = -flux[..., :nc]
-    return np.einsum("kj,...ji,...i->...k", mm.M, jac, dtW) + flux
+    theta = np.empty((nodes, mm.J + 1))
+    for start, stop in _chunks(nodes, DEFECT_NODES):
+        block = slice(start, stop)
+        jac = _jacobian(model, W_flat[block])         # (block, J+1, d+1)
+        flux = np.zeros((jac.shape[0], mm.J + 1))
+        for b in range(mm.d):
+            flux += np.einsum("kj,...ji,...i->...k", mm.M * v[:, b], jac,
+                              dW_flat[b, block])
+        dtW = -flux[..., :nc]
+        np.add(np.einsum("kj,...ji,...i->...k", mm.M, jac, dtW), flux,
+               out=theta[block])
+    return theta.reshape(*W.shape[:-1], mm.J + 1)
 
 
 def euler_flux_divergence(W: np.ndarray, dx: float, model: EquilibriumModel,

@@ -207,6 +207,13 @@ def _populations_node_major(model: EquilibriumModel, W: np.ndarray) -> np.ndarra
 
 
 def _jacobian(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:
+    """dG_j/dW_i of W of shape (..., d+1), shape (..., J+1, d+1), unchecked.
+
+    ``equilibrium_jacobian`` checks the model and rho first.
+    ``analysis.conservation_defect`` checks them once and then calls this
+    on one block of nodes at a time; every entry is computed from its own
+    node's W alone, so the blocks give the same bits as the whole grid.
+    """
     rho = W[..., :1]
     q = W[..., 1:]
     v = model.velocities

@@ -202,16 +202,17 @@ def _populations_last(storage: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _chunks(nodes: int) -> tuple[tuple[int, int], ...]:
+def _chunks(nodes: int, width: int = CHUNK_NODES) -> tuple[tuple[int, int], ...]:
     """(start, stop) of the blocks ``collide`` sweeps: as few as keep each
-    within CHUNK_NODES nodes, their widths differing by at most one node.
+    within ``width`` nodes, their widths differing by at most one node.
+    ``analysis.conservation_defect`` sweeps blocks of its own ``width``.
 
     Even widths keep every block of a multi-block grid wider than one node.
     A fixed width would leave 8,193 nodes a one-node last block, and numpy
     multiplies by one column as a matrix-vector product, which rounds
     differently from the matrix product of every wider block.
     """
-    count = max(1, -(-nodes // CHUNK_NODES))
+    count = max(1, -(-nodes // width))
     bounds = [k * nodes // count for k in range(count + 1)]
     return tuple(zip(bounds, bounds[1:]))
 

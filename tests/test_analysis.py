@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lbmlab.analysis import (
+    DEFECT_NODES,
     conservation_defect,
     euler_flux_divergence,
     fd_gradient,
@@ -10,20 +11,28 @@ from lbmlab.analysis import (
     pde_report,
     technical_lemma_prediction,
 )
-from lbmlab.equilibrium import build_equilibrium, equilibrium_moments, momentum_flux
+from lbmlab.equilibrium import (
+    build_equilibrium,
+    equilibrium_jacobian,
+    equilibrium_moments,
+    momentum_flux,
+)
 from lbmlab.errors import GridTooCoarse, NonPositiveDensity, ShapeError
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.lattice import build_moment_matrix, build_velocity_set
 from lbmlab.scheme import SchemeParams
 
+from fresh import fresh_python
+from test_scheme import SMALL_STATE
 
-def _sampled(fld, n, ny, analytic):
-    """(W, dW, dx) of a profile on an n x ny grid: W is the read-only view
+
+def _sampled(fld, grid, analytic):
+    """(W, dW, dx) of a profile on a grid: W is the read-only view
     ``conserved`` returns, dW its exact ``gradients`` or ``fd_gradients``."""
-    dx = 1.0 / n
-    W = fld.conserved((n, ny), dx)
+    dx = 1.0 / grid[0]
+    W = fld.conserved(grid, dx)
     assert not W.flags.writeable
-    dW = fld.gradients((n, ny), dx) if analytic else fd_gradients(W, dx)
+    dW = fld.gradients(grid, dx) if analytic else fd_gradients(W, dx)
     return W, dW, dx
 
 
@@ -32,7 +41,7 @@ def shear_field(n=64, eps=1e-3, analytic=True, ny=8):
         rho=SineComponent(offset=1.0),
         velocity=(SineComponent(), SineComponent(amplitude=eps)),
     )
-    return _sampled(fld, n, ny, analytic)
+    return _sampled(fld, (n, ny), analytic)
 
 
 def mixed_field(n=64, eps=1e-3, ny=8, analytic=True):
@@ -40,7 +49,32 @@ def mixed_field(n=64, eps=1e-3, ny=8, analytic=True):
         rho=SineComponent(1.0, eps, 1),
         velocity=(SineComponent(0.0, 0.6 * eps, 1), SineComponent(0.0, eps, 1)),
     )
-    return _sampled(fld, n, ny, analytic)
+    return _sampled(fld, (n, ny), analytic)
+
+
+def whole_grid_defect(W, dW, model, vs, mm):
+    """theta from the same three einsums as ``conservation_defect``, each
+    over the whole grid at once."""
+    jac = equilibrium_jacobian(model, vs, W)
+    v = model.velocities
+    nc = mm.d + 1
+    flux = np.zeros(W.shape[:-1] + (mm.J + 1,))
+    for b in range(mm.d):
+        flux += np.einsum("kj,...ji,...i->...k", mm.M * v[:, b], jac, dW[b])
+    dtW = -flux[..., :nc]
+    return np.einsum("kj,...ji,...i->...k", mm.M, jac, dtW) + flux
+
+
+# The traced peak of ``conservation_defect`` on 256 x 256 D2Q9 over theta's
+# bytes, in a fresh interpreter so that first-call allocations count.
+DEFECT_PEAK = "GRID = (256, 256)" + SMALL_STATE + """
+import tracemalloc
+from lbmlab.analysis import conservation_defect, fd_gradients
+dW = fd_gradients(W, 1.0 / GRID[0])
+tracemalloc.start()
+theta = conservation_defect(W, dW, model, vs, mm)
+print(tracemalloc.get_traced_memory()[1] / theta.nbytes)
+"""
 
 
 def uniform(values, grid):
@@ -130,6 +164,42 @@ class TestConservationDefect:
             errs.append(np.abs(fd - exact).max())
         assert errs[0] / errs[1] >= 14.0
 
+    # with DEFECT_NODES = 1,024: 64 x 8 is one short block, 128 x 8 and D1Q3's
+    # 1,024 one full block, 1,000 x 8 eight blocks, 96 x 96 nine full blocks;
+    # 41 x 25 and D1Q3's 4,097 are one node more than a multiple, which blocks
+    # of a fixed width would leave as a one-node last block
+    @pytest.mark.parametrize("lattice, grid", [
+        ("d2q9", (64, 8)), ("d2q9", (128, 8)), ("d2q9", (1000, 8)),
+        ("d2q9", (96, 96)), ("d2q9", (41, 25)), ("d1q3", (1024,)),
+        ("d1q3", (4097,)),
+    ], ids=lambda value: "x".join(map(str, value)) if isinstance(value, tuple) else value)
+    @pytest.mark.parametrize("lam, offset", [(1.0, 0.0), (1.7, 0.1)],
+                             ids=["lam1-rest", "lam1.7-flow"])
+    @pytest.mark.parametrize("analytic", [False, True], ids=["fd", "exact"])
+    def test_blocks_equal_the_whole_grid_bitwise(self, lattice, grid, lam, offset,
+                                                 analytic):
+        vs = build_velocity_set(lattice)
+        mm = build_moment_matrix(vs, lam)
+        model = build_equilibrium(vs, lam)
+        fld = InitialField(
+            rho=SineComponent(1.0, 0.05, 1),
+            velocity=tuple(SineComponent(offset * lam, 0.01 * lam, a + 1)
+                           for a in range(vs.d)),
+        )
+        W, dW, dx = _sampled(fld, grid, analytic)
+        theta = conservation_defect(W, dW, model, vs, mm)
+        reference = whole_grid_defect(W, dW, model, vs, mm)
+        assert np.array_equal(theta, reference)
+        # distinct s_k, which weigh theta's rows in the prop5 prediction
+        params = SchemeParams(dx, dx / lam, np.linspace(1.9, 1.1, vs.J - vs.d))
+        assert np.array_equal(
+            technical_lemma_prediction(theta, W, model, vs, mm, params),
+            technical_lemma_prediction(reference, W, model, vs, mm, params))
+
+    def test_peak_memory_is_one_block_beyond_theta(self):
+        # 1.18 measured; 7.1 when the Jacobian and the flux spanned the grid
+        assert float(fresh_python(DEFECT_PEAK)) <= 1.5
+
     def test_grid_too_coarse(self, d2q9):
         vs, mm, model = d2q9
         W = np.ones((4, 8, 3))
@@ -137,11 +207,15 @@ class TestConservationDefect:
             conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
 
     def test_nonpositive_density(self, d2q9):
+        # the whole field is checked before the first block, so a bad node in
+        # the last block raises the same error
         vs, mm, model = d2q9
-        W = np.ones((8, 8, 3))
-        W[3, 3, 0] = -0.5
-        with pytest.raises(NonPositiveDensity):
-            conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
+        for grid, node in (((8, 8), (3, 3)), ((3 * DEFECT_NODES // 8 + 1, 8), (-1, -1))):
+            W = np.ones(grid + (3,))
+            W[node + (0,)] = -0.5
+            with pytest.raises(NonPositiveDensity,
+                               match="^field contains non-positive density$"):
+                conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
 
     def test_field_shape_validation(self, d2q9):
         vs, mm, model = d2q9
@@ -151,11 +225,16 @@ class TestConservationDefect:
             conservation_defect(W, np.zeros((2, 8, 3)), model, vs, mm)
         with pytest.raises(ShapeError, match=message):
             euler_flux_divergence(W, 0.1, model, vs)
+        W, dW = uniform([1.0, 0.0, 0.0], (8, 8))
+        d1q3_model = build_equilibrium(build_velocity_set("d1q3"), 1.0)
+        with pytest.raises(ShapeError, match="model was not built for this velocity set"):
+            conservation_defect(W, dW, d1q3_model, vs, mm)
 
     def test_derivatives_must_fit_the_field(self, d2q9):
         vs, mm, model = d2q9
         W, dW, _ = shear_field(n=16)
-        for wrong in (dW[:1], dW[:, :, :1], dW[..., :2]):
+        # the last is dW over the nodes of a flattened grid: as many values
+        for wrong in (dW[:1], dW[:, :, :1], dW[..., :2], dW.reshape(2, -1, 3)):
             with pytest.raises(ShapeError, match="do not fit a field of shape"):
                 conservation_defect(W, wrong, model, vs, mm)
 

@@ -54,8 +54,8 @@ MUTANTS = [
     pytest.param("scheme.py", "s = params.s[:, None]\n",
                  "s = params.s[:, None] * (1 + 1e-7)\n", "viscosity",
                  id="collide-s-off-by-1e-7"),
-    blind_spot("analysis.py", "for b in range(mm.d):\n        flux +=",
-               "for b in range(1):\n        flux +=", "prop5",
+    blind_spot("analysis.py", "for b in range(mm.d):\n            flux +=",
+               "for b in range(1):\n            flux +=", "prop5",
                id="theta-without-y-derivatives"),
     blind_spot("analysis.py", COEFF, "coeff = params.dt * (1.0 / params.s[::-1] - 0.5)",
                "prop6", id="s-paired-with-the-wrong-moment"),
