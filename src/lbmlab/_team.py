@@ -251,18 +251,19 @@ class Team:
 
     One barrier per phase is enough: phase k + 1 writes the buffer that phase
     k read, and neither process starts k + 1 before both have posted k.
-    This process's ``check_finite`` reads ``streamed`` after a stream phase,
-    while the worker may sweep the next step, which only reads it; the
-    worker's next stream, which writes it, waits for this process's post of
-    that collide phase, made after the check.  The barrier rests on x86-64's
-    total store order: the buffer stores made before a post are visible to
-    whoever reads that post.  A waiter spins SPINS reads, then yields
-    between reads and checks the other side: the worker exits if its parent
-    changes, and this process raises ``LbmError`` if the worker has exited
-    short of the phase.  The worker is a ``Worker``.  If the worker's blocks
-    raise, it posts the phase as failed and ends, writing nothing more, and
-    ``collide`` sweeps them again here to raise the same error, so this
-    process's block scratch ``scratch`` holds the widest block of either half.
+    Outside the kernels, ``run`` reads ``streamed`` only after the last phase,
+    to check its densities, when the worker writes nothing more.  The barrier
+    rests on x86-64's total store order: the buffer stores made before a post
+    are visible to whoever reads that post.  A waiter spins SPINS reads, then
+    yields between reads and checks the other side: the worker exits if its
+    parent changes, and this process raises ``LbmError`` if the worker has
+    exited short of the phase.  The worker is a ``Worker``.  Each process
+    checks the densities of its own blocks as it sweeps them.  If the worker's
+    blocks raise, a non-positive or non-finite density among them, it posts
+    the phase as failed and ends, writing nothing more, and ``collide`` sweeps
+    them again here to raise the same error at the same node as one process,
+    so this process's block scratch ``scratch`` holds the widest block of
+    either half.
     """
 
     def __init__(self, state, n_steps, vs, mm, model, params, cpus):

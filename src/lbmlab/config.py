@@ -5,7 +5,9 @@ Unknown sections or keys are hard errors (a silently ignored typo in, say,
 a relaxation rate would poison a convergence study), and the diagnostic
 names the offending key with its line where available.  Every RunConfig,
 parsed or built in Python, is validated as a whole, so invalid [study] values
-fail ``run`` and ``analyze`` too.  [grid] has the one key ``nx``: a grid has
+fail ``run`` and ``analyze`` too.  [lattice] ``name`` picks a built-in
+lattice, D2Q9 where neither it nor ``vectors`` is given; beside ``vectors``
+it must name those same vectors.  [grid] has the one key ``nx``: a grid has
 nx nodes per axis (nx x nx on a 2-D lattice) over a periodic domain of unit
 length, so dx = 1 / nx.  dt is not a key: it is always dx / lambda.
 A parsed config serializes back to a canonical text whose re-parse is identical.
@@ -23,7 +25,7 @@ import numpy as np
 from .equilibrium import build_equilibrium
 from .errors import MIN_NODES_PER_AXIS, ConfigError, read_utf8
 from .fields import InitialField, SineComponent
-from .lattice import build_moment_matrix, build_velocity_set
+from .lattice import _BUILTIN_DIRECTIONS, build_moment_matrix, build_velocity_set
 from .scheme import SchemeParams
 
 MIN_COARSE_STEPS = 20
@@ -36,7 +38,8 @@ class RunConfig:
     """Validated effective configuration; plain values so equality means 'same run'."""
 
     # [lattice]
-    lattice_name: str = "d2q9"
+    # None tells an absent key from a given one: D2Q9 unless vectors are given
+    lattice_name: str | None = None
     vectors: tuple[tuple[int, ...], ...] | None = None
     higher_rows: tuple[tuple[float, ...], ...] | None = None
     # [equilibrium]
@@ -185,6 +188,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("key 'cs2': squared sound speed must be positive")
     if cfg.steps < 0:
         raise ConfigError("key 'steps': step count must be non-negative")
+    if cfg.lattice_name is not None:
+        vectors = _BUILTIN_DIRECTIONS.get(cfg.lattice_name.lower())
+        if vectors is None:
+            raise ConfigError(f"key 'name': unknown lattice {cfg.lattice_name!r}; "
+                              f"expected one of {tuple(_BUILTIN_DIRECTIONS)}")
+        if cfg.vectors is not None and tuple(map(tuple, cfg.vectors)) != vectors:
+            raise ConfigError(f"key 'name': lattice {cfg.lattice_name!r} does not "
+                              f"have the vectors given beside it")
     if cfg.study_name not in STUDY_NAMES:
         raise ConfigError(f"key 'name': unknown study {cfg.study_name!r}; "
                           f"expected one of {STUDY_NAMES}")
@@ -265,7 +276,7 @@ def build_field(cfg: RunConfig, d: int) -> InitialField:
 def build_components(cfg: RunConfig) -> ComponentBundle:
     """Materialize lattice, matrix, model, parameters, grid and initial field."""
     vs = build_velocity_set(cfg.vectors if cfg.vectors is not None
-                            else cfg.lattice_name)
+                            else cfg.lattice_name or "d2q9")
     dx = 1.0 / cfg.nx
     lam2 = cfg.lam * cfg.lam
     # the built-in moment bases scale their rows by up to lambda**4, and cs2

@@ -14,7 +14,10 @@ reports it; the command line's exit codes are:
        of memory")
     3  "construction error" (ConstructionError), including a non-positive
        initial density
-    4  "simulation diverged" (SimulationDiverged) during a run
+    4  "simulation diverged" (SimulationDiverged): a run reached a node
+       whose density is not finite and > 0, named with its step, as in
+       "non-positive density at node (4, 0) entering step 7" or
+       "non-finite density at node (0, 0) after 0 steps"
     5  a study of ``lbmlab verify`` failed its check (no exception)
 """
 

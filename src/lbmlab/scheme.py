@@ -20,9 +20,19 @@ allocates that storage once per call: two (J+1, nodes) buffers that
 Every buffer the kernels allocate starts on a cache line
 (``_aligned_empty``).  ``step`` is ``run`` for one step.
 
+``run`` checks one criterion on every state it steps from and on the state
+it returns: every node's density, the sum m_0 of its populations, is finite
+and > 0.  ``_sweep`` applies it to the density row that each block already
+forms, before it relaxes the block, so a state that breaks is named at the
+step whose ``collide`` first reads it ("non-positive density at node (4, 0)
+entering step 7"); any non-finite population makes its node's density
+non-finite, so NaN and inf are caught there too.  ``run`` applies it to the
+state it returns ("after 6 steps"), zero steps included.  Both go through
+``_check_densities``, which names the first failing node in row-major order.
+
 A ``run`` call may step on two processes (``_team`` says when and where).
-Its results are bit-identical either way, it leaves no child process behind,
-and it restores this process's CPU mask.
+Its results and its errors are the same either way, it leaves no child
+process behind, and it restores this process's CPU mask.
 """
 
 from __future__ import annotations
@@ -52,8 +62,6 @@ from .errors import (
     read_utf8,
 )
 from .lattice import MomentMatrix, VelocitySet
-
-CHECK_INTERVAL = 64
 
 # Bytes in a cache line; the kernels' buffers start on one (``_aligned_empty``).
 CACHE_LINE = 64
@@ -177,18 +185,22 @@ def _check_scales(mm: MomentMatrix, model: EquilibriumModel, params: SchemeParam
         )
 
 
-def _fail_at_first(bad: np.ndarray, problem: str, when: str, steps: int, grid,
-                   offset: int = 0) -> None:
-    """Raise SimulationDiverged naming the first node where the mask ``bad`` holds.
+def _check_densities(rho: np.ndarray, when: str, steps: int, grid,
+                     offset: int = 0) -> None:
+    """Raise SimulationDiverged naming the first node of the density row
+    ``rho`` whose density is not finite and > 0.
 
-    ``bad`` covers the nodes offset, offset + 1, ... of ``grid`` in row-major
-    order, whatever its shape.  The message ends in ``when.format(steps)``,
-    formatted only when raising.
+    ``rho`` covers the nodes offset, offset + 1, ... of ``grid`` in row-major
+    order.  The message says "non-finite density" or "non-positive density"
+    and ends in ``when.format(steps)``, formatted only when raising.
     """
-    if bad.any():
-        first = offset + int(np.argmax(bad))
-        node = tuple(int(i) for i in np.unravel_index(first, grid))
-        raise SimulationDiverged(f"{problem} at node {node} {when.format(steps)}")
+    # two reductions, both false on NaN; the mask is formed only on failure
+    if rho.min() > 0.0 and rho.max() < math.inf:
+        return
+    first = int(np.argmin((rho > 0.0) & (rho < math.inf)))
+    problem = "non-positive" if math.isfinite(rho[first]) else "non-finite"
+    node = tuple(int(i) for i in np.unravel_index(offset + first, grid))
+    raise SimulationDiverged(f"{problem} density at node {node} {when.format(steps)}")
 
 
 def _populations_first(f: np.ndarray) -> np.ndarray:
@@ -295,8 +307,9 @@ def _sweep(src, out, scratch, blocks, mm: MomentMatrix, model: EquilibriumModel,
            params: SchemeParams, steps: int, grid) -> None:
     """Collide the (start, stop) column ``blocks`` of ``src``, a (J+1, nodes)
     view of the populations after ``steps`` steps on ``grid``, into the same
-    columns of ``out``; the body of ``collide``, which both processes of a
-    ``_team.Team`` call on their own blocks."""
+    columns of ``out``, after checking each block's densities
+    (``_check_densities``); the body of ``collide``, which both processes of
+    a ``_team.Team`` call on their own blocks."""
     nc = mm.d + 1
     nj = src.shape[0]
     s = params.s[:, None]
@@ -306,8 +319,7 @@ def _sweep(src, out, scratch, blocks, mm: MomentMatrix, model: EquilibriumModel,
         f_eq = scratch[size:2 * size].reshape(nj, -1)
         rest = scratch[2 * size:]
         np.matmul(mm.M, src[:, start:stop], out=m)
-        _fail_at_first(m[0] <= 0.0, "non-positive density", "entering step {}",
-                       steps + 1, grid, start)
+        _check_densities(m[0], "entering step {}", steps + 1, grid, start)
         # All of M, not M[nc:]: with one relaxed row numpy would take a
         # matrix-vector product, whose sums may round differently from f @ M.T's.
         m_eq = np.matmul(mm.M, _populations(model, m[:nc], f_eq, rest),
@@ -385,8 +397,13 @@ def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
 
 def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
         model: EquilibriumModel, params: SchemeParams) -> SchemeState:
-    """Apply n_steps full updates, checking for divergence every
-    CHECK_INTERVAL steps and after the last (or, for zero steps, the input).
+    """Apply n_steps full updates, checking every node's density.
+
+    Each state a step starts from is checked by its ``collide``, and the
+    state returned (``state`` itself for zero steps) is checked here: every
+    density must be finite and > 0.  Otherwise ``SimulationDiverged`` names
+    the first node that fails and the step ("entering step k" or "after n
+    steps"); see ``_check_densities``.
 
     All large storage is allocated once, before the first step, each buffer
     starting on a cache line: ``collide`` writes one (J+1, nodes) buffer,
@@ -413,7 +430,7 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
                 scratch = _collide_scratch(model, _chunks(nodes))
             else:
                 collided, streamed, scratch = team.collided, team.streamed, team.scratch
-        for i in range(1, n_steps + 1):
+        for _ in range(n_steps):
             # looked up on the module at every call, where bench/tracing.py counts
             # them; the buffers go positionally and the team by keyword, so a
             # wrapper that forwards *args and **kwargs passes them on
@@ -421,19 +438,13 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
                 collide(state, mm, model, params, collided, scratch, team=team),
                 vs, streamed, team=team)
             state.steps += 1
-            if i % CHECK_INTERVAL == 0 and i < n_steps:
-                check_finite(state)
-        check_finite(state)
+        # the m_0 that _sweep checks: the density row of M is all ones
+        _check_densities(_populations_first(state.f).sum(axis=0).ravel(),
+                         "after {} steps", state.steps, state.grid_shape)
     finally:
         if team is not None:
             team.close()
     return state
-
-
-def check_finite(state: SchemeState) -> None:
-    """Raise SimulationDiverged naming the first node with a non-finite population."""
-    _fail_at_first(~np.isfinite(state.f).all(axis=-1), "non-finite populations",
-                   "after {} steps", state.steps, state.grid_shape)
 
 
 def conservation_audit(initial: SchemeState, final: SchemeState,

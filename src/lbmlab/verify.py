@@ -3,9 +3,11 @@
 Every study runs the configured initial profile on a ladder of grids with
 the celerity lam = dx/dt held fixed, so dt shrinks with dx and the observed
 decay of a residual norm against dt is the order of the corresponding
-expansion claim.  Residuals are measured after a fixed physical time (at
-least 20 coarse-grid steps) so the relaxation transient left by the
-equilibrium initialization has died out.
+expansion claim.  Residuals are measured after a fixed physical time, at
+least 20 coarse-grid steps.  That does not remove the relaxation transient
+left by the equilibrium initialization: it decays as |1 - s|^n after n
+steps, so about 3% of it is left after 32 steps at s = 1.9, where the prop5
+and mass residuals no longer fall on a straight line.
 
 Each resolution is simulated once: ``run`` for n - 1 steps, then two
 ``step`` calls, so the measurement step n is bracketed by one step on
@@ -311,12 +313,6 @@ def _shear_eigenpair(components: ComponentBundle, params: SchemeParams, k: float
     share = moments[mm.names.index("momentum_y")] / np.linalg.norm(moments, axis=0)
     i = np.argmax(share)
     return eigvals[i], eigvecs[:, i]
-
-
-def shear_mode_decay(components: ComponentBundle, params: SchemeParams,
-                     k: float) -> float:
-    """Exact per-step decay -ln|lambda| of a shear wave u_y ~ exp(i k x)."""
-    return -math.log(abs(_shear_eigenpair(components, params, k)[0]))
 
 
 def _mode_amplitude(f: np.ndarray, velocities: np.ndarray) -> float:

@@ -130,12 +130,15 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
      "construction error: equilibrium evaluation requires rho > 0"),
     (BLOW_UP, 4,
      "simulation diverged: non-positive density at node (4, 0) entering step 7\n"),
+    # six steps wrote a checkpoint whose density was -0.839 at (4, 0)
+    (BLOW_UP.replace("steps = 400", "steps = 6"), 4,
+     "simulation diverged: non-positive density at node (4, 0) after 6 steps\n"),
     # 2 cs2**2 underflows to 0, so the equilibria would be NaN
     ("[equilibrium]\ncs2 = 1e-300\n[grid]\nnx = 16\n", 2,
      "config error: key 'cs2': "),
     # with the default steps = 0, run returned the initial populations unchecked
     pytest.param("[initial]\nux_offset = 1e+308\n[grid]\nnx = 16\n", 4,
-                 "simulation diverged: non-finite populations at node (0, 0) "
+                 "simulation diverged: non-finite density at node (0, 0) "
                  "after 0 steps\n", marks=OVERFLOWS),
     # ragged tables ended in a raw ValueError from numpy
     ("[lattice]\nvectors = 0; 1,0; -1\n", 3,
@@ -333,6 +336,32 @@ def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, ke
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"key '{key}'" in err
     assert not out.exists()
+
+
+D2Q5_TABLE = """\
+[lattice]
+vectors = 0,0; 1,0; 0,1; -1,0; 0,-1
+higher_rows = 0,1,1,1,1; 0,1,-1,1,-1
+[equilibrium]
+weights = 0.3333333333333333, 0.16666666666666666, 0.16666666666666666, \
+0.16666666666666666, 0.16666666666666666
+cs2 = 0.3333333333333333
+[scheme]
+steps = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "verify"])
+@pytest.mark.parametrize("name", ["d3q27", "d1q3"])
+def test_a_lattice_name_beside_other_vectors_is_config_error(tmp_path, capsys,
+                                                             command, name):
+    # both ran on the D2Q5 vectors, the name ignored; without it they still do
+    config = D2Q5_TABLE.replace("[lattice]\n", f"[lattice]\nname = {name}\n")
+    code, out = _cli(tmp_path, command, config)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: key 'name': ")
+    assert not out.exists()
+    assert _cli(tmp_path, "run", D2Q5_TABLE)[0] == EXIT_OK
 
 
 def _subclasses(cls):

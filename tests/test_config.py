@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from lbmlab.config import _KEYS, STUDY_NAMES, RunConfig, config_text, parse_config
 from lbmlab.errors import ConfigError
+from lbmlab.lattice import D1Q3_DIRECTIONS, D2Q9_DIRECTIONS
 
-names = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_",
-                min_size=1, max_size=8)
+# the built-in lattices' names, in either case, and their vectors
+LATTICES = {"d2q9": D2Q9_DIRECTIONS, "d1q3": D1Q3_DIRECTIONS}
+names = st.sampled_from([*LATTICES, *map(str.upper, LATTICES)])
 ints = st.integers(-10**6, 10**6)
 floats = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -55,6 +57,10 @@ def config_texts(draw):
     """Config text over a random subset of keys that parse_config accepts."""
     chosen = draw(st.sets(st.sampled_from(sorted(KEY_VALUES))))
     values = {key: draw(KEY_VALUES[key]) for key in chosen}
+    if ("lattice", "name") in values and ("lattice", "vectors") in values:
+        # a name beside vectors must name them
+        vectors = LATTICES[values["lattice", "name"].lower()]
+        values["lattice", "vectors"] = [list(vector) for vector in vectors]
     values[("scheme", "lambda")] = draw(positive)
     values[("grid", "nx")] = draw(st.integers(1, 10**4))
     sections = {}
@@ -83,6 +89,23 @@ def test_round_trip_keeps_lattice_name_beside_vectors():
     cfg = parse_config("[lattice]\nname = d1q3\nvectors = 0;1;-1\n")
     assert cfg.lattice_name == "d1q3" and cfg.vectors == ((0,), (1,), (-1,))
     assert parse_config(config_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("fields", [
+    {"lattice_name": "nonsense"},
+    {"lattice_name": "d3q27", "vectors": ((0,), (1,), (-1,))},
+    # the name of other vectors, or of the same ones in another order
+    {"lattice_name": "d1q3", "vectors": ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))},
+    {"lattice_name": "d1q3", "vectors": ((0,), (-1,), (1,))},
+])
+def test_a_lattice_name_must_name_the_given_vectors(fields):
+    with pytest.raises(ConfigError, match="^key 'name': "):
+        RunConfig(**fields)
+
+
+def test_a_lattice_name_may_stand_in_either_case_beside_its_vectors():
+    assert RunConfig(lattice_name="D1Q3", vectors=LATTICES["d1q3"]).lattice_name == "D1Q3"
+    assert parse_config(config_text(RunConfig())).lattice_name is None
 
 
 @pytest.mark.parametrize("text, line", [

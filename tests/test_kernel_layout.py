@@ -9,6 +9,7 @@ input is stored in.  The agreement rests on BLAS forming the dot products of
 
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import re
@@ -411,8 +412,10 @@ def diverging_field():
 
 @pytest.mark.parametrize("fault, message", [
     ("none", "non-positive density at node (27, 0) entering step 25"),
-    ("overflow", "non-finite populations at node (2, 0) after 3 steps"),
-    ("inf", "non-finite populations at node (2, 0) after 3 steps"),
+    # the populations of (5, 3), 1e200 times too large, collide into non-finite
+    # ones in step 1, which stream to (4, 2), the first such node in row-major order
+    ("overflow", "non-finite density at node (4, 2) entering step 2"),
+    ("inf", "non-finite density at node (5, 3) entering step 1"),
 ])
 def test_a_diverging_run_names_the_step_and_node_of_the_per_row_kernel(
         fault, message, monkeypatch):
@@ -665,16 +668,14 @@ def test_256_squared_splits_into_four_blocks_a_side():
 
 
 def test_non_finite_population_in_the_workers_blocks_is_named(monkeypatch):
-    # the NaN spreads one node a step, and stays in the worker's rows
+    # the NaN makes its node's density NaN, so the first collide names it
     two_cpus()
     grid = (181, 181)
     steps = teamed_steps(grid)
-    assert 91 <= 160 - steps and 160 + steps < 181
     args, state = case_setup("d2q9", 1.0, SIX_S, grid)
     state.f[160, 30, 4] = np.nan
     serial, _ = failing_run(state, args, steps, monkeypatch, serial=True)
-    assert serial.startswith("non-finite populations at node")
-    assert serial.endswith(f"after {steps} steps")
+    assert serial == "non-finite density at node (160, 30) entering step 1"
     assert failing_run(state, args, steps, monkeypatch, serial=False) == (serial, 1)
     assert in_workers_blocks(serial, grid)
 
@@ -686,13 +687,20 @@ def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
     lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
     assert_no_worker_left()
 
-    def interrupted(state):
-        raise KeyboardInterrupt
+    # this process's stream of a middle step is interrupted while the worker
+    # steps, which calls the _stream_rows that _team imported
+    steps, calls = teamed_steps((97, 91)), itertools.count(1)
+    stream_rows = lbmlab.scheme._stream_rows
 
-    monkeypatch.setattr(lbmlab.scheme, "check_finite", interrupted)
+    def interrupted(*args):
+        if next(calls) == steps // 2:
+            raise KeyboardInterrupt
+        stream_rows(*args)
+
+    monkeypatch.setattr(lbmlab.scheme, "_stream_rows", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        lbmlab.scheme.run(state, lbmlab.scheme.CHECK_INTERVAL + 1, *args)
-    assert forks == [1, 1]
+        lbmlab.scheme.run(state, steps, *args)
+    assert forks == [1, 1] and next(calls) == steps // 2 + 1
     assert_no_worker_left()
 
 
