@@ -2,7 +2,7 @@
 
 Every rule of lbmlab's second process lives here.  ``scheme.run`` asks
 ``team_for`` for a ``Team``, two processes stepping one call on shared
-buffers: both call ``scheme._sweep`` and ``scheme._stream_rows`` on their
+storage: both call ``scheme._sweep`` and ``scheme._stream_rows`` on their
 halves of the nodes (``halves``) and of the populations, so every value is
 computed as on one process.  ``lbmlab run`` writes its two files through
 ``write_both``.  Each forks only where its thresholds (``TEAM_NODES``,
@@ -83,9 +83,10 @@ WRITER_NODES = 16384
 SPINS = 1000
 
 # Slots of ``Team``'s int64 control page: the last phase this process
-# passed, on one cache line; the last phase the worker passed and the phase
-# its blocks failed in, on the next.
-PARENT, WORKER, FAILED = 0, CACHE_LINE // 8, CACHE_LINE // 8 + 1
+# passed, on one cache line; the last phase the worker passed, the phase its
+# blocks failed in and the index of the block that failed, on the next.
+PARENT, WORKER = 0, CACHE_LINE // 8
+FAILED, FAILED_BLOCK = WORKER + 1, WORKER + 2
 
 
 def halves(nodes: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -241,40 +242,37 @@ class Team:
     """This process and one forked worker, stepping one ``run`` call of
     ``n_steps`` steps.
 
-    ``collided``, ``streamed`` and an int64 control page are one anonymous
-    shared mapping, each starting on a page; all else the worker reads, the
-    input included, is its copy of this process's memory at the fork.  Each
-    kernel call, collide or stream, is a phase: both processes do their half
-    (``blocks``, from ``halves``, or ``rows``), post the phase and wait for
-    the other's post (``_post``), one barrier.  The worker steps the call's
-    ``n_steps`` steps and ends after its last post.
+    An int64 control page and ``storage``, the call's (J+1, nodes)
+    populations, are one anonymous shared mapping; all else the worker reads,
+    the input included, is its copy of this process's memory at the fork.
+    Each kernel call, collide or stream, is a phase: both processes update
+    their half (``blocks``, from ``halves``, or ``rows``) in place, each
+    through its own scratch, post the phase and wait for the other's post
+    (``_post``), one barrier.  The worker steps the call's ``n_steps`` steps
+    and ends after its last post.
 
-    One barrier per phase is enough: phase k + 1 writes the buffer that phase
-    k read, and neither process starts k + 1 before both have posted k.
-    Outside the kernels, ``run`` reads ``streamed`` only after the last phase,
-    to check its densities, when the worker writes nothing more.  The barrier
-    rests on x86-64's total store order: the buffer stores made before a post
-    are visible to whoever reads that post.  A waiter spins SPINS reads, then
-    yields between reads and checks the other side: the worker exits if its
-    parent changes, and this process raises ``LbmError`` if the worker has
-    exited short of the phase.  The worker is a ``Worker``.  Each process
-    checks the densities of its own blocks as it sweeps them.  If the worker's
-    blocks raise, a non-positive or non-finite density among them, it posts
-    the phase as failed and ends, writing nothing more, and ``collide`` sweeps
-    them again here to raise the same error at the same node as one process,
-    so this process's block scratch ``scratch`` holds the widest block of
-    either half.
+    One barrier per phase is enough: a phase touches only its process's
+    half, and neither process starts phase k + 1, which reads the other's
+    half of phase k, before both have posted k; ``run`` reads ``storage``
+    only after the last.  The barrier rests on x86-64's total store order:
+    the stores made before a post are visible to whoever reads that post.  A
+    waiter spins SPINS reads, then yields between reads and checks the other
+    side: the worker exits if its parent changes, and this process raises
+    ``LbmError`` if the worker has exited short of the phase.  The worker is
+    a ``Worker``.  Each process checks a block's densities before it writes
+    the block.  If a block of the worker's raises (a non-positive or
+    non-finite density), the worker posts the phase as failed at that block
+    and ends.  The blocks before it passed, as on one process, and it and
+    those after it still hold what the phase read: ``collide`` sweeps them
+    again here and raises the same error at the same node.
     """
 
     def __init__(self, state, n_steps, vs, mm, model, params, cpus):
         nj, grid = state.f.shape[-1], state.grid_shape
         nodes = math.prod(grid)
-        span = -(-nj * nodes * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
-        self._shared, self._span = mmap.mmap(-1, 2 * span + mmap.PAGESIZE), span
-        self.collided, self.streamed = (
-            np.frombuffer(self._shared, np.float64, nj * nodes, k * span)
-            .reshape(nj, nodes) for k in (0, 1))
-        self._control = memoryview(self._shared)[2 * span:].cast("q")
+        self._shared = mmap.mmap(-1, mmap.PAGESIZE + nj * nodes * 8)
+        self._control = memoryview(self._shared)[:mmap.PAGESIZE].cast("q")
+        self.storage = np.frombuffer(self._shared, offset=mmap.PAGESIZE).reshape(nj, -1)
         self.blocks = halves(nodes)
         self.rows = range((nj + 1) // 2), range((nj + 1) // 2, nj)
         self.phase = 0
@@ -282,21 +280,18 @@ class Team:
         self._worker = Worker(
             lambda: self._serve(_populations_first(state.f).reshape(nj, nodes), vs,
                                 mm, model, params, state.steps, grid, n_steps), cpus)
-        self.scratch = _collide_scratch(model, self.blocks[0] + self.blocks[1])
 
-    def sync(self) -> bool:
-        """Pass the barrier that ends this phase; True if the worker's blocks
-        failed in it."""
+    def sync(self) -> tuple:
+        """Pass the barrier that ends this phase; the worker's ``blocks`` from
+        the one that failed in it on, or none."""
         self._post(PARENT, WORKER, self._worker_alive)
-        return self._control[FAILED] == self.phase
+        failed = self._control[FAILED] == self.phase
+        return self.blocks[1][self._control[FAILED_BLOCK]:] if failed else ()
 
     def close(self) -> None:
         """Kill and reap the worker, which has done its steps or waits in a
-        call that failed, restore this process's CPU mask, and free the pages
-        of ``collided``: ``run``'s result is a view of ``streamed``, which
-        keeps the whole mapping alive."""
+        call that failed, and restore this process's CPU mask."""
         self._worker.reap(kill=True)
-        self._shared.madvise(mmap.MADV_REMOVE, 0, self._span)
 
     def _post(self, mine: int, theirs: int, alive) -> None:
         """Post the next phase in slot ``mine``; wait until ``theirs`` has it."""
@@ -323,24 +318,23 @@ class Team:
             raise LbmError("the process that forked this stepping worker is gone")
 
     def _serve(self, src, vs, mm, model, params, steps, grid, n_steps) -> None:
-        """The worker: per step, sweep its blocks of ``src`` (the input, then
-        ``streamed``), post, stream its rows and post, ``n_steps`` times."""
-        control, blocks, rows = self._control, self.blocks[1], self.rows[1]
-        shape = (len(self.collided), *grid)
-        scratch = _collide_scratch(model, blocks)
+        """The worker: per step, collide its blocks of ``src`` (the input, then
+        ``storage``) into ``storage``, post, stream its rows and post."""
+        control, storage, rows = self._control, self.storage, self.rows[1]
+        scratch = _collide_scratch(model, self.blocks[1])
         for _ in range(n_steps):
-            try:
-                _sweep(src, self.collided, scratch, blocks, mm, model, params, steps,
-                       grid)
-            except Exception:
-                control[FAILED] = self.phase + 1
+            for k, block in enumerate(self.blocks[1]):
+                try:
+                    _sweep(src, storage, scratch, (block,), mm, model, params, steps, grid)
+                except Exception:
+                    control[FAILED], control[FAILED_BLOCK] = self.phase + 1, k
+                    break
             self._post(WORKER, PARENT, self._parent_alive)
             if control[FAILED] == self.phase:
-                return          # the parent sweeps them again from this source
-            _stream_rows(vs, self.streamed.reshape(shape), self.collided.reshape(shape),
-                         rows)
+                return          # the parent sweeps them again from the failed block
+            _stream_rows(vs, storage.reshape(len(storage), *grid), rows, scratch)
             self._post(WORKER, PARENT, self._parent_alive)
-            src, steps = self.streamed, steps + 1
+            src, steps = storage, steps + 1
 
 
 def pin(cpu: int) -> None:

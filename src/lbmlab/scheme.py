@@ -14,11 +14,11 @@ steps without copying between layouts and returns the state that the last
 ``stream`` wrote; see ``SchemeState``.  ``initialize_equilibrium`` builds the
 initial state in the same storage, one block of ``_chunks`` at a time, so
 the first ``collide`` reads it as it reads every later state.  ``run``
-allocates that storage once per call: two (J+1, nodes) buffers that
-``collide`` and ``stream`` write in turn, and the chunk scratch of
-``collide``, which sweeps the nodes in blocks of at most ``CHUNK_NODES``.
-Every buffer the kernels allocate starts on a cache line
-(``_aligned_empty``).  ``step`` is ``run`` for one step.
+allocates one (J+1, nodes) buffer per call, which the first ``collide``
+writes from the input and every later kernel updates in place, and the
+scratch of ``collide``'s blocks of at most ``CHUNK_NODES`` nodes, which
+``stream`` borrows for one row.  Every buffer the kernels allocate starts
+on a cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
 
 ``run`` checks one criterion on every state it steps from and on the state
 it returns: every node's density, the sum m_0 of its populations, is finite
@@ -246,7 +246,8 @@ def _aligned_empty(size: int) -> np.ndarray:
 
 def _collide_scratch(model: EquilibriumModel, blocks) -> np.ndarray:
     """Flat scratch for ``collide`` sweeping the (start, stop) ``blocks`` of
-    the J+1 = nj populations of ``model``, sized for the widest.
+    the J+1 = nj populations of ``model``, sized for the widest, and for
+    ``stream``: at least one row of the nodes up to the last block's stop.
 
     For a block of w nodes it holds 2 nj + max(nj, r) rows of w, where r is
     ``_scratch_rows(model)``: the moments m and the equilibrium f_eq, each a
@@ -256,7 +257,8 @@ def _collide_scratch(model: EquilibriumModel, blocks) -> np.ndarray:
     """
     nj = model.J + 1
     width = max(stop - start for start, stop in blocks)
-    return _aligned_empty((2 * nj + max(nj, _scratch_rows(model))) * width)
+    rows = 2 * nj + max(nj, _scratch_rows(model))
+    return _aligned_empty(max(rows * width, blocks[-1][1]))
 
 
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
@@ -268,10 +270,11 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     of ``_chunks`` at a time, with every intermediate of a block in views of
     ``scratch`` (from ``_collide_scratch``) and the back-transform written
     straight into the block's columns of ``out``, a C-contiguous (J+1, nodes)
-    array that must not overlap the input; either is allocated, on a cache
-    line, when not given.  The result's ``f`` is a (*grid, J+1) view of
-    ``out`` (see ``SchemeState``).  ``team`` is ``run``'s private
-    ``_team.Team``, with which the result is bit-identical.
+    array: the input's own storage, updated in place because each block is
+    read before its columns are written, or storage apart from it; either is
+    allocated, on a cache line, when not given.  The result's ``f`` is a
+    (*grid, J+1) view of ``out`` (see ``SchemeState``).  ``team`` is
+    ``run``'s private ``_team.Team``, with which the result is bit-identical.
     """
     _check_scales(mm, model, params)
     if params.s.shape[0] != mm.J - mm.d:
@@ -291,15 +294,11 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
         out = _aligned_empty(nj * nodes).reshape(nj, nodes)
     if scratch is None:
         scratch = _collide_scratch(model, _chunks(nodes))
-    if team is None:
-        _sweep(src, out, scratch, _chunks(nodes), mm, model, params, state.steps, grid)
-    else:
-        own, theirs = team.blocks
-        _sweep(src, out, scratch, own, mm, model, params, state.steps, grid)
-        if team.sync():
-            # the worker's blocks failed: sweep them here, from the same source,
-            # to raise what a serial sweep raises
-            _sweep(src, out, scratch, theirs, mm, model, params, state.steps, grid)
+    own = _chunks(nodes) if team is None else team.blocks[0]
+    _sweep(src, out, scratch, own, mm, model, params, state.steps, grid)
+    if team is not None:
+        # the worker's blocks that failed, if any, raise here as on one process
+        _sweep(src, out, scratch, team.sync(), mm, model, params, state.steps, grid)
     return SchemeState(f=_populations_last(out.reshape(nj, *grid)), steps=state.steps)
 
 
@@ -351,42 +350,49 @@ def _stream_plan(rows: tuple, grid: tuple) -> tuple:
     )
 
 
-def stream(state: SchemeState, vs: VelocitySet, out=None, *, team=None) -> SchemeState:
+def stream(state: SchemeState, vs: VelocitySet, out=None, scratch=None, *,
+           team=None) -> SchemeState:
     """Advect every population one lattice link: f_j(x) <- f_j(x - e_j).
 
     Each population is copied as at most 2^d periodic blocks, a permutation
     of storage with no arithmetic, so transported values are bit-identical.
-    The blocks are written to ``out``, a C-contiguous (J+1, nodes) array
-    that must not overlap the input (allocated when not given), and the
-    result's ``f`` is a (*grid, J+1) view of it.  ``team`` is ``run``'s
-    private ``_team.Team``, with which the result is bit-identical.
+    ``out`` is C-contiguous (J+1, nodes) storage, the input's own or apart
+    from it, which then first takes a copy of the input; each moving row is
+    copied into ``scratch`` and back in its blocks.  Either is allocated, on
+    a cache line, when not given.  The result's ``f`` is a (*grid, J+1) view
+    of ``out``.  ``team`` is ``run``'s private ``_team.Team``, with which
+    the result is bit-identical.
     """
     f = state.f
     if f.shape[-1] != vs.J + 1:
         raise ShapeError(f"expected {vs.J + 1} populations per node, got {f.shape[-1]}")
     grid = f.shape[:-1]
-    src = _populations_first(f)
     if out is None:
-        out = _aligned_empty((vs.J + 1) * math.prod(grid))
-    dest = out.reshape(vs.J + 1, *grid)
-    if team is None:
-        _stream_rows(vs, dest, src, range(vs.J + 1))
-    else:
-        _stream_rows(vs, dest, src, team.rows[0])
+        out = _aligned_empty(f.size)
+    if scratch is None:
+        scratch = _aligned_empty(f.size // (vs.J + 1))
+    storage = out.reshape(vs.J + 1, *grid)
+    if not np.may_share_memory(storage, f):
+        storage[...] = _populations_first(f)
+    _stream_rows(vs, storage, range(vs.J + 1) if team is None else team.rows[0], scratch)
+    if team is not None:
         team.sync()
-    return SchemeState(f=_populations_last(dest), steps=state.steps)
+    return SchemeState(f=_populations_last(storage), steps=state.steps)
 
 
-def _stream_rows(vs: VelocitySet, dest, src, rows) -> None:
-    """Stream the populations j in ``rows`` of ``src``, (J+1, *grid), into
-    ``dest``; the body of ``stream``, which both processes of a
-    ``_team.Team`` call on their own rows."""
-    grid = src.shape[1:]
+def _stream_rows(vs: VelocitySet, storage, rows, scratch) -> None:
+    """Stream the populations j in ``rows`` of ``storage``, (J+1, *grid), in
+    place through ``scratch``; the body of ``stream``, which both processes
+    of a ``_team.Team`` call on their own rows, each with its own scratch."""
+    grid = storage.shape[1:]
     plan = _stream_plan(tuple(map(tuple, vs.e.tolist())), grid)
+    row = scratch[:math.prod(grid)].reshape(grid)
     for j in rows:
-        dest_j, src_j = dest[j], src[j]
-        for to, from_ in plan[j]:
-            dest_j[to] = src_j[from_]
+        # one block is a shift by whole periods, the rest row's: it stays
+        if len(plan[j]) > 1:
+            row[...] = storage[j]
+            for to, from_ in plan[j]:
+                storage[j][to] = row[from_]
 
 
 def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
@@ -406,12 +412,12 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     steps"); see ``_check_densities``.
 
     All large storage is allocated once, before the first step, each buffer
-    starting on a cache line: ``collide`` writes one (J+1, nodes) buffer,
-    ``stream`` writes it back into a second, and ``collide``'s block scratch
-    is reused every step.  The result is the state that the last ``stream``
-    wrote, a (*grid, J+1) view of the second buffer.  The input is never
-    written, and the result shares no memory with it; zero steps return
-    ``state`` itself.
+    starting on a cache line: one (J+1, nodes) population storage, which the
+    first ``collide`` writes from the input and every later kernel updates in
+    place, and ``collide``'s block scratch, which ``stream`` borrows for a
+    row.  The result is a (*grid, J+1) view of that storage, as the last
+    ``stream`` left it.  The input is never written, and the result shares
+    no memory with it; zero steps return ``state`` itself.
 
     The call may step on two processes (``_team.team_for`` says when and
     where); the result is bit-identical to one process's, and on every way
@@ -425,18 +431,18 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
             team = team_for(state, n_steps, vs, mm, model, params)
             if team is None:
                 nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
-                collided = _aligned_empty(nj * nodes).reshape(nj, nodes)
-                streamed = _aligned_empty(nj * nodes).reshape(nj, nodes)
-                scratch = _collide_scratch(model, _chunks(nodes))
+                storage = _aligned_empty(nj * nodes).reshape(nj, nodes)
+                blocks = _chunks(nodes)
             else:
-                collided, streamed, scratch = team.collided, team.streamed, team.scratch
+                storage, blocks = team.storage, team.blocks[0] + team.blocks[1]
+            # after any fork, where a failure still reaps the worker
+            scratch = _collide_scratch(model, blocks)
         for _ in range(n_steps):
-            # looked up on the module at every call, where bench/tracing.py counts
-            # them; the buffers go positionally and the team by keyword, so a
-            # wrapper that forwards *args and **kwargs passes them on
+            # looked up on the module, where bench/tracing.py counts them; buffers
+            # go positionally and the team by keyword, as a forwarding wrapper passes them
             state = stream(
-                collide(state, mm, model, params, collided, scratch, team=team),
-                vs, streamed, team=team)
+                collide(state, mm, model, params, storage, scratch, team=team),
+                vs, storage, scratch, team=team)
             state.steps += 1
         # the m_0 that _sweep checks: the density row of M is all ones
         _check_densities(_populations_first(state.f).sum(axis=0).ravel(),

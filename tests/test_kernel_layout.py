@@ -224,13 +224,14 @@ def test_kernels_bitwise_on_storage_off_a_cache_line(lattice, lam, s, grid, step
         assert flat.ctypes.data % 64 == offset
         return flat
 
-    collided = off_line(nj * nodes).reshape(nj, nodes)
-    streamed = off_line(nj * nodes).reshape(nj, nodes)
+    # one storage, which both kernels update in place after the first collide
+    storage = off_line(nj * nodes).reshape(nj, nodes)
     blocks = lbmlab.scheme._chunks(nodes)
     scratch = off_line(lbmlab.scheme._collide_scratch(model, blocks).size)
     for _ in range(3):
         state = lbmlab.scheme.stream(
-            lbmlab.scheme.collide(state, mm, model, params, collided, scratch), vs, streamed)
+            lbmlab.scheme.collide(state, mm, model, params, storage, scratch), vs, storage,
+            scratch)
         state.steps += 1
     assert np.array_equal(state.f, reference_run(lattice, lam, s, grid, 3))
 
@@ -254,6 +255,21 @@ def test_kernels_match_reference_in_either_layout(lattice):
         assert np.array_equal(streamed.f, expected_stream)
         assert collided.f.shape == streamed.f.shape == f.shape
         assert collided.steps == streamed.steps == 3
+
+    def own_storage():
+        """A population-major copy of f as a state, and its (J+1, nodes) storage."""
+        stored = population_major_copy(f)
+        return (lbmlab.scheme.SchemeState(f=stored, steps=3),
+                lbmlab.scheme._populations_first(stored).reshape(vs.J + 1, -1))
+
+    # each kernel in place: out is its input's own storage
+    for kernel, operands, expected in [
+            (lbmlab.scheme.collide, (mm, model, params), expected_collide),
+            (lbmlab.scheme.stream, (vs,), expected_stream)]:
+        state, storage = own_storage()
+        result = kernel(state, *operands, storage)
+        assert np.array_equal(result.f, expected) and result.steps == 3
+        assert np.shares_memory(result.f, storage)
 
 
 @pytest.mark.parametrize("lattice, lam", [("d2q9", 1.0), ("d2q9", 0.7),
@@ -595,10 +611,13 @@ def test_non_positive_density_in_the_workers_blocks_names_the_serial_node(
     # uniform rest except one node of the worker's blocks, of density 100 moving at
     # lam along x, whose equilibrium streams negative mass to (i, j - 1) and
     # (i, j + 1): the second step fails on the worker's side, reading the
-    # shared buffer the first step streamed into.
-    # One process collides 97 x 91 in two blocks and 512 x 8 in one
+    # shared storage the first step streamed in place.
+    # One process collides 97 x 91 in two blocks and 512 x 8 in one.  256 x 256
+    # is eight blocks, four a side, and the node is in the worker's fourth, so
+    # the worker has collided three blocks in place when the fourth fails
     two_cpus()
-    for grid, (i, j) in [((97, 91), (90, 45)), ((512, 8), (400, 4))]:
+    for grid, (i, j) in [((97, 91), (90, 45)), ((512, 8), (400, 4)),
+                         ((256, 256), (240, 100))]:
         (vs, mm, model, params), _ = case_setup("d2q9", 1.0, (1.0,), grid)
         W = np.zeros(grid + (3,))
         W[..., 0] = 1.0
@@ -611,6 +630,42 @@ def test_non_positive_density_in_the_workers_blocks_names_the_serial_node(
                           f"entering step {start_step + 2}")
         assert failing_run(state, args, steps, monkeypatch, serial=False) == (serial, 1)
         assert in_workers_blocks(serial, grid)
+
+
+def test_the_workers_blocks_are_swept_again_from_the_one_that_failed(monkeypatch):
+    # collision keeps a node's density only to rounding.  At s = 2, node y
+    # collides into chosen populations, one of which streams to x, in the
+    # worker's first block of 256 x 256, so that x enters step 2 with a
+    # density of 1e-12 and collides into populations near 1e12, whose density
+    # comes out non-positive.  The density-100 node of the test above fails
+    # step 2 in the worker's fourth block, where one process names it; swept
+    # again from the worker's first block, which it collided in place, the
+    # error would name x
+    two_cpus()
+    grid, y, x, j = (256, 256), (129, 4), (130, 5), 5     # e_5 = (1, 1) = x - y
+    (vs, mm, model, params), _ = case_setup("d2q9", 1.0, (2.0,), grid)
+    assert tuple(vs.e[j]) == (1, 1)
+    W = np.zeros(grid + (3,))
+    W[..., 0] = 1.0
+    calm = lbmlab.scheme.initialize_equilibrium(model, vs, W).f
+    W[240, 100] = (100.0, 100.0, 0.0)
+    f = lbmlab.scheme.initialize_equilibrium(model, vs, W).f.copy()
+    # the rest weights and one more at rest, but for g_j, which leaves x with
+    # a density of 1e-12; y's collision at s = 2 is 2 f_eq - f
+    g = model.weights + np.eye(vs.J + 1)[0]
+    g[j] = 1e-12 - (1.0 - model.weights[j])
+    f[y] = calm[y] = (
+        2 * lbmlab.equilibrium.equilibrium_distribution(model, vs, mm.M[:3] @ g) - g)
+    # x's step 2 on the grid without the failing node, in the same blocks
+    entering = lbmlab.scheme.stream(
+        lbmlab.scheme.collide(lbmlab.scheme.SchemeState(f=calm), mm, model, params), vs)
+    collided = lbmlab.scheme.collide(entering, mm, model, params)
+    assert mm.M[0] @ collided.f[x] <= 0.0 < mm.M[0] @ entering.f[x]
+    state = lbmlab.scheme.SchemeState(f=f)
+    args, steps = (vs, mm, model, params), teamed_steps(grid)
+    serial, _ = failing_run(state, args, steps, monkeypatch, serial=True)
+    assert serial == "non-positive density at node (240, 99) entering step 2"
+    assert failing_run(state, args, steps, monkeypatch, serial=False) == (serial, 1)
 
 
 @pytest.mark.parametrize("nodes", [2048, 4096, 8193, 20001, 24577, 90000])
@@ -701,6 +756,28 @@ def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         lbmlab.scheme.run(state, steps, *args)
     assert forks == [1, 1] and next(calls) == steps // 2 + 1
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_a_failure_after_the_fork_leaves_no_worker(error, monkeypatch):
+    # this process's block scratch is allocated after the worker forks; when
+    # that raises here, and not in the worker, the worker is still reaped
+    two_cpus()
+    parent, scratch = os.getpid(), lbmlab.scheme._collide_scratch
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise error
+        return scratch(*args)
+
+    monkeypatch.setattr(lbmlab.scheme, "_collide_scratch", failing)
+    monkeypatch.setattr(lbmlab._team, "_collide_scratch", failing)
+    forks = counting_forks(monkeypatch)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (512, 8))
+    with pytest.raises(error):
+        lbmlab.scheme.run(state, 300, *args)
+    assert forks == [1]
     assert_no_worker_left()
 
 
