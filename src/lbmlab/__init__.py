@@ -11,7 +11,7 @@ The package exports only ``__version__`` and imports none of them.
 import os
 
 # One OpenBLAS thread unless the user set a count: OpenBLAS's helper threads
-# are not pinned with ``run``'s processes and stall them.  On a 2-vCPU Xeon,
+# are not pinned, and stall ``run``'s pinned worker.  On a 2-vCPU Xeon,
 # ``lbmlab run`` on 256x256 D2Q9 took a median 1.18 s with default threads
 # against 0.96 s with one (1.60 against 1.46 s on one process), and ``verify
 # --study all`` on N x 8 grids 0.56 against 0.49 s, with the same output

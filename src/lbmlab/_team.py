@@ -7,15 +7,15 @@ halves of the nodes (``halves``) and of the populations, so every value is
 computed as on one process.  ``lbmlab run`` writes its two files through
 ``write_both``.  Each forks only where its thresholds (``TEAM_NODES``,
 ``TEAM_UPDATES``, ``WRITER_NODES``) say that a worker pays, and only through
-one gate, ``_forked``.  ``places`` keeps this process on the CPU it runs on
-and puts the worker on the next CPU of the mask; each is pinned there,
-because unpinned, a fresh process often ran both on one CPU and gained
-nothing.  ``Worker.reap`` restores this process's mask on every way out.
+one gate, ``_forked``.  The worker pins itself to the CPU of the mask after
+the one this process runs on (``places``), because unpinned, a fresh process
+often ran both on one CPU and gained nothing.  This process is not pinned:
+no lbmlab call changes its CPU mask.
 
-Only the calling thread is pinned, so OpenBLAS's helper threads are not, and
-they stalled the worker's CPU; ``import lbmlab`` asks for one BLAS thread
-unless the user set a count (see ``lbmlab/__init__.py``).  The thresholds
-below were measured, and the benchmark runs, with one BLAS thread.
+OpenBLAS's helper threads of this process are not pinned, and they stalled
+the worker's CPU; ``import lbmlab`` asks for one BLAS thread unless the user
+set a count (see ``lbmlab/__init__.py``).  The thresholds below were
+measured, and the benchmark runs, with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -148,14 +148,14 @@ def _forked(start):
         return None
 
 
-def places(cpus) -> tuple[int, int]:
-    """The CPUs of the mask ``cpus`` for this process and its worker: the one
-    this process runs on (the lowest where that is unknown or outside the
-    mask), and the next in the mask after it, wrapping around."""
+def places(cpus) -> int:
+    """The CPU of the mask ``cpus`` for a worker of this process: the next in
+    the mask after the one this process runs on (the lowest where that is
+    unknown or outside the mask), wrapping around."""
     order = sorted(cpus)
     here = _current_cpu()
     first = here if here in cpus else order[0]
-    return first, order[(order.index(first) + 1) % len(order)]
+    return order[(order.index(first) + 1) % len(order)]
 
 
 def _current_cpu():
@@ -170,22 +170,20 @@ def _current_cpu():
 
 
 class Worker:
-    """A forked process running ``body()``; it and this process are each
-    pinned to a CPU of the mask ``cpus`` (``places``).
+    """A forked process running ``body()``, pinned to a CPU of the mask
+    ``cpus`` (``places``); this process's mask is never changed.
 
     The worker disables the garbage collector, so that no finalizer of the
     garbage copied at the fork runs twice, and ignores SIGINT: an
     interrupt is this process's to handle, and it stops the worker.  It ends
     in ``os._exit``, with status 0 if ``body`` returned and 1 if it raised,
     and so runs no exit handler and flushes no buffer of this process.
-    ``reap`` waits for it and restores this process's mask ``cpus``.  As a
-    context manager, the worker is reaped when the block ends, and killed
-    first if the block raises.
+    ``reap`` waits for it.  As a context manager, the worker is reaped when
+    the block ends, and killed first if the block raises.
     """
 
     def __init__(self, body, cpus):
-        first, second = places(cpus)
-        self.cpus = cpus
+        cpu = places(cpus)
         self.status = None
         self.pid = os.fork()
         if self.pid == 0:
@@ -195,12 +193,11 @@ class Worker:
                 # importing signal here took 3 ms of copied pages
                 gc.disable()
                 _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-                pin(second)
+                pin(cpu)
                 body()
                 status = 0
             finally:
                 os._exit(status)
-        pin(first)
 
     def __enter__(self):
         return self
@@ -217,24 +214,20 @@ class Worker:
         return self.status
 
     def reap(self, kill: bool = False) -> int:
-        """Wait for the worker, after killing it if ``kill``, restore this
-        process's CPU mask, and return the worker's wait status.  If the wait
-        raises, an interrupt included, the worker is killed and reaped first,
-        so that it outlives no failed command."""
-        try:
-            if self.status is None:
-                if kill:
-                    os.kill(self.pid, _signal.SIGKILL)
-                try:
-                    self.status = os.waitpid(self.pid, 0)[1]
-                except ChildProcessError:
-                    raise                    # reaped elsewhere: the pid is not ours
-                except BaseException:
-                    os.kill(self.pid, _signal.SIGKILL)
-                    self.status = os.waitpid(self.pid, 0)[1]
-                    raise
-        finally:
-            os.sched_setaffinity(0, self.cpus)
+        """Wait for the worker, after killing it if ``kill``, and return its
+        wait status.  If the wait raises, an interrupt included, the worker is
+        killed and reaped first, so that it outlives no failed command."""
+        if self.status is None:
+            if kill:
+                os.kill(self.pid, _signal.SIGKILL)
+            try:
+                self.status = os.waitpid(self.pid, 0)[1]
+            except ChildProcessError:
+                raise                    # reaped elsewhere: the pid is not ours
+            except BaseException:
+                os.kill(self.pid, _signal.SIGKILL)
+                self.status = os.waitpid(self.pid, 0)[1]
+                raise
         return self.status
 
 
@@ -290,7 +283,7 @@ class Team:
 
     def close(self) -> None:
         """Kill and reap the worker, which has done its steps or waits in a
-        call that failed, and restore this process's CPU mask."""
+        call that failed."""
         self._worker.reap(kill=True)
 
     def _post(self, mine: int, theirs: int, alive) -> None:

@@ -38,12 +38,13 @@ import numpy as np
 from .csvio import write_rows
 from .equilibrium import (
     EquilibriumModel,
+    _check_density,
     _check_set,
     _jacobian,
     equilibrium_moments,
     momentum_flux,
 )
-from .errors import MIN_NODES_PER_AXIS, GridTooCoarse, NonPositiveDensity, ShapeError
+from .errors import MIN_NODES_PER_AXIS, GridTooCoarse, ShapeError
 from .lattice import MomentMatrix, VelocitySet, lambda_tensor
 from .scheme import SchemeParams, _chunks
 
@@ -95,8 +96,8 @@ def _require_usable(W: np.ndarray) -> None:
         raise GridTooCoarse(
             f"grid {grid} has an axis below {MIN_NODES_PER_AXIS} nodes"
         )
-    if np.any(W[..., 0] <= 0.0):
-        raise NonPositiveDensity("field contains non-positive density")
+    _check_density(W, "field contains non-positive density",
+                   "field contains non-finite density")
 
 
 def conservation_defect(W: np.ndarray, dW: np.ndarray, model: EquilibriumModel,

@@ -73,7 +73,7 @@ def cmd_run(args) -> int:
     The two files may be written at the same time on two processes
     (``_team.write_both`` says when and where); they are the same bytes as on
     one process, no child process outlives the command, and this process's
-    CPU mask is restored.  A failed command may leave a partial
+    CPU mask is never changed.  A failed command may leave a partial
     ``moments.csv`` beside its partial checkpoint.
     """
     cfg = load_config(args.config)

@@ -203,9 +203,10 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.viscosity_n < MIN_NODES_PER_AXIS:
         raise ConfigError(f"key 'viscosity_n': need at least "
                           f"{MIN_NODES_PER_AXIS} nodes, got {cfg.viscosity_n}")
-    if not all(0.0 < s <= 2.0 for s in cfg.viscosity_s):
-        raise ConfigError(f"key 'viscosity_s': relaxation ratios {list(cfg.viscosity_s)} "
-                          f"violate the stability bound 0 < s <= 2")
+    for key, ratios in (("s", cfg.s), ("viscosity_s", cfg.viscosity_s)):
+        if not all(0.0 < s <= 2.0 for s in ratios):
+            raise ConfigError(f"key '{key}': relaxation ratios {list(ratios)} "
+                              f"violate the stability bound 0 < s <= 2")
 
 
 def validate_ladder(resolutions, coarse_steps: int) -> tuple[int, ...]:

@@ -126,9 +126,13 @@ def _validate_on_probe_set(model: EquilibriumModel) -> None:
         )
 
 
-def _check_density(W: np.ndarray) -> None:
-    if np.any(W[..., 0] <= 0.0):
-        raise NonPositiveDensity("equilibrium evaluation requires rho > 0 everywhere")
+def _check_density(W, nonpositive="equilibrium evaluation requires rho > 0 everywhere",
+                   nonfinite="equilibrium evaluation requires finite rho everywhere"):
+    """Raise NonPositiveDensity unless every density W[..., 0] is finite and > 0,
+    as in ``scheme._check_densities``: ``nonfinite`` on NaN or inf."""
+    rho = W[..., 0]
+    if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):  # false on NaN
+        raise NonPositiveDensity(nonpositive if np.isfinite(rho).all() else nonfinite)
 
 
 def _scratch_rows(model: EquilibriumModel) -> int:

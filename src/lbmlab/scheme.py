@@ -32,7 +32,7 @@ state it returns ("after 6 steps"), zero steps included.  Both go through
 
 A ``run`` call may step on two processes (``_team`` says when and where).
 Its results and its errors are the same either way, it leaves no child
-process behind, and it restores this process's CPU mask.
+process behind, and it never changes this process's CPU mask.
 """
 
 from __future__ import annotations
@@ -420,9 +420,10 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     no memory with it; zero steps return ``state`` itself.
 
     The call may step on two processes (``_team.team_for`` says when and
-    where); the result is bit-identical to one process's, and on every way
-    out no child process is left and this process's CPU mask is restored.
+    where); the result is bit-identical to one process's, on every way out
+    no child process is left, and this process's CPU mask is never changed.
     """
+    _check_set(model, vs)            # stream follows the links of vs: the model's
     team = None
     try:
         if n_steps > 0:

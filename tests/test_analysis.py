@@ -211,11 +211,13 @@ class TestConservationDefect:
         # the last block raises the same error
         vs, mm, model = d2q9
         for grid, node in (((8, 8), (3, 3)), ((3 * DEFECT_NODES // 8 + 1, 8), (-1, -1))):
-            W = np.ones(grid + (3,))
-            W[node + (0,)] = -0.5
-            with pytest.raises(NonPositiveDensity,
-                               match="^field contains non-positive density$"):
-                conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
+            for rho, problem in ((-0.5, "non-positive"), (np.nan, "non-finite"),
+                                 (np.inf, "non-finite")):
+                W = np.ones(grid + (3,))
+                W[node + (0,)] = rho
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        NonPositiveDensity, match=f"^field contains {problem} density$"):
+                    conservation_defect(W, fd_gradients(W, 0.1), model, vs, mm)
 
     def test_field_shape_validation(self, d2q9):
         vs, mm, model = d2q9

@@ -125,7 +125,6 @@ def test_viscometry_on_a_1d_lattice_is_config_error(tmp_path, capsys, study):
     ("[scheme]\nsteps = 3\n", 0, ""),
     ("[scheme]\nstep = 3\n", 2,
      "config error: unknown key 'step' in section [scheme] (line 2)\n"),
-    ("[scheme]\ns = 2.5\n", 3, "construction error: relaxation ratios"),
     ("[initial]\nrho0 = 0.1\nrho_amplitude = 0.3\n", 3,
      "construction error: equilibrium evaluation requires rho > 0"),
     (BLOW_UP, 4,
@@ -327,6 +326,10 @@ def test_infinite_predicted_viscosity_fails_every_command(tmp_path, capsys, comm
     ("[scheme]\nlambda = 100\ns = 1e-308\n[grid]\nnx = 1\n", "s", ()),
     ("[study]\nviscosity_s = 5e-324\nviscosity_n = 16\n", "viscosity_s",
      ("--study", "viscosity")),
+    # an unstable [scheme] s was a construction error that listed the expanded
+    # ratios and named no key
+    ("[scheme]\ns = 2.5\n", "s", ()),
+    ("[scheme]\ns = 0\n", "s", ("--study", "prop3")),
 ])
 def test_invalid_config_exits_2_naming_its_key(tmp_path, capsys, config_text, key,
                                                extra):
@@ -380,7 +383,7 @@ WRITER_RUNS = {
 
 def _run_on(tmp_path, config_text, monkeypatch, cpus):
     """Exit code, output directory and fork count of ``lbmlab run`` on one or
-    two CPUs; the worker, if any, is gone and the mask restored after."""
+    two CPUs; the worker, if any, is gone and the mask unchanged after."""
     tmp_path.mkdir(exist_ok=True)
     with monkeypatch.context() as patch:
         if cpus == 1:

@@ -24,8 +24,8 @@ def _render(value):
 
 
 # Raw values for every key except [scheme] lambda and [grid] nx, which the
-# strategy below always sets.  cs2 and the [study] values are drawn from their
-# valid ranges: a config is validated as a whole.
+# strategy below always sets.  cs2, s and the [study] values are drawn from
+# their valid ranges: a config is validated as a whole.
 KEY_VALUES = {
     ("lattice", "name"): names,
     ("lattice", "vectors"): st.lists(st.lists(ints, min_size=1, max_size=3),
@@ -34,7 +34,7 @@ KEY_VALUES = {
                                          min_size=1, max_size=3),
     ("equilibrium", "cs2"): positive,
     ("equilibrium", "weights"): st.lists(floats, min_size=1, max_size=9),
-    ("scheme", "s"): st.lists(floats, min_size=1, max_size=6),
+    ("scheme", "s"): st.lists(st.floats(0.0, 2.0, exclude_min=True), min_size=1, max_size=6),
     ("scheme", "steps"): st.integers(0, 10**6),
     ("initial", "rho0"): floats,
     ("initial", "rho_amplitude"): floats,

@@ -11,6 +11,7 @@ from lbmlab.equilibrium import (
 )
 from lbmlab.errors import InvalidEquilibrium, NonPositiveDensity
 from lbmlab.lattice import build_velocity_set, lambda_tensor
+from lbmlab.scheme import initialize_equilibrium
 
 from fresh import fresh_python
 
@@ -43,11 +44,16 @@ def test_moment_constraints_1000_states(fixture, request):
 
 
 def test_nonpositive_density_guard(d2q9):
+    # rho <= 0 is false on NaN, which once gave NaN populations unchecked
     vs, _, model = d2q9
-    with pytest.raises(NonPositiveDensity):
-        equilibrium_distribution(model, vs, np.array([-1.0, 0.0, 0.0]))
-    with pytest.raises(NonPositiveDensity):
-        equilibrium_distribution(model, vs, np.array([0.0, 0.0, 0.0]))
+    for rho, problem in ((-1.0, "rho > 0"), (0.0, "rho > 0"), (np.nan, "finite rho"),
+                         (np.inf, "finite rho"), (-np.inf, "finite rho")):
+        W = np.ones((4, 4, 3))
+        W[1, 2, 0] = rho
+        for evaluate in (equilibrium_distribution, equilibrium_jacobian,
+                         initialize_equilibrium):
+            with pytest.raises(NonPositiveDensity, match=f"requires {problem} everywhere$"):
+                evaluate(model, vs, W)
 
 
 class TestEquilibriumMoments:

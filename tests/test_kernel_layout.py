@@ -23,7 +23,7 @@ import lbmlab._team
 import lbmlab.equilibrium
 import lbmlab.lattice
 import lbmlab.scheme
-from lbmlab.errors import LbmError, SimulationDiverged
+from lbmlab.errors import LbmError, ShapeError, SimulationDiverged
 from lbmlab.fields import InitialField, SineComponent
 from lbmlab.scheme import relax_update
 from fresh import fresh_python
@@ -681,14 +681,13 @@ def test_halves_differ_by_at_most_one_node(nodes):
     assert 2 <= min(widths) and max(widths) <= lbmlab.scheme.CHUNK_NODES
 
 
-@pytest.mark.parametrize("here, places", [(1, (1, 2)), (6, (6, 7)), (7, (7, 0)),
-                                          (None, (0, 1)), (9, (0, 1))])
+@pytest.mark.parametrize("here, cpu", [(1, 2), (6, 7), (7, 0), (None, 1), (9, 1)])
 def test_a_worker_takes_the_cpu_after_the_one_this_process_runs_on(
-        here, places, monkeypatch):
+        here, cpu, monkeypatch):
     # eight CPUs in the mask; where the current CPU is unknown or outside the
-    # mask, this process takes the lowest
+    # mask, the worker takes the one after the lowest
     monkeypatch.setattr(lbmlab._team, "_current_cpu", lambda: here)
-    assert lbmlab._team.places(set(range(8))) == places
+    assert lbmlab._team.places(set(range(8))) == cpu
 
 
 def test_current_cpu_is_the_one_this_process_is_pinned_to():
@@ -700,8 +699,8 @@ def test_current_cpu_is_the_one_this_process_is_pinned_to():
         os.sched_setaffinity(0, CPUS)
 
 
-def test_worker_pins_itself_after_this_process_and_restores_the_mask(monkeypatch):
-    # on the highest CPU of the mask, this process stays there and the
+def test_worker_pins_itself_after_this_process_and_leaves_the_mask(monkeypatch):
+    # on the highest CPU of the mask, this process is not pinned and the
     # worker wraps around to the lowest
     two_cpus()
     order = sorted(CPUS)
@@ -712,8 +711,45 @@ def test_worker_pins_itself_after_this_process_and_restores_the_mask(monkeypatch
             raise AssertionError("the worker is not on the lowest CPU")
 
     with lbmlab._team.Worker(pinned, CPUS) as worker:
-        assert os.sched_getaffinity(0) == {order[-1]}
+        assert os.sched_getaffinity(0) == CPUS
     assert worker.status == 0
+    assert_no_worker_left()
+
+
+def test_this_process_keeps_its_mask_while_a_worker_runs(monkeypatch):
+    # read while this process streams a teamed run, and while it writes its
+    # file of a forked write_both
+    two_cpus()
+    parent, stream_rows, masks = os.getpid(), lbmlab.scheme._stream_rows, []
+
+    def recording(*args):
+        if os.getpid() == parent:
+            masks.append(os.sched_getaffinity(0))
+        return stream_rows(*args)
+
+    monkeypatch.setattr(lbmlab.scheme, "_stream_rows", recording)
+    forks = counting_forks(monkeypatch)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
+    lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
+    lbmlab._team.write_both(lbmlab._team.WRITER_NODES,
+                            lambda: masks.append(os.sched_getaffinity(0)), lambda: None)
+    assert forks == [1, 1]
+    assert len(masks) > 1 and all(mask == CPUS for mask in masks)
+    assert_no_worker_left()
+
+
+def test_run_on_a_set_the_model_was_not_built_for_forks_nothing(monkeypatch):
+    # with the D2Q9 diagonals reordered, stream followed the wrong links and
+    # nothing failed
+    (vs, mm, model, params), state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
+    reordered = lbmlab.lattice.build_velocity_set(
+        map(tuple, vs.e[[0, 1, 2, 3, 4, 7, 8, 5, 6]].tolist()))
+    forks = counting_forks(monkeypatch)
+    with pytest.raises(ShapeError, match="not built for this velocity set"):
+        lbmlab.scheme.run(state, teamed_steps((97, 91)), reordered, mm, model, params)
+    with pytest.raises(ShapeError, match="not built for this velocity set"):
+        lbmlab.scheme.step(state, reordered, mm, model, params)
+    assert forks == []
     assert_no_worker_left()
 
 

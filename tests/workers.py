@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-# the CPUs this process may run on; a worker's parent restores its mask on
-# every way out
+# the CPUs this process may run on; only a worker pins itself, so this
+# process's mask never changes
 CPUS = os.sched_getaffinity(0)
 
 
