@@ -2,10 +2,10 @@
 
 Every rule of lbmlab's second process lives here.  ``scheme.run`` asks
 ``team_for`` for a ``Team``, two processes stepping one call on shared
-storage: both call ``scheme._sweep`` and ``scheme._stream_rows`` on their
-halves of the nodes (``halves``) and of the populations, so every value is
-computed as on one process.  ``lbmlab run`` writes its two files through
-``write_both``.  Each forks only where its thresholds (``TEAM_NODES``,
+storage: each builds a ``scheme._Plan`` for its half of the nodes
+(``halves``) and of the populations (``rows``) and steps through it, so
+every value is computed as on one process.  ``lbmlab run`` writes its two
+files through ``write_both``.  Each forks only where its thresholds (``TEAM_NODES``,
 ``TEAM_UPDATES``, ``WRITER_NODES``) say that a worker pays, and only through
 one gate, ``_forked``.  The worker pins itself to the CPU of the mask after
 the one this process runs on (``places``), because unpinned, a fresh process
@@ -29,26 +29,16 @@ import os
 import numpy as np
 
 from .errors import LbmError
-from .scheme import (
-    CACHE_LINE,
-    _chunks,
-    _collide_scratch,
-    _populations_first,
-    _stream_rows,
-    _sweep,
-)
+from .scheme import CACHE_LINE, _chunks, _collide_scratch, _Plan
 
 # Fewest nodes ``run`` steps on two processes.  Per step of run(N - 1) on an
 # N x 8 D2Q9 grid on a 2-vCPU Xeon, fork and reap included, two processes
-# took 0.94-1.54 times one process's median time at 1,024 nodes, 0.79-0.82 at
-# 2,048 and 0.71-0.73 at 4,096, in three rounds of 15-21 interleaved calls
-# (one process: 122-193, 250-265 and 352-415 us per step).  Those calls were
-# short; over 2^19 node updates (4.7M population updates, past TEAM_UPDATES),
-# in rounds of 9 alternating calls with single-threaded BLAS, two processes
-# took 0.94, 1.09 and 1.11 times one process's time at 256 nodes, 0.88-0.99
-# at 512, 0.84-0.87 at 1,024 and 0.82-0.88 at 1,536.  So a floor is needed;
-# it could sit as low as 512 nodes, and stays at 2,048, where the short calls
-# above gained too.
+# took 1.04-1.06 times one process's median time at 1,024 nodes, 0.77-0.78 at
+# 2,048 and 0.66-0.70 at 4,096 (three rounds of 15 interleaved calls; one
+# process 96-97, 158-161 and 287-292 us per step).  Over 2^19 node updates,
+# in three rounds of 9 alternating calls, they took 0.99-1.23 at 256 nodes,
+# 0.83-0.97 at 512, 1.25-1.31 at 1,024 and 0.97-1.17 at 1,536: 2,048 is the
+# fewest nodes measured where both gained (timed with ``scheme._Plan``).
 TEAM_NODES = 2048
 
 # Fewest population updates, steps times nodes times populations (J + 1), of
@@ -58,11 +48,11 @@ TEAM_NODES = 2048
 # took 1.54 times one process's time on D1Q3 16,384 nodes, and 1.01-1.22 on
 # D2Q9 128 x 128 and 256 x 256.  At the fewest steps past 2^22 population
 # updates, in 9-11 alternating calls per grid on the Xeon above with
-# single-threaded BLAS, they took:
+# single-threaded BLAS, they took (N x 8 retimed with ``scheme._Plan``):
 #
-#   D2Q9  256 x 8, 228 steps  0.84-0.86 (1.04 in one round of four)
-#         512 x 8, 114        0.79        128 x 128, 29   0.81
-#         181 x 181, 15       0.77-0.93   256 x 256, 8    0.86
+#   D2Q9  256 x 8, 228 steps  0.84-0.93   512 x 8, 114    0.84-0.95
+#         128 x 128, 29       0.81        181 x 181, 15   0.77-0.93
+#         256 x 256, 8        0.86
 #   D1Q3  16,384 nodes, 86    0.74        65,536, 22      0.73
 #         262,144, 6          0.83
 #
@@ -97,6 +87,19 @@ def halves(nodes: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     half = nodes // 2
     return _chunks(half), tuple((start + half, stop + half)
                                 for start, stop in _chunks(nodes - half))
+
+
+def rows(model) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows each process streams: on a paired set the rest and "+" rows
+    here and their opposites in the worker, as many blocks each (D2Q9: 0, 1,
+    2, 5, 6 and 3, 4, 7, 8); on any other set the first half and the rest."""
+    nj = model.J + 1
+    if model.pairs is None:
+        return tuple(range((nj + 1) // 2)), tuple(range((nj + 1) // 2, nj))
+    # rows 1..J are blocks of n "+" rows, each followed by their n opposites
+    opposite = np.arange(nj - 1) // model.pairs.shape[1] % 2
+    return ((0, *(1 + np.flatnonzero(opposite == 0)).tolist()),
+            tuple((1 + np.flatnonzero(opposite)).tolist()))
 
 
 def team_for(state, n_steps, vs, mm, model, params):
@@ -239,10 +242,10 @@ class Team:
     populations, are one anonymous shared mapping; all else the worker reads,
     the input included, is its copy of this process's memory at the fork.
     Each kernel call, collide or stream, is a phase: both processes update
-    their half (``blocks``, from ``halves``, or ``rows``) in place, each
-    through its own scratch, post the phase and wait for the other's post
-    (``_post``), one barrier.  The worker steps the call's ``n_steps`` steps
-    and ends after its last post.
+    their half (``blocks``, from ``halves``, or ``rows``, from ``rows``) in
+    place, each through its own scratch and its own ``scheme._Plan``, post
+    the phase and wait for the other's post (``_post``), one barrier.  The
+    worker steps the call's ``n_steps`` steps and ends after its last post.
 
     One barrier per phase is enough: a phase touches only its process's
     half, and neither process starts phase k + 1, which reads the other's
@@ -261,18 +264,16 @@ class Team:
     """
 
     def __init__(self, state, n_steps, vs, mm, model, params, cpus):
-        nj, grid = state.f.shape[-1], state.grid_shape
-        nodes = math.prod(grid)
+        nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
         self._shared = mmap.mmap(-1, mmap.PAGESIZE + nj * nodes * 8)
         self._control = memoryview(self._shared)[:mmap.PAGESIZE].cast("q")
         self.storage = np.frombuffer(self._shared, offset=mmap.PAGESIZE).reshape(nj, -1)
         self.blocks = halves(nodes)
-        self.rows = range((nj + 1) // 2), range((nj + 1) // 2, nj)
+        self.rows = rows(model)
         self.phase = 0
         self._parent = os.getpid()
         self._worker = Worker(
-            lambda: self._serve(_populations_first(state.f).reshape(nj, nodes), vs,
-                                mm, model, params, state.steps, grid, n_steps), cpus)
+            lambda: self._serve(state, n_steps, vs, mm, model, params), cpus)
 
     def sync(self) -> tuple:
         """Pass the barrier that ends this phase; the worker's ``blocks`` from
@@ -310,24 +311,25 @@ class Team:
         if os.getppid() != self._parent:
             raise LbmError("the process that forked this stepping worker is gone")
 
-    def _serve(self, src, vs, mm, model, params, steps, grid, n_steps) -> None:
-        """The worker: per step, collide its blocks of ``src`` (the input, then
-        ``storage``) into ``storage``, post, stream its rows and post."""
-        control, storage, rows = self._control, self.storage, self.rows[1]
-        scratch = _collide_scratch(model, self.blocks[1])
+    def _serve(self, state, n_steps, vs, mm, model, params) -> None:
+        """The worker: through its own ``_Plan``, per step, collide its blocks
+        into ``storage``, post, stream its rows and post."""
+        control, steps, later = self._control, state.steps, False
+        plan = _Plan(state.f, self.storage, _collide_scratch(model, self.blocks[1]),
+                     self.blocks[1], self.rows[1], vs, mm, model, params)
         for _ in range(n_steps):
-            for k, block in enumerate(self.blocks[1]):
+            for k, block in enumerate(plan.blocks):
                 try:
-                    _sweep(src, storage, scratch, (block,), mm, model, params, steps, grid)
+                    plan.sweep(later, steps, (block,))
                 except Exception:
                     control[FAILED], control[FAILED_BLOCK] = self.phase + 1, k
                     break
             self._post(WORKER, PARENT, self._parent_alive)
             if control[FAILED] == self.phase:
                 return          # the parent sweeps them again from the failed block
-            _stream_rows(vs, storage.reshape(len(storage), *grid), rows, scratch)
+            plan.stream_rows()
             self._post(WORKER, PARENT, self._parent_alive)
-            src, steps = storage, steps + 1
+            later, steps = True, steps + 1
 
 
 def pin(cpu: int) -> None:

@@ -143,7 +143,47 @@ def _scratch_rows(model: EquilibriumModel) -> int:
 
 def _populations(model: EquilibriumModel, W: np.ndarray, out=None,
                  scratch=None) -> np.ndarray:
-    """Populations G(W), population-major: W is (d+1, nodes), G is (J+1, nodes).
+    """Populations G(W), population-major: W is (d+1, nodes), G is (J+1, nodes),
+    written to ``out`` through ``scratch``, at least ``_scratch_rows(model)``
+    * nodes values, each allocated when not given (``_fill_populations``)."""
+    nodes = W.shape[1]
+    if out is None:
+        out = np.empty((model.J + 1, nodes))
+    if scratch is None:
+        scratch = np.empty(_scratch_rows(model) * nodes)
+    _fill_populations(_population_views(model, W, out, scratch))
+    return out
+
+
+def _population_views(model: EquilibriumModel, W: np.ndarray, out,
+                      scratch) -> tuple:
+    """The views in which ``_fill_populations`` writes G(W) to ``out``; a
+    caller that evaluates G on the same arrays again builds them once."""
+    nodes = W.shape[1]
+    rows = _scratch_rows(model) - 2     # of vq
+    vq = scratch[:rows * nodes].reshape(rows, nodes)
+    qq = scratch[rows * nodes:(rows + 1) * nodes]
+    tmp = scratch[(rows + 1) * nodes:(rows + 2) * nodes]
+    rho, q = W[0], W[1:]
+    cs2, pairs = model.cs2, model.pairs
+    if pairs is None:
+        matrix, quotients, divided, opposite = model.velocities, vq, out, None
+        targets, square, rest, moving = out, vq, None, None
+    else:
+        g, n, d = pairs.shape
+        rest, moving = out[0], out[1:]
+        # rows 1..J as (G, 2, n, nodes): [:, 0] the "+" rows, [:, 1] their opposites
+        targets = moving.reshape(g, 2, n, nodes)
+        matrix, quotients = pairs.reshape(rows, d), vq.reshape(g, n, nodes)
+        divided, opposite = targets[:, 0], targets[:, 1]
+        square = vq.reshape(g, 1, n, nodes)
+    return (matrix, q, vq, quotients, cs2, divided, opposite, out, rho, rest, moving,
+            2.0 * cs2 * cs2, tmp, targets, square, qq, q[0], tuple(q[1:]), 2.0 * cs2,
+            model.weights[:, None])
+
+
+def _fill_populations(views: tuple) -> None:
+    """G(W) into the ``out`` of ``_population_views``, in place.
 
     The in-place ufuncs keep the association order of the formula in the
     module docstring, w * (((rho + vq/cs2) + vq^2/(2 cs2^2 rho)) - |q|^2/(2 cs2 rho)),
@@ -157,51 +197,26 @@ def _populations(model: EquilibriumModel, W: np.ndarray, out=None,
     rho and the shared square term to both rows gives every bit of the
     row-by-row formula.  The rest row has vq = 0, so its first three terms
     are rho itself.
-
-    G is written to ``out``, a (J+1, nodes) array, and the temporaries live in
-    ``scratch``, a flat float array of at least ``_scratch_rows(model)`` *
-    nodes values (vq on J/2 or J+1 rows, |q|^2 and one more row); either is
-    allocated when not given.
     """
-    nj, nodes = model.velocities.shape[0], W.shape[1]
-    rows = _scratch_rows(model) - 2     # of vq
-    if out is None:
-        out = np.empty((nj, nodes))
-    if scratch is None:
-        scratch = np.empty((rows + 2) * nodes)
-    vq = scratch[:rows * nodes].reshape(rows, nodes)
-    qq = scratch[rows * nodes:(rows + 1) * nodes]
-    tmp = scratch[(rows + 1) * nodes:(rows + 2) * nodes]
-    rho = W[0]
-    q = W[1:]
-    cs2 = model.cs2
-    pairs = model.pairs
-    if pairs is None:
-        np.matmul(model.velocities, q, out=vq)
-        np.divide(vq, cs2, out=out)
+    (matrix, q, vq, quotients, cs2, divided, opposite, out, rho, rest, moving,
+     two_cs2_cs2, tmp, targets, square, qq, q0, others, two_cs2, weights) = views
+    np.matmul(matrix, q, out=vq)
+    np.divide(quotients, cs2, out=divided)
+    if opposite is None:
         out += rho
-        targets, square = out, vq
     else:
-        g, n, d = pairs.shape
-        # rows 1..J as (G, 2, n, nodes): [:, 0] the "+" rows, [:, 1] their opposites
-        targets = out[1:].reshape(g, 2, n, nodes)
-        plus = targets[:, 0]
-        np.matmul(pairs.reshape(rows, d), q, out=vq)
-        np.divide(vq.reshape(g, n, nodes), cs2, out=plus)
-        np.negative(plus, out=targets[:, 1])
-        out[0] = rho
-        out[1:] += rho
-        square = vq.reshape(g, 1, n, nodes)
+        np.negative(divided, out=opposite)
+        rest[...] = rho
+        moving += rho
     vq *= vq
-    vq /= np.multiply(2.0 * cs2 * cs2, rho, out=tmp)
+    vq /= np.multiply(two_cs2_cs2, rho, out=tmp)
     targets += square
-    np.multiply(q[0], q[0], out=qq)
-    for qa in q[1:]:
+    np.multiply(q0, q0, out=qq)
+    for qa in others:
         qq += np.multiply(qa, qa, out=tmp)
-    qq /= np.multiply(2.0 * cs2, rho, out=tmp)
+    qq /= np.multiply(two_cs2, rho, out=tmp)
     out -= qq
-    out *= model.weights[:, None]
-    return out
+    out *= weights
 
 
 def _populations_node_major(model: EquilibriumModel, W: np.ndarray) -> np.ndarray:

@@ -20,15 +20,20 @@ scratch of ``collide``'s blocks of at most ``CHUNK_NODES`` nodes, which
 ``stream`` borrows for one row.  Every buffer the kernels allocate starts
 on a cache line (``_aligned_empty``).  ``step`` is ``run`` for one step.
 
+``run`` builds the kernels' views of these buffers and checks the
+components once per call (``_Plan``), so a step pays only for arithmetic,
+copies and checks; a kernel called alone builds its own plan.
+
 ``run`` checks one criterion on every state it steps from and on the state
 it returns: every node's density, the sum m_0 of its populations, is finite
-and > 0.  ``_sweep`` applies it to the density row that each block already
-forms, before it relaxes the block, so a state that breaks is named at the
-step whose ``collide`` first reads it ("non-positive density at node (4, 0)
-entering step 7"); any non-finite population makes its node's density
-non-finite, so NaN and inf are caught there too.  ``run`` applies it to the
-state it returns ("after 6 steps"), zero steps included.  Both go through
-``_check_densities``, which names the first failing node in row-major order.
+and > 0.  ``_Plan.sweep`` applies it to the density row that each block
+already forms, before it relaxes the block, so a state that breaks is named
+at the step whose ``collide`` first reads it ("non-positive density at node
+(4, 0) entering step 7"); any non-finite population makes its node's
+density non-finite, so NaN and inf are caught there too.  ``run`` applies
+it to the state it returns ("after 6 steps"), zero steps included.  Both go
+through ``_check_densities``, which names the first failing node in
+row-major order.
 
 A ``run`` call may step on two processes (``_team`` says when and where).
 Its results and its errors are the same either way, it leaves no child
@@ -50,6 +55,8 @@ from .equilibrium import (
     EquilibriumModel,
     _check_density,
     _check_set,
+    _fill_populations,
+    _population_views,
     _populations,
     _scratch_rows,
 )
@@ -176,13 +183,18 @@ def relaxation_ode_euler_step(m, m_eq, tau, dt):
     return relax_update(m, m_eq, dt / tau)
 
 
-def _check_scales(mm: MomentMatrix, model: EquilibriumModel, params: SchemeParams):
+def _check_scales(mm: MomentMatrix, model: EquilibriumModel, params: SchemeParams,
+                  nj: int):
     if not np.array_equal(model.velocities, mm.velocities):
         raise ComponentMismatch("equilibrium model and moment matrix use different velocities")
     if abs(params.lam - mm.lam) > 1e-12 * mm.lam:
         raise ComponentMismatch(
             f"params imply lam={params.lam!r} but the moment matrix was built with lam={mm.lam!r}"
         )
+    if params.s.shape[0] != mm.J - mm.d:
+        raise ShapeError(f"expected {mm.J - mm.d} relaxation ratios, got {params.s.shape[0]}")
+    if nj != mm.M.shape[0]:
+        raise ShapeError(f"expected {mm.M.shape[0]} populations per node, got {nj}")
 
 
 def _check_densities(rho: np.ndarray, when: str, steps: int, grid,
@@ -261,8 +273,67 @@ def _collide_scratch(model: EquilibriumModel, blocks) -> np.ndarray:
     return _aligned_empty(max(rows * width, blocks[-1][1]))
 
 
+class _Plan:
+    """One process's views of the (*grid, J+1) input ``f``, the (J+1, nodes)
+    ``storage`` and a ``_collide_scratch`` for one ``run`` call's kernels:
+    the components checked once and, per block, its columns, its m, f_eq and
+    M f_eq and their ``_population_views``; per moving row, its ``_moves``.
+    Both kernels return ``result``; a ``collide`` given it reads the
+    storage, else the input.  ``team`` steps the other blocks and rows."""
+
+    def __init__(self, f, storage, scratch, blocks, rows, vs=None, mm=None,
+                 model=None, params=None, team=None):
+        nj, grid = f.shape[-1], f.shape[:-1]
+        storage = storage.reshape(nj, -1)
+        self.storage, self.scratch, self.grid, self.team = storage, scratch, grid, team
+        self.result = _populations_last(storage.reshape(nj, *grid))
+        self.blocks = []
+        if blocks:
+            _check_scales(mm, model, params, nj)
+            nc = mm.d + 1
+            self.M, self.M_inv = mm.M, mm.M_inv
+            self.s = params.s[:, None]
+            source = _populations_first(f).reshape(nj, -1)
+        for start, stop in blocks:
+            size = nj * (stop - start)
+            m = scratch[:size].reshape(nj, -1)
+            f_eq = scratch[size:2 * size].reshape(nj, -1)
+            m_eq = scratch[2 * size:3 * size].reshape(nj, -1)
+            out = storage[:, start:stop]
+            self.blocks.append((
+                start, (source[:, start:stop], out), m, m[0],
+                _population_views(model, m[:nc], f_eq, scratch[2 * size:]), f_eq,
+                m_eq, m_eq[nc:], m[nc:], out))
+        self.moves = _moves(vs, storage.reshape(nj, *grid), rows,
+                            scratch[:math.prod(grid)].reshape(grid)) if rows else []
+
+    def sweep(self, later: bool, steps: int, blocks=None) -> None:
+        """Collide ``blocks`` (all of the plan's by default) after ``steps``
+        steps from the storage if ``later``, else from the input, checking
+        each block's densities as it reads them; ``collide``'s body."""
+        M, M_inv, s, grid = self.M, self.M_inv, self.s, self.grid
+        for start, sources, m, rho, equilibrium, f_eq, m_eq, relaxed, moments, out in (
+                self.blocks if blocks is None else blocks):
+            np.matmul(M, sources[later], out=m)
+            _check_densities(rho, "entering step {}", steps + 1, grid, start)
+            # All of M, not M[nc:]: with one relaxed row numpy would take a
+            # matrix-vector product, whose sums may round differently from f @ M.T's.
+            _fill_populations(equilibrium)
+            np.matmul(M, f_eq, out=m_eq)
+            # relax_update's m - s (m - m_eq), evaluated in place on the relaxed rows
+            np.subtract(moments, relaxed, out=relaxed)
+            relaxed *= s
+            moments -= relaxed
+            np.matmul(M_inv, m, out=out)
+
+    def stream_rows(self) -> None:
+        """Stream the plan's rows in place; ``stream``'s body."""
+        for to, from_ in self.moves:
+            to[...] = from_
+
+
 def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
-            params: SchemeParams, out=None, scratch=None, *, team=None) -> SchemeState:
+            params: SchemeParams, out=None, scratch=None, *, plan=None) -> SchemeState:
     """Node-local relaxation in moment space; conserved moments are copied.
 
     m*_k = m_k for k <= d, m*_k = m_k - s_k (m_k - m_eq,k) otherwise, then
@@ -273,62 +344,25 @@ def collide(state: SchemeState, mm: MomentMatrix, model: EquilibriumModel,
     array: the input's own storage, updated in place because each block is
     read before its columns are written, or storage apart from it; either is
     allocated, on a cache line, when not given.  The result's ``f`` is a
-    (*grid, J+1) view of ``out`` (see ``SchemeState``).  ``team`` is
-    ``run``'s private ``_team.Team``, with which the result is bit-identical.
+    (*grid, J+1) view of ``out`` (see ``SchemeState``).  ``plan`` is
+    ``run``'s private ``_Plan``; without one, the call builds its own.
     """
-    _check_scales(mm, model, params)
-    if params.s.shape[0] != mm.J - mm.d:
-        raise ShapeError(
-            f"expected {mm.J - mm.d} relaxation ratios, got {params.s.shape[0]}"
-        )
-    f = state.f
-    nj = f.shape[-1]
-    if nj != mm.M.shape[0]:
-        raise ShapeError(
-            f"expected {mm.M.shape[0]} populations per node, got {nj}"
-        )
-    grid = f.shape[:-1]
-    src = _populations_first(f).reshape(nj, -1)
-    nodes = src.shape[1]
-    if out is None:
-        out = _aligned_empty(nj * nodes).reshape(nj, nodes)
-    if scratch is None:
-        scratch = _collide_scratch(model, _chunks(nodes))
-    own = _chunks(nodes) if team is None else team.blocks[0]
-    _sweep(src, out, scratch, own, mm, model, params, state.steps, grid)
-    if team is not None:
-        # the worker's blocks that failed, if any, raise here as on one process
-        _sweep(src, out, scratch, team.sync(), mm, model, params, state.steps, grid)
-    return SchemeState(f=_populations_last(out.reshape(nj, *grid)), steps=state.steps)
-
-
-def _sweep(src, out, scratch, blocks, mm: MomentMatrix, model: EquilibriumModel,
-           params: SchemeParams, steps: int, grid) -> None:
-    """Collide the (start, stop) column ``blocks`` of ``src``, a (J+1, nodes)
-    view of the populations after ``steps`` steps on ``grid``, into the same
-    columns of ``out``, after checking each block's densities
-    (``_check_densities``); the body of ``collide``, which both processes of
-    a ``_team.Team`` call on their own blocks."""
-    nc = mm.d + 1
-    nj = src.shape[0]
-    s = params.s[:, None]
-    for start, stop in blocks:
-        size = nj * (stop - start)
-        m = scratch[:size].reshape(nj, -1)
-        f_eq = scratch[size:2 * size].reshape(nj, -1)
-        rest = scratch[2 * size:]
-        np.matmul(mm.M, src[:, start:stop], out=m)
-        _check_densities(m[0], "entering step {}", steps + 1, grid, start)
-        # All of M, not M[nc:]: with one relaxed row numpy would take a
-        # matrix-vector product, whose sums may round differently from f @ M.T's.
-        m_eq = np.matmul(mm.M, _populations(model, m[:nc], f_eq, rest),
-                         out=rest[:size].reshape(nj, -1))
-        # relax_update's m - s (m - m_eq), evaluated in place on the relaxed rows
-        relaxed = m_eq[nc:]
-        np.subtract(m[nc:], relaxed, out=relaxed)
-        relaxed *= s
-        m[nc:] -= relaxed
-        np.matmul(mm.M_inv, m, out=out[:, start:stop])
+    if plan is None:
+        f = state.f
+        nodes = math.prod(f.shape[:-1])
+        if out is None:
+            out = _aligned_empty(f.size)
+        if scratch is None:
+            scratch = _collide_scratch(model, _chunks(nodes))
+        plan = _Plan(f, out, scratch, _chunks(nodes), (), None, mm, model, params)
+    plan.sweep(state.f is plan.result, state.steps)
+    if plan.team is not None:
+        failed = plan.team.sync()
+        if failed:
+            # the worker's blocks from the one that failed raise here as on one process
+            _Plan(state.f, plan.storage, plan.scratch, failed, (), None, mm, model,
+                  params).sweep(False, state.steps)
+    return SchemeState(f=plan.result, steps=state.steps)
 
 
 def _shifted_blocks(shift: int, n: int):
@@ -350,8 +384,25 @@ def _stream_plan(rows: tuple, grid: tuple) -> tuple:
     )
 
 
+def _moves(vs: VelocitySet, storage, rows, row) -> list:
+    """The (destination, source) views whose copies, in order, stream the
+    ``rows`` of ``storage``, (J+1, *grid), in place: each moving row into
+    ``row``, a grid of scratch, then each of its blocks back from there."""
+    grid = storage.shape[1:]
+    plan = _stream_plan(tuple(map(tuple, vs.e.tolist())), grid)
+    moves = []
+    for j in rows:
+        # one block is a shift by whole periods, the rest row's: it stays
+        if len(plan[j]) > 1:
+            moving = storage[j]
+            moves.append((row, moving))
+            for to, from_ in plan[j]:
+                moves.append((moving[to], row[from_]))
+    return moves
+
+
 def stream(state: SchemeState, vs: VelocitySet, out=None, scratch=None, *,
-           team=None) -> SchemeState:
+           plan=None) -> SchemeState:
     """Advect every population one lattice link: f_j(x) <- f_j(x - e_j).
 
     Each population is copied as at most 2^d periodic blocks, a permutation
@@ -360,39 +411,25 @@ def stream(state: SchemeState, vs: VelocitySet, out=None, scratch=None, *,
     from it, which then first takes a copy of the input; each moving row is
     copied into ``scratch`` and back in its blocks.  Either is allocated, on
     a cache line, when not given.  The result's ``f`` is a (*grid, J+1) view
-    of ``out``.  ``team`` is ``run``'s private ``_team.Team``, with which
-    the result is bit-identical.
+    of ``out``.  ``plan`` is ``run``'s private ``_Plan``, whose ``result``
+    ``state`` is; without one, the call builds its own.
     """
-    f = state.f
-    if f.shape[-1] != vs.J + 1:
-        raise ShapeError(f"expected {vs.J + 1} populations per node, got {f.shape[-1]}")
-    grid = f.shape[:-1]
-    if out is None:
-        out = _aligned_empty(f.size)
-    if scratch is None:
-        scratch = _aligned_empty(f.size // (vs.J + 1))
-    storage = out.reshape(vs.J + 1, *grid)
-    if not np.may_share_memory(storage, f):
-        storage[...] = _populations_first(f)
-    _stream_rows(vs, storage, range(vs.J + 1) if team is None else team.rows[0], scratch)
-    if team is not None:
-        team.sync()
-    return SchemeState(f=_populations_last(storage), steps=state.steps)
-
-
-def _stream_rows(vs: VelocitySet, storage, rows, scratch) -> None:
-    """Stream the populations j in ``rows`` of ``storage``, (J+1, *grid), in
-    place through ``scratch``; the body of ``stream``, which both processes
-    of a ``_team.Team`` call on their own rows, each with its own scratch."""
-    grid = storage.shape[1:]
-    plan = _stream_plan(tuple(map(tuple, vs.e.tolist())), grid)
-    row = scratch[:math.prod(grid)].reshape(grid)
-    for j in rows:
-        # one block is a shift by whole periods, the rest row's: it stays
-        if len(plan[j]) > 1:
-            row[...] = storage[j]
-            for to, from_ in plan[j]:
-                storage[j][to] = row[from_]
+    if plan is None:
+        f = state.f
+        if f.shape[-1] != vs.J + 1:
+            raise ShapeError(f"expected {vs.J + 1} populations per node, got {f.shape[-1]}")
+        if out is None:
+            out = _aligned_empty(f.size)
+        if scratch is None:
+            scratch = _aligned_empty(f.size // (vs.J + 1))
+        storage = out.reshape(vs.J + 1, *f.shape[:-1])
+        if not np.may_share_memory(storage, f):
+            storage[...] = _populations_first(f)
+        plan = _Plan(f, storage, scratch, (), range(vs.J + 1), vs)
+    plan.stream_rows()
+    if plan.team is not None:
+        plan.team.sync()
+    return SchemeState(f=plan.result, steps=state.steps)
 
 
 def step(state: SchemeState, vs: VelocitySet, mm: MomentMatrix,
@@ -415,7 +452,8 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
     starting on a cache line: one (J+1, nodes) population storage, which the
     first ``collide`` writes from the input and every later kernel updates in
     place, and ``collide``'s block scratch, which ``stream`` borrows for a
-    row.  The result is a (*grid, J+1) view of that storage, as the last
+    row; their views are built once too, in the kernels' ``_Plan`` ``plan``.
+    The result is a (*grid, J+1) view of that storage, as the last
     ``stream`` left it.  The input is never written, and the result shares
     no memory with it; zero steps return ``state`` itself.
 
@@ -434,18 +472,22 @@ def run(state: SchemeState, n_steps: int, vs: VelocitySet, mm: MomentMatrix,
                 nj, nodes = state.f.shape[-1], math.prod(state.grid_shape)
                 storage = _aligned_empty(nj * nodes).reshape(nj, nodes)
                 blocks = _chunks(nodes)
+                scratch, rows = _collide_scratch(model, blocks), range(nj)
             else:
-                storage, blocks = team.storage, team.blocks[0] + team.blocks[1]
+                storage, blocks, rows = team.storage, team.blocks[0], team.rows[0]
+                # the worker's blocks too, which this process sweeps if they fail
+                scratch = _collide_scratch(model, blocks + team.blocks[1])
             # after any fork, where a failure still reaps the worker
-            scratch = _collide_scratch(model, blocks)
+            plan = _Plan(state.f, storage, scratch, blocks, rows, vs, mm, model,
+                         params, team)
         for _ in range(n_steps):
             # looked up on the module, where bench/tracing.py counts them; buffers
-            # go positionally and the team by keyword, as a forwarding wrapper passes them
+            # go positionally and the plan by keyword, as a forwarding wrapper passes them
             state = stream(
-                collide(state, mm, model, params, storage, scratch, team=team),
-                vs, storage, scratch, team=team)
+                collide(state, mm, model, params, storage, scratch, plan=plan),
+                vs, storage, scratch, plan=plan)
             state.steps += 1
-        # the m_0 that _sweep checks: the density row of M is all ones
+        # the m_0 that the sweeps check: the density row of M is all ones
         _check_densities(_populations_first(state.f).sum(axis=0).ravel(),
                          "after {} steps", state.steps, state.grid_shape)
     finally:

@@ -454,7 +454,14 @@ def test_a_diverging_run_names_the_step_and_node_of_the_per_row_kernel(
         return str(info.value)
 
     assert failure() == message
-    monkeypatch.setattr(lbmlab.scheme, "_populations", per_row_populations)
+    # the kernel's row-by-row arithmetic, which it keeps for a set without
+    # pairs, is the per-row kernel bit for bit
+    monkeypatch.setattr(lbmlab.equilibrium, "_pair_layout", lambda v: None)
+    model = dataclasses.replace(model)
+    assert model.pairs is None
+    conserved = np.moveaxis(W, -1, 0).reshape(3, -1)
+    assert np.array_equal(lbmlab.equilibrium._populations(model, conserved).view(np.int64),
+                          per_row_populations(model, conserved).view(np.int64))
     assert failure() == message
 
 
@@ -506,6 +513,46 @@ def test_run_calls_collide_once_per_step_with_every_node(lattice, monkeypatch):
         seen.clear()
         lbmlab.scheme.run(state, n, vs, mm, model, params)
         assert seen == [(vs.J + 1, int(np.prod(grid)))] * n
+
+
+def test_run_builds_its_kernel_views_once_per_call(monkeypatch):
+    # one _Plan per run call, however many steps, and none for zero steps; a
+    # teamed call builds one here, and the worker its own after the fork
+    built = []
+    init = lbmlab.scheme._Plan.__init__
+
+    def counting(plan, *args, **kwargs):
+        built.append(os.getpid())
+        init(plan, *args, **kwargs)
+
+    monkeypatch.setattr(lbmlab.scheme._Plan, "__init__", counting)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (64, 8))
+    for steps, plans in [(1, 1), (7, 1), (0, 0)]:
+        built.clear()
+        lbmlab.scheme.run(state, steps, *args)
+        assert built == [os.getpid()] * plans
+    two_cpus()
+    forks = counting_forks(monkeypatch)
+    args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
+    built.clear()
+    lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
+    assert forks == [1] and built == [os.getpid()]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("lattice, rows", [
+    ("d2q9", ((0, 1, 2, 5, 6), (3, 4, 7, 8))), ("d1q3", ((0, 1), (2,))),
+    ("d2q5", ((0, 1, 2), (3, 4))), ("asymmetric", ((0, 1), (2, 3)))])
+def test_each_process_streams_one_row_of_every_pair(lattice, rows):
+    # so both stream as many blocks; a set without pairs is split in halves
+    model = kernel_model(lattice, 1.0)
+    assert lbmlab._team.rows(model) == rows
+    if model.pairs is not None:
+        e = np.rint(model.velocities / model.lam).astype(int)
+        plan = lbmlab.scheme._stream_plan(tuple(map(tuple, e.tolist())), (5, 4)[:model.d])
+        # the blocks each process copies; the rest row is one block, and stays
+        copied = [sum(len(plan[j]) for j in half if len(plan[j]) > 1) for half in rows]
+        assert copied[0] == copied[1]
 
 
 @pytest.mark.parametrize("lattice, lam, s, grid, steps", TEAMED, ids=case_ids(TEAMED))
@@ -720,14 +767,14 @@ def test_this_process_keeps_its_mask_while_a_worker_runs(monkeypatch):
     # read while this process streams a teamed run, and while it writes its
     # file of a forked write_both
     two_cpus()
-    parent, stream_rows, masks = os.getpid(), lbmlab.scheme._stream_rows, []
+    parent, stream_rows, masks = os.getpid(), lbmlab.scheme._Plan.stream_rows, []
 
-    def recording(*args):
+    def recording(plan):
         if os.getpid() == parent:
             masks.append(os.sched_getaffinity(0))
-        return stream_rows(*args)
+        return stream_rows(plan)
 
-    monkeypatch.setattr(lbmlab.scheme, "_stream_rows", recording)
+    monkeypatch.setattr(lbmlab.scheme._Plan, "stream_rows", recording)
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
     lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
@@ -779,16 +826,16 @@ def test_run_leaves_no_worker_on_return_or_interrupt(monkeypatch):
     assert_no_worker_left()
 
     # this process's stream of a middle step is interrupted while the worker
-    # steps, which calls the _stream_rows that _team imported
+    # steps; the worker streams through the same method, uncounted
     steps, calls = teamed_steps((97, 91)), itertools.count(1)
-    stream_rows = lbmlab.scheme._stream_rows
+    parent, stream_rows = os.getpid(), lbmlab.scheme._Plan.stream_rows
 
-    def interrupted(*args):
-        if next(calls) == steps // 2:
+    def interrupted(plan):
+        if os.getpid() == parent and next(calls) == steps // 2:
             raise KeyboardInterrupt
-        stream_rows(*args)
+        stream_rows(plan)
 
-    monkeypatch.setattr(lbmlab.scheme, "_stream_rows", interrupted)
+    monkeypatch.setattr(lbmlab.scheme._Plan, "stream_rows", interrupted)
     with pytest.raises(KeyboardInterrupt):
         lbmlab.scheme.run(state, steps, *args)
     assert forks == [1, 1] and next(calls) == steps // 2 + 1
@@ -819,14 +866,14 @@ def test_a_failure_after_the_fork_leaves_no_worker(error, monkeypatch):
 
 def test_worker_that_dies_is_an_lbm_error(monkeypatch):
     two_cpus()
-    parent, sweep = os.getpid(), lbmlab._team._sweep
+    parent, sweep = os.getpid(), lbmlab.scheme._Plan.sweep
 
-    def dying(*args):
+    def dying(plan, *args):
         if os.getpid() != parent:
             os._exit(3)
-        return sweep(*args)
+        return sweep(plan, *args)
 
-    monkeypatch.setattr(lbmlab._team, "_sweep", dying)
+    monkeypatch.setattr(lbmlab.scheme._Plan, "sweep", dying)
     args, state = case_setup("d2q9", 1.0, (1.3,), (97, 91))
     with pytest.raises(LbmError, match="stepping worker exited"):
         lbmlab.scheme.run(state, teamed_steps((97, 91)), *args)
@@ -841,18 +888,15 @@ def test_worker_that_ends_while_this_process_waits_is_no_error(monkeypatch):
     monkeypatch.setattr(lbmlab._team, "TEAM_UPDATES", 0)
     monkeypatch.setattr(lbmlab._team, "SPINS", 0)
     parent, calls = os.getpid(), {"worker": 0, "parent": 0}
-    rows, stream_rows, sched_yield = (lbmlab._team._stream_rows,
-                                      lbmlab.scheme._stream_rows, os.sched_yield)
+    stream_rows, sched_yield = lbmlab.scheme._Plan.stream_rows, os.sched_yield
 
-    def slow_last_stream(*args):
-        calls["worker"] += 1
-        if calls["worker"] == 2:
+    def counted_stream(plan):
+        # each process counts its own streams in its own copy of calls
+        side = "parent" if os.getpid() == parent else "worker"
+        calls[side] += 1
+        if side == "worker" and calls[side] == 2:
             time.sleep(0.05)
-        return rows(*args)
-
-    def counted_stream(*args):
-        calls["parent"] += 1
-        return stream_rows(*args)
+        return stream_rows(plan)
 
     def slow_yield():
         if os.getpid() == parent and calls["parent"] >= 2:
@@ -860,8 +904,7 @@ def test_worker_that_ends_while_this_process_waits_is_no_error(monkeypatch):
         else:
             sched_yield()
 
-    monkeypatch.setattr(lbmlab._team, "_stream_rows", slow_last_stream)
-    monkeypatch.setattr(lbmlab.scheme, "_stream_rows", counted_stream)
+    monkeypatch.setattr(lbmlab.scheme._Plan, "stream_rows", counted_stream)
     monkeypatch.setattr(os, "sched_yield", slow_yield)
     forks = counting_forks(monkeypatch)
     args, state = case_setup("d2q9", 1.0, (1.3,), (64, 32))
